@@ -23,7 +23,7 @@ Timing protocol (this box throttles unpredictably): cold and warm
 requests alternate within a round so both see the same machine state,
 per-epoch *medians* are compared, and the reported figure is the best
 per-epoch median ratio — the capability estimate under least
-interference, exactly the bench_buildup_kernel protocol.  Results land
+interference, the ``common.interleaved_epochs`` protocol.  Results land
 as ``BENCH_artifacts.json`` at the repository root (plus the
 ``benchmarks/results/`` copy, written atomically by ``emit_json``).
 

@@ -22,7 +22,7 @@ the *post-draw RNG state* are bit-identical to the disabled run —
 telemetry never consumes a single generator draw.
 
 Timing is interleaved (arms alternate within each round so they see the
-same machine state; see ``bench_buildup_kernel.py`` for the rationale),
+same machine state; see ``common.interleaved_epochs`` for the rationale),
 rounds group into epochs, and each gate is judged on its best (lowest)
 per-epoch median ratio — the capability estimate under the least
 interference.  Results land as ``BENCH_observability.json`` at the

@@ -14,7 +14,7 @@ Both paths read the same uniform matrix, so for a fixed seed their
 outputs are bit-identical (asserted below before any timing).  Timing is
 interleaved (this box's clock drifts, so alternating runs and comparing
 per-epoch medians is the only fair protocol — see
-``bench_buildup_kernel.py`` for the full rationale); the reported figure
+``common.interleaved_epochs`` for the full rationale); the reported figure
 is the best per-epoch median ratio, the capability estimate under the
 least interference.  Results land as ``BENCH_sampling.json`` at the
 repository root so the perf trajectory is tracked across PRs, plus the
@@ -146,7 +146,7 @@ def run_sampling_comparison(
 ) -> dict:
     """Interleaved timing of both sampling paths; returns the payload.
 
-    Noise protocol (see the machine notes in ``bench_buildup_kernel``):
+    Noise protocol (see ``common.interleaved_epochs``):
     the two paths alternate within each round so they see the same
     machine state, rounds group into epochs, and the headline figure is
     the ratio of per-path medians within the best epoch — epochs stop

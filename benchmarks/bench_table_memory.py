@@ -24,7 +24,7 @@ different answers would be no saving.
 
 Timing is interleaved (this box's clock drifts, so alternating the two
 layouts within each round and comparing per-epoch medians is the only
-fair protocol — see ``bench_buildup_kernel.py`` for the full
+fair protocol — see ``common.interleaved_epochs`` for the full
 rationale); the reported figure is the best per-epoch median ratio, the
 capability estimate under the least interference.  Results land as
 ``BENCH_table.json`` at the repository root so the perf trajectory is

@@ -1,9 +1,10 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Every ``bench_fig*.py``/``bench_table_*.py`` file reproduces one table or
-figure from the paper (the file name says which); ``bench_buildup_kernel``
-and ``bench_sampling`` track this repo's own perf trajectory.  This
-module provides:
+figure from the paper (the file name says which); ``bench_sampling`` and
+the other trajectory scripts track this repo's own perf, and
+``e2ebench/run.py`` times the whole pipeline end to end.  This module
+provides:
 
 * cached pipeline construction (build once per (dataset, k, options),
   reuse across the benchmark's tests);
@@ -66,7 +67,7 @@ def emit_json(name: str, payload: dict, also_repo_root: bool = False) -> str:
 
     Writes ``benchmarks/results/<name>.json``; with ``also_repo_root`` the
     same document additionally lands at the repository root (tracked
-    trajectory files such as ``BENCH_buildup.json``).  Both copies are
+    trajectory files such as ``BENCH_sampling.json``).  Both copies are
     rendered once and written atomically (temp file + rename), so the two
     locations cannot diverge within a run and an interrupted run cannot
     leave a half-written document in either place.  Returns the results

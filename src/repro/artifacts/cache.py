@@ -8,13 +8,11 @@ cache root reuses the same artifact instead of rebuilding.
 The key hashes exactly the inputs that determine the table's bytes —
 graph fingerprint, ``k``, master seed, zero-rooting, biased-coloring λ —
 plus the storage codec.  Parameters that *don't* change the table
-(kernel choice, in-memory table layout, batch size, buffer tuning) are
-deliberately excluded: the batched and legacy kernels are bit-identical
-and the dense/succinct layouts hold the same counts, so a table built
-under one configuration serves requests for any other.  Builds with
-``seed=None``
-are not content-addressable (two such builds differ) and are never
-cached.
+(in-memory table layout, batch size, buffer tuning) are deliberately
+excluded: the dense/succinct layouts hold the same counts, so a table
+built under one configuration serves requests for any other.  Builds
+with ``seed=None`` are not content-addressable (two such builds differ)
+and are never cached.
 
 Writes are crash-safe: a new artifact is saved into a ``.tmp`` sibling
 and renamed into its slot, so a concurrent reader either sees a

@@ -182,10 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the coloring ensemble (default serial)",
     )
     count.add_argument(
-        "--kernel", choices=["batched", "legacy"], default="batched",
-        help="build-up kernel (legacy = per-key correctness oracle)",
-    )
-    count.add_argument(
         "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
         help="samples per vectorized sampling chunk; <=1 disables "
              f"batching (default {DEFAULT_BATCH_SIZE})",
@@ -273,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for an ensemble build (default serial)",
-    )
-    build.add_argument(
-        "--kernel", choices=["batched", "legacy"], default="batched",
-        help="build-up kernel (legacy = per-key correctness oracle)",
     )
     build.add_argument(
         "--table-layout", choices=["dense", "succinct"], default="dense",
@@ -572,7 +564,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         zero_rooting=not args.no_zero_rooting,
         biased_lambda=args.biased_lambda,
         spill_dir=args.spill_dir,
-        kernel=args.kernel,
         batch_size=args.batch_size,
         table_layout=args.table_layout,
         descent_cache_bytes=args.descent_cache_bytes,
@@ -597,9 +588,8 @@ def _run_single(graph, config, args):
     counter.build()
     build_seconds = time.perf_counter() - start
     _LOG.info(
-        "build-up: n=%d m=%d k=%d kernel=%s in %.2fs",
-        graph.num_vertices, graph.num_edges, args.k, config.kernel,
-        build_seconds,
+        "build-up: n=%d m=%d k=%d in %.2fs",
+        graph.num_vertices, graph.num_edges, args.k, build_seconds,
     )
     if counter.build_budget is not None:
         budget = counter.build_budget
@@ -644,9 +634,9 @@ def _run_ensemble(graph, config, args):
     seconds = time.perf_counter() - start
     inst = result.instrumentation
     _LOG.info(
-        "ensemble: n=%d m=%d k=%d kernel=%s: %d colorings x %d samples "
+        "ensemble: n=%d m=%d k=%d: %d colorings x %d samples "
         "on %d job(s) in %.2fs (%d empty, %.2fs total build)",
-        graph.num_vertices, graph.num_edges, args.k, config.kernel,
+        graph.num_vertices, graph.num_edges, args.k,
         result.colorings, args.samples, args.jobs, seconds,
         result.empty_runs, inst.timings["buildup"],
     )
@@ -661,7 +651,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         zero_rooting=not args.no_zero_rooting,
         biased_lambda=args.biased_lambda,
         spill_dir=args.spill_dir,
-        kernel=args.kernel,
         table_layout=args.table_layout,
         descent_cache_bytes=args.descent_cache_bytes,
         memory_budget=args.memory_budget,

@@ -5,13 +5,17 @@
     trades urn accuracy for table size on very large graphs.
 ``buildup``
     Motivo's build-up phase: the Equation (1) dynamic program over
-    succinct treelets.  The default batched kernel runs one sparse
-    matrix–matrix product per (level, source layer) and realizes the
-    recurrence through precompiled combination plans; the original
-    per-key loop survives as ``kernel="legacy"``, bit-identical.
+    succinct treelets, in memory — one sparse matrix–matrix product per
+    source layer, the recurrence realized through precompiled
+    combination plans.
+``level``
+    The build-up's level step, shared by the in-memory, sharded
+    (``sharded``) and incremental (``incremental``) builds: one level
+    over a column set, with neighbor sums from a resident SpMM cache or
+    a halo gather.
 ``plans``
-    The build-up kernel's compiler: per-level combination plans (row
-    index matrices, selection LUTs) from the treelet registry.
+    The level step's compiler: per-level combination plans (row index
+    matrices, selection LUTs) from the treelet registry.
 ``buildup_baseline``
     CC's build-up phase: per-vertex hash tables over pointer treelets with
     recursive check-and-merge — the baseline of Figures 2–4, and (being

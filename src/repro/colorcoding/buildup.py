@@ -1,4 +1,4 @@
-"""Motivo's build-up phase: the Equation (1) dynamic program, batched.
+"""Motivo's build-up phase: the Equation (1) dynamic program, in memory.
 
 For every vertex ``v`` and colorful rooted treelet ``T_C`` on up to ``k``
 nodes the phase computes ``c(T_C, v)``, the number of (non-induced) copies
@@ -9,38 +9,27 @@ of ``T_C`` rooted at ``v``:
 
 with ``(T', T'')`` the unique decomposition of ``T`` and ``C'' = C \\ C'``.
 
-Batched kernel (the default).  :class:`~repro.table.count_table.CountTable`
-stores each finished layer as one ``num_keys × n`` matrix, so the neighbor
-sums ``S(T''_{C'}, v) = Σ_{u~v} c(T''_{C'}, u)`` for *every* key of a layer
-are a single sparse matrix–matrix product ``adjacency @ layer.counts.T``
-— one SpMM per (level, source layer), instead of one SpMV per
-``(treelet, color-split)`` pair.  The recurrence itself runs off
-precompiled per-level *combination plans* (:mod:`repro.colorcoding.plans`):
-row-index matrices pairing ``(T', C\\C')`` rows with neighbor-summed
-``(T'', C')`` rows plus β divisors and output slots, realized as blocked
-gather → fused einsum contraction; groups whose prime factor is the
-singleton layer collapse to pure per-vertex selection lookups (the color
-indicators have disjoint supports), and under 0-rooting the whole
-size-``k`` level — SpMM included — runs only on color-0 columns.  Pair
-enumeration order matches the legacy loop exactly, so the two kernels
-produce bit-identical tables (the equivalence tests assert exact
-equality); degenerate inputs whose layers realize only part of the key
-universe fall back to a per-build key-resolving path with the same
-guarantee.
-
-Legacy kernel.  ``kernel="legacy"`` keeps the original per-key loop — one
-SpMV per color split with a bounded per-level neighbor-sum cache — as the
-correctness oracle the batched kernel is tested against.
+Each level ``h = 2..k`` is one call of the shared level step
+(:func:`repro.colorcoding.level.execute_level`) over every vertex.
+:class:`~repro.table.count_table.CountTable` stores each finished layer as
+one ``num_keys × n`` matrix, so the neighbor sums of *every* key of a
+layer are a single sparse matrix–matrix product ``adjacency @
+layer.counts.T`` — one SpMM per source layer, cached by
+:class:`~repro.colorcoding.level.ResidentSums` for the whole build — and
+the recurrence runs off precompiled per-level combination plans
+(:mod:`repro.colorcoding.plans`).  Under 0-rooting (§3.2) the size-``k``
+level, SpMMs included, runs only on color-0 columns, shrinking it by a
+factor ``k``.  The exact-integer CC baseline
+(:func:`repro.colorcoding.buildup_baseline.build_hash_table`) is the
+build's oracle.
 
 Layer storage is delegated to a :class:`~repro.table.layer_store.LayerStore`
 backend: in-memory (default), greedy flush to disk with memory-mapped
 reopen (§3.1/§3.3, :class:`~repro.table.layer_store.SpillLayerStore`), or
 vertex-range sharding (:class:`~repro.table.layer_store.ShardedStore`).
-0-rooting (§3.2) restricts the size-``k`` layer to roots of color 0,
-shrinking it by a factor ``k``.
 
-Table layout (``layout="succinct"``).  The kernels need the matrix form
-while a layer is still on the build frontier (SpMM operands, blocked
+Table layout (``layout="succinct"``).  The level step needs the matrix
+form while a layer is still on the build frontier (SpMM operands, blocked
 prime-side gathers), so layers are always *built* dense — but with the
 succinct layout requested each layer is **sealed** to the paper's CSR
 records the moment it retires from the frontier, i.e. once no later
@@ -55,45 +44,24 @@ layouts produce bit-identical downstream results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from scipy import sparse
-
 from repro.errors import BuildError
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.plans import (
-    CompiledLevel,
-    compile_plans,
-    frontier_last_use,
-    level_plans,
-)
+from repro.colorcoding.level import ResidentSums, execute_level
+from repro.colorcoding.plans import compile_plans, frontier_last_use
 from repro.graph.graph import Graph
 from repro.table.count_table import LAYOUTS, CountTable, Layer
 from repro.table.flush import SpillStore
 from repro.table.layer_store import LayerStore, resolve_store
-from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
-from repro.util.bitops import iter_subsets_of_size, masks_of_size
 from repro.util.instrument import Instrumentation
 
-__all__ = ["build_table", "KERNELS"]
+__all__ = ["build_table"]
 
 Key = Tuple[int, int]
-
-#: Available build-up kernels: ``batched`` (one SpMM per layer, the
-#: default) and ``legacy`` (per-key SpMV loop, the correctness oracle).
-KERNELS = ("batched", "legacy")
-
-#: Pair-chunk target for the resolving path's gather buffers, in rows.
-#: Chunks are segment-aligned so chunking never changes summation order.
-_CHUNK_PAIRS = 64
-
-#: Float budget for the compiled path's contraction gathers; slot blocks
-#: are sized so each ``block × L × n`` gather stays at most this many
-#: float64 values (~0.8 MB — small enough to contract out of cache).
-_CONTRACT_BLOCK = 100_000
 
 
 def build_table(
@@ -104,7 +72,6 @@ def build_table(
     spill: Optional[SpillStore] = None,
     store: Optional[LayerStore] = None,
     instrumentation: Optional[Instrumentation] = None,
-    kernel: str = "batched",
     layout: str = "dense",
 ) -> CountTable:
     """Run the build-up phase and return the treelet count table.
@@ -129,12 +96,8 @@ def build_table(
         sharded by vertex range).  Defaults to in-memory.
     instrumentation:
         Counter bag; receives ``merge_ops`` (one per realized (T, C-split)
-        combination pair), ``spmm_ops`` (batched kernel: one per
-        level × source-layer SpMM), and the ``buildup``/``sort_pass``
-        timers.
-    kernel:
-        ``"batched"`` (default) or ``"legacy"``; both produce bit-identical
-        tables.
+        combination pair), ``spmm_ops`` (one per SpMM), and the
+        ``buildup``/``sort_pass`` timers.
     layout:
         In-memory layout of the finished table: ``"dense"`` (the
         matrices, as built) or ``"succinct"`` (the paper's CSR records;
@@ -153,8 +116,6 @@ def build_table(
     registry = registry or TreeletRegistry(k)
     if registry.k != k:
         raise BuildError(f"registry is for k={registry.k}, coloring for k={k}")
-    if kernel not in KERNELS:
-        raise BuildError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     if layout not in LAYOUTS:
         raise BuildError(
             f"unknown table layout {layout!r}; choose from {LAYOUTS}"
@@ -163,7 +124,6 @@ def build_table(
     layer_store = resolve_store(store, spill)
 
     n = graph.num_vertices
-    adjacency = graph.adjacency_csr()
     table = CountTable(k, n, zero_rooted=zero_rooting)
 
     with instrumentation.timer("buildup"):
@@ -175,18 +135,28 @@ def build_table(
                 level_one[(0, 1 << color)] = indicator
         _install(layer_store, table, 1, level_one)
 
-        zero_mask = coloring.indicator(0) if zero_rooting else None
         sealer = _FrontierSealer(registry, layout, layer_store, instrumentation)
-        if kernel == "batched":
-            _run_batched(
-                table, registry, adjacency, coloring.colors, zero_mask,
-                layer_store, instrumentation, sealer,
+        sums = ResidentSums(
+            table, graph.adjacency_csr(), registry, instrumentation
+        )
+        for h in range(2, k + 1):
+            out = execute_level(
+                h, registry, zero_rooting, coloring.colors, table, sums
             )
-        else:
-            _run_legacy(
-                table, registry, adjacency, zero_mask, layer_store,
-                instrumentation, sealer,
-            )
+            if not layer_store.resident:
+                sums.evict()
+            keys = compile_plans(registry)[h].keys
+            # Counts are nonnegative, so a positive row sum is exactly "any
+            # nonzero" — and the float sum is one fast reduction pass.
+            keep = np.flatnonzero(np.einsum("ij->i", out) > 0.0)
+            if keep.size == out.shape[0]:
+                layer_store.install(table, h, list(keys), out)
+            else:
+                layer_store.install(
+                    table, h, [keys[i] for i in keep], out[keep]
+                )
+            del out
+            sealer.after_level(table, h, sums)
 
     layer_store.finalize(table, instrumentation, layout=layout)
     if layout == "succinct":
@@ -219,10 +189,10 @@ class _FrontierSealer:
         self.instrumentation = instrumentation
 
     def after_level(
-        self, table: CountTable, level: int, *sum_caches: Dict
+        self, table: CountTable, level: int, sums: ResidentSums
     ) -> None:
         """Seal every resident dense layer with no use beyond ``level``,
-        releasing its entries in the kernels' neighbor-sum caches."""
+        evicting its cached neighbor sums."""
         if not self.active:
             return
         for size in range(1, level + 1):
@@ -234,8 +204,7 @@ class _FrontierSealer:
                 continue
             table.seal("succinct", sizes=[size])
             self.instrumentation.count("sealed_layers")
-            for cache in sum_caches:
-                cache.pop(size, None)
+            sums.evict(size)
 
 
 def _install(
@@ -251,562 +220,3 @@ def _install(
     else:
         matrix = np.zeros((0, table.num_vertices), dtype=np.float64)
     return store.install(table, size, keys, matrix)
-
-
-# ----------------------------------------------------------------------
-# Batched kernel: one SpMM per (level, source layer) + plan execution
-# ----------------------------------------------------------------------
-
-
-def _run_batched(
-    table: CountTable,
-    registry: TreeletRegistry,
-    adjacency,
-    colors: np.ndarray,
-    zero_mask: Optional[np.ndarray],
-    store: LayerStore,
-    instrumentation: Instrumentation,
-    sealer: "_FrontierSealer",
-) -> None:
-    k, n = table.k, table.num_vertices
-    compiled = compile_plans(registry)
-    universe_sizes = {h: len(compiled[h].keys) for h in range(2, k + 1)}
-    universe_sizes[1] = k
-    # Neighbor-sum matrices, one SpMM per source layer, augmented with a
-    # trailing all-zero sentinel row for the selection lookups.  When the
-    # store keeps layers resident the sums are cached for the whole build
-    # (each layer's SpMM runs exactly once); a spilling store frees them
-    # after every level so peak memory stays one layer deep, as §3.1
-    # promises.
-    neighbor_sums: Dict[int, np.ndarray] = {}
-    # Sizes some *contraction* group consumes need the row-major layout;
-    # selection-only sizes keep the SpMM's natural column-major layout,
-    # skipping a strided transpose per layer.
-    contract_sizes = {
-        g.h_second
-        for level in compiled.values()
-        for g in level.groups
-        if g.select_lut is None
-    }
-    neighbor_sums_cm: Dict[int, np.ndarray] = {}
-    color_view = _ColorView(adjacency, colors, k)
-    vertex_ids = np.arange(n, dtype=np.int64)
-    for h in range(2, k + 1):
-        clevel = compiled[h]
-        source_sizes = sorted(
-            {g.h_second for g in clevel.groups}
-            | {g.h_prime for g in clevel.groups}
-        )
-        full = all(
-            table.layer(size).num_keys == universe_sizes[size]
-            for size in source_sizes
-        )
-        zero_restricted = h == k and zero_mask is not None and full
-        if not zero_restricted:
-            if full:
-                selection_sizes = {
-                    g.h_second
-                    for g in clevel.groups
-                    if g.select_lut is not None
-                }
-                needed_rm = {
-                    g.h_second
-                    for g in clevel.groups
-                    if g.select_lut is None
-                } | (selection_sizes & contract_sizes)
-                needed_cm = selection_sizes - contract_sizes
-            else:
-                needed_rm = {g.h_second for g in clevel.groups}
-                needed_cm = set()
-            for size in sorted(needed_rm):
-                if size not in neighbor_sums:
-                    instrumentation.count("spmm_ops")
-                    neighbor_sums[size] = _neighbor_matrix(
-                        adjacency, table.layer(size).counts
-                    )
-            for size in sorted(needed_cm):
-                if size not in neighbor_sums_cm:
-                    instrumentation.count("spmm_ops")
-                    neighbor_sums_cm[size] = _neighbor_matrix_cm(
-                        adjacency, table.layer(size).counts
-                    )
-        if zero_restricted:
-            out = _exec_compiled_zero_rooted(
-                table, clevel, colors, neighbor_sums, color_view,
-                instrumentation,
-            )
-            keys: List[Key] = list(clevel.keys)
-        elif full:
-            out = _exec_compiled(
-                table, clevel, colors, vertex_ids, neighbor_sums,
-                neighbor_sums_cm, instrumentation,
-            )
-            # (zero-rooting at h == k always takes the zero_restricted
-            # branch when the sources are full, so no masking here.)
-            keys = list(clevel.keys)
-        else:
-            instrumentation.count("fallback_levels")
-            out = _exec_resolved(
-                table, level_plans(registry)[h], neighbor_sums,
-                instrumentation,
-            )
-            keys = list(level_plans(registry)[h].out_keys)
-            if h == k and zero_mask is not None:
-                out *= zero_mask
-        if not store.resident:
-            neighbor_sums.clear()
-            neighbor_sums_cm.clear()
-        # Counts are nonnegative, so a positive row sum is exactly "any
-        # nonzero" — and the float sum is one fast reduction pass.
-        keep = np.flatnonzero(np.einsum("ij->i", out) > 0.0)
-        if keep.size == out.shape[0]:
-            store.install(table, h, keys, out)
-        else:
-            store.install(table, h, [keys[i] for i in keep], out[keep])
-        del out
-        sealer.after_level(table, h, neighbor_sums, neighbor_sums_cm)
-
-
-try:  # pragma: no cover - import guard
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover
-    _scipy_sparsetools = None
-
-
-def _spmm(adjacency, dense_T: np.ndarray) -> np.ndarray:
-    """``adjacency @ dense_T`` for a C-contiguous ``(n, vecs)`` operand.
-
-    Calls the same ``csr_matvecs`` routine scipy's ``dot`` dispatches to
-    (bit-identical result), skipping the per-call wrapper overhead; falls
-    back to the public API if the private module moves.
-    """
-    if _scipy_sparsetools is not None:
-        rows = adjacency.shape[0]
-        vecs = dense_T.shape[1]
-        result = np.zeros((rows, vecs), dtype=np.float64)
-        _scipy_sparsetools.csr_matvecs(
-            rows, adjacency.shape[1], vecs,
-            adjacency.indptr, adjacency.indices, adjacency.data,
-            dense_T.ravel(), result.ravel(),
-        )
-        return result
-    return adjacency.dot(dense_T)
-
-
-def _neighbor_matrix(adjacency, counts: np.ndarray) -> np.ndarray:
-    """One SpMM: all neighbor sums of a layer, plus the zero sentinel row.
-
-    Row ``r < num_keys`` holds ``Σ_{u~v} counts[r, u]`` over vertices
-    ``v``; the trailing row is all zero so the selection lookups can point
-    "no such key" at it for free.
-    """
-    sums = _spmm(adjacency, np.ascontiguousarray(counts.T))
-    augmented = np.empty((counts.shape[0] + 1, sums.shape[0]), dtype=np.float64)
-    augmented[:-1] = sums.T
-    augmented[-1] = 0.0
-    return augmented
-
-
-def _neighbor_matrix_cm(adjacency, counts: np.ndarray) -> np.ndarray:
-    """Column-major neighbor sums: ``(n, num_keys + 1)``, sentinel last.
-
-    For layers consumed *only* by selection lookups the row-major layout
-    is never needed — the flattened-index take works on any contiguous
-    layout — so the SpMM output is kept as produced, and the sentinel
-    becomes a zero input column that the SpMM maps to zero for free.
-    This skips a full strided transpose per layer.
-    """
-    num_keys = counts.shape[0]
-    operand = np.zeros((counts.shape[1], num_keys + 1), dtype=np.float64)
-    operand[:, :num_keys] = counts.T
-    return _spmm(adjacency, operand)
-
-
-class _ColorView:
-    """Per-color vertex classes and adjacency row subsets, built lazily.
-
-    The fused selection path multiplies ``A[V_c]`` (rows of color-``c``
-    vertices) against a handful of layer rows; the subsets are shared by
-    every fused group of the build.
-    """
-
-    __slots__ = ("_adjacency", "vertices", "_subsets")
-
-    def __init__(self, adjacency, colors: np.ndarray, k: int):
-        self._adjacency = adjacency
-        self.vertices = [np.flatnonzero(colors == c) for c in range(k)]
-        self._subsets: List[Optional[object]] = [None] * k
-
-    def adjacency_rows(self, color: int):
-        if self._subsets[color] is None:
-            self._subsets[color] = _csr_row_subset(
-                self._adjacency, self.vertices[color]
-            )
-        return self._subsets[color]
-
-
-def _exec_group(
-    group,
-    prime_counts: np.ndarray,
-    neighbor_counts: np.ndarray,
-    colors: np.ndarray,
-    vertex_ids: Optional[np.ndarray] = None,
-    column_major: bool = False,
-) -> np.ndarray:
-    """One group's accumulated rows: selection lookup or pair contraction.
-
-    Selection works on either neighbor-sum layout — row-major
-    ``(keys + 1, n)`` or column-major ``(n, keys + 1)`` — via a
-    flattened-index take (~2x faster than pairwise advanced indexing).
-    """
-    if group.select_lut is not None:
-        n = colors.size
-        if vertex_ids is None:
-            vertex_ids = np.arange(n, dtype=np.int64)
-        flat = np.take(group.select_lut, colors, axis=1)
-        if column_major:  # (n, keys + 1)
-            flat += vertex_ids * neighbor_counts.shape[1]
-        else:  # (keys + 1, n)
-            flat *= neighbor_counts.shape[1]
-            flat += vertex_ids
-        return np.take(
-            neighbor_counts.ravel(), flat.ravel(), mode="clip"
-        ).reshape(flat.shape[0], n)
-    return _pair_contract(
-        prime_counts, neighbor_counts, group.prime_rows, group.second_rows
-    )
-
-
-def _exec_compiled(
-    table: CountTable,
-    clevel: CompiledLevel,
-    colors: np.ndarray,
-    vertex_ids: np.ndarray,
-    neighbor_sums: Dict[int, np.ndarray],
-    neighbor_sums_cm: Dict[int, np.ndarray],
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """Run one level off the precompiled full-universe row indices."""
-    n = table.num_vertices
-    out = np.empty((len(clevel.keys), n), dtype=np.float64)
-    for group in clevel.groups:
-        instrumentation.count("merge_ops", group.prime_rows.size)
-        second = neighbor_sums.get(group.h_second)
-        if group.select_lut is not None and second is None:
-            second = neighbor_sums_cm[group.h_second]
-            column_major = True
-        else:
-            column_major = False
-        out[group.out_rows] = _exec_group(
-            group,
-            table.layer(group.h_prime).counts,
-            second,
-            colors,
-            vertex_ids,
-            column_major,
-        )
-    divisors = clevel.betas > 1.0
-    if divisors.any():
-        out[divisors] /= clevel.betas[divisors, None]
-    return out
-
-
-def _exec_compiled_zero_rooted(
-    table: CountTable,
-    clevel: CompiledLevel,
-    colors: np.ndarray,
-    neighbor_sums: Dict[int, np.ndarray],
-    color_view: "_ColorView",
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """The size-``k`` level under 0-rooting, restricted to color-0 roots.
-
-    Only columns of color-0 vertices can be nonzero, so both the SpMM and
-    the contraction run on the ``n/k``-wide column subset; the result is
-    scattered back into full-width rows (all other columns are exactly the
-    ``× 0`` of the unrestricted kernel, i.e. ``+0.0``).
-    """
-    n = table.num_vertices
-    zero_cols = color_view.vertices[0]
-    out = np.zeros((len(clevel.keys), n), dtype=np.float64)
-    if zero_cols.size == 0:
-        return out
-    prime_cols: Dict[int, np.ndarray] = {}
-    for group in clevel.groups:
-        instrumentation.count("merge_ops", group.prime_rows.size)
-        if group.select_lut is not None:
-            # Color-0 roots read only the color-0 column of the lookup:
-            # one restricted SpMM computes exactly those entries.
-            slots_zero, rows_zero = group.color_slots[0]
-            if slots_zero.size:
-                instrumentation.count("spmm_ops")
-                values = _spmm(
-                    color_view.adjacency_rows(0),
-                    np.ascontiguousarray(
-                        table.layer(group.h_second).counts[rows_zero].T
-                    ),
-                )
-                rows = group.out_rows[slots_zero]
-                divisors = clevel.betas[rows] > 1.0
-                acc = values.T
-                if divisors.any():
-                    acc = acc.copy()
-                    acc[divisors] /= clevel.betas[rows][divisors, None]
-                out[np.ix_(rows, zero_cols)] = acc
-            continue
-        if group.h_prime not in prime_cols:
-            prime_cols[group.h_prime] = np.ascontiguousarray(
-                table.layer(group.h_prime).counts[:, zero_cols]
-            )
-        if group.h_second in neighbor_sums:
-            second = np.ascontiguousarray(
-                neighbor_sums[group.h_second][:, zero_cols]
-            )
-        else:
-            instrumentation.count("spmm_ops")
-            second = _neighbor_matrix(
-                color_view.adjacency_rows(0),
-                table.layer(group.h_second).counts,
-            )
-        acc = _exec_group(
-            group, prime_cols[group.h_prime], second, colors[zero_cols]
-        )
-        divisors = clevel.betas[group.out_rows] > 1.0
-        if divisors.any():
-            acc[divisors] /= clevel.betas[group.out_rows][divisors, None]
-        out[np.ix_(group.out_rows, zero_cols)] = acc
-    return out
-
-
-def _pair_contract(
-    prime_counts: np.ndarray,
-    neighbor_counts: np.ndarray,
-    prime_rows: np.ndarray,
-    second_rows: np.ndarray,
-) -> np.ndarray:
-    """``acc[s] = Σ_j prime[prime_rows[s, j]] ∘ nbr[second_rows[s, j]]``.
-
-    The sum over ``j`` (the color sub-masks) runs sequentially in
-    enumeration order, so the bits match the legacy ``accumulated += term``
-    loop exactly: einsum without ``optimize`` reduces the contracted axis
-    with the same left-to-right association, and it fuses the multiply and
-    the sum with no temporaries.  Slot blocks keep each ``block × L × n``
-    gather within ``_CONTRACT_BLOCK`` floats so the contraction runs out
-    of cache; when even one slot's ``L × n`` gather would exceed the
-    budget (huge graphs), a buffered multiply-accumulate loop over ``j``
-    — same summation order — bounds memory instead.
-    """
-    num_slots, pairs_per_slot = prime_rows.shape
-    n = prime_counts.shape[1]
-    acc = np.empty((num_slots, n), dtype=np.float64)
-    if pairs_per_slot * n <= _CONTRACT_BLOCK:
-        step = max(1, _CONTRACT_BLOCK // (pairs_per_slot * n))
-        for lo in range(0, num_slots, step):
-            hi = min(lo + step, num_slots)
-            np.einsum(
-                "sjn,sjn->sn",
-                prime_counts[prime_rows[lo:hi]],
-                neighbor_counts[second_rows[lo:hi]],
-                out=acc[lo:hi],
-                optimize=False,
-            )
-        return acc
-    step = max(1, _CONTRACT_BLOCK // n)
-    rows = min(step, num_slots)
-    gather = np.empty((rows, n), dtype=np.float64)
-    product = np.empty((rows, n), dtype=np.float64)
-    for lo in range(0, num_slots, step):
-        hi = min(lo + step, num_slots)
-        count = hi - lo
-        block = acc[lo:hi]
-        np.take(
-            prime_counts, prime_rows[lo:hi, 0], axis=0,
-            out=gather[:count], mode="clip",
-        )
-        np.take(
-            neighbor_counts, second_rows[lo:hi, 0], axis=0,
-            out=product[:count], mode="clip",
-        )
-        np.multiply(gather[:count], product[:count], out=block)
-        for j in range(1, pairs_per_slot):
-            np.take(
-                prime_counts, prime_rows[lo:hi, j], axis=0,
-                out=gather[:count], mode="clip",
-            )
-            np.take(
-                neighbor_counts, second_rows[lo:hi, j], axis=0,
-                out=product[:count], mode="clip",
-            )
-            gather[:count] *= product[:count]
-            block += gather[:count]
-    return acc
-
-
-def _csr_row_subset(adjacency, rows: np.ndarray):
-    """The CSR row subset ``adjacency[rows]`` without scipy's overhead."""
-    indptr = adjacency.indptr
-    indices = adjacency.indices
-    lengths = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    new_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_indptr[1:])
-    total = int(new_indptr[-1])
-    gather = (
-        np.repeat(indptr[rows].astype(np.int64) - new_indptr[:-1], lengths)
-        + np.arange(total, dtype=np.int64)
-    )
-    return sparse.csr_matrix(
-        (np.ones(total, dtype=np.float64), indices[gather], new_indptr),
-        shape=(rows.size, adjacency.shape[1]),
-    )
-
-
-def _exec_resolved(
-    table: CountTable,
-    plan,
-    neighbor_sums: Dict[int, np.ndarray],
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """Run one level by resolving plan keys against partial layers.
-
-    The general path for degenerate inputs whose layers realize only part
-    of the key universe (e.g. a color missing entirely): absent keys drop
-    their pairs exactly like the legacy ``counts_for(...) is None`` checks.
-    """
-    n = table.num_vertices
-    out = np.zeros((len(plan.out_keys), n), dtype=np.float64)
-    for group in plan.groups:
-        prime_rows_of = table.layer(group.h_prime).key_rows
-        second_rows_of = table.layer(group.h_second).key_rows
-        prime_rows: List[int] = []
-        second_rows: List[int] = []
-        slots: List[int] = []
-        for prime_key, second_key, slot in zip(
-            group.prime_keys, group.second_keys, group.out_slots
-        ):
-            second_row = second_rows_of.get(second_key)
-            if second_row is None:
-                continue
-            prime_row = prime_rows_of.get(prime_key)
-            if prime_row is None:
-                continue
-            prime_rows.append(prime_row)
-            second_rows.append(second_row)
-            slots.append(int(slot))
-        if not slots:
-            continue
-        instrumentation.count("merge_ops", len(slots))
-        _scatter_pairs(
-            out,
-            table.layer(group.h_prime).counts,
-            neighbor_sums[group.h_second],
-            np.asarray(prime_rows, dtype=np.int64),
-            np.asarray(second_rows, dtype=np.int64),
-            np.asarray(slots, dtype=np.int64),
-        )
-    divisors = plan.betas > 1.0
-    if divisors.any():
-        out[divisors] /= plan.betas[divisors, None]
-    return out
-
-
-def _scatter_pairs(
-    out: np.ndarray,
-    prime_counts: np.ndarray,
-    neighbor_counts: np.ndarray,
-    prime_rows: np.ndarray,
-    second_rows: np.ndarray,
-    slots: np.ndarray,
-) -> None:
-    """Gather → multiply → segment-sum one group's pairs into ``out``.
-
-    ``slots`` is non-decreasing with contiguous runs per output row, so
-    each run is one ``np.add.reduceat`` segment.  Work proceeds in
-    segment-aligned chunks of roughly ``_CHUNK_PAIRS`` pairs to bound the
-    gather buffer at chunk × n floats; alignment keeps every segment's
-    summation sequential and therefore bit-identical to the legacy loop.
-    """
-    starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-    boundaries = np.append(starts, slots.size)
-    segment = 0
-    while segment < starts.size:
-        stop = segment + 1
-        while (
-            stop < starts.size
-            and boundaries[stop + 1] - boundaries[segment] <= _CHUNK_PAIRS
-        ):
-            stop += 1
-        lo, hi = boundaries[segment], boundaries[stop]
-        terms = (
-            prime_counts[prime_rows[lo:hi]]
-            * neighbor_counts[second_rows[lo:hi]]
-        )
-        chunk_starts = starts[segment:stop] - lo
-        out[slots[starts[segment:stop]]] = np.add.reduceat(
-            terms, chunk_starts, axis=0
-        )
-        segment = stop
-
-
-# ----------------------------------------------------------------------
-# Legacy kernel: per-key SpMV loop (the correctness oracle)
-# ----------------------------------------------------------------------
-
-
-def _run_legacy(
-    table: CountTable,
-    registry: TreeletRegistry,
-    adjacency,
-    zero_mask: Optional[np.ndarray],
-    store: LayerStore,
-    instrumentation: Instrumentation,
-    sealer: "_FrontierSealer",
-) -> None:
-    k = table.k
-    for h in range(2, k + 1):
-        entries: Dict[Key, np.ndarray] = {}
-        # Per-level neighbor-sum cache, scoped to the level: it can
-        # hold at most the distinct (T'', C') keys this level's
-        # decompositions reference (Σ over distinct T'' of C(k, |T''|),
-        # about one finished-table's worth of vectors) and is released
-        # when the level finishes — peak memory stays one layer deep.
-        # Deliberately no mid-level eviction: recomputing hot SpMVs
-        # would skew the legacy/batched comparison the benchmarks track.
-        neighbor_sums: Dict[Key, np.ndarray] = {}
-        color_masks = masks_of_size(k, h)
-        for treelet in registry.treelets_of_size(h):
-            t_prime, t_second, beta_t = registry.decomposition(treelet)
-            h_second = getsize(t_second)
-            layer_prime = table.layer(h - h_second)
-            layer_second = table.layer(h_second)
-            for mask in color_masks:
-                accumulated: Optional[np.ndarray] = None
-                for sub_mask in iter_subsets_of_size(mask, h_second):
-                    counts_second = layer_second.counts_for(t_second, sub_mask)
-                    if counts_second is None:
-                        continue
-                    counts_prime = layer_prime.counts_for(
-                        t_prime, mask ^ sub_mask
-                    )
-                    if counts_prime is None:
-                        continue
-                    instrumentation.count("merge_ops")
-                    sums = neighbor_sums.get((t_second, sub_mask))
-                    if sums is None:
-                        sums = adjacency.dot(counts_second)
-                        neighbor_sums[(t_second, sub_mask)] = sums
-                    term = counts_prime * sums
-                    if accumulated is None:
-                        accumulated = term
-                    else:
-                        accumulated += term
-                if accumulated is None or not accumulated.any():
-                    continue
-                if beta_t > 1:
-                    accumulated /= beta_t
-                if h == k and zero_mask is not None:
-                    accumulated = accumulated * zero_mask
-                    if not accumulated.any():
-                        continue
-                entries[(treelet, mask)] = accumulated
-        _install(store, table, h, entries)
-        sealer.after_level(table, h)

@@ -19,26 +19,16 @@ propagates outward along it, so both incidence structures bound the
 blast radius.  Level 1 (the per-color indicator rows) never changes
 under pure edge updates.
 
-Bit-identity argument (the PR 7 column-restriction argument, reused).
-Three facts make the column-restricted recomputation exact, not just
-approximately right:
-
-1. Every per-column operation of the batched kernel — plan gathers,
-   selection lookups, the fused einsum contraction, β division — is
-   elementwise over the vertex axis, so running it on the frontier
-   columns produces exactly the bytes the full run would put there.
-2. The restricted neighbor sums replay ``csr_matvecs`` over the
-   frontier rows of the adjacency with columns remapped to the sorted
-   halo; each output element sees its additions in ascending neighbor
-   order — the one-shot SpMM's exact floating-point sequence
-   (:func:`repro.colorcoding.sharded._streamed_spmm`'s whole-halo
-   argument).
-3. Counts are nonnegative, so the fresh build's keep test ("row sum
-   > 0") decomposes exactly into *any nonzero outside the frontier*
-   (old data, unchanged by induction) OR *any nonzero inside* (the
-   recomputed block) — the keep sets agree, and with them the layer
-   key lists, the full/fallback mode decisions of every later level,
-   and the sealed CSR records.
+Bit-identity.  Each level is the shared level step
+(:func:`repro.colorcoding.level.execute_level`) run on the frontier
+columns, with neighbor sums gathered from the halo of the live layers
+(:class:`~repro.colorcoding.level.HaloSums`), so the recomputed columns
+hold exactly the bytes a full run puts there (see that module).  Counts
+are nonnegative, so the fresh build's keep test ("row sum > 0")
+decomposes exactly into *any nonzero outside the frontier* (old data,
+unchanged by induction) OR *any nonzero inside* (the recomputed block)
+— the keep sets agree, and with them the layer key lists, the mode
+decisions of every later level, and the sealed CSR records.
 
 Untouched columns are untouched bytes: dense layers copy the surviving
 rows and patch only the frontier columns; sealed
@@ -55,20 +45,20 @@ names deliberately distinct from the build counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from repro.colorcoding.buildup import (
-    _csr_row_subset,
-    _exec_compiled,
-    _exec_group,
-    _exec_resolved,
-    _spmm,
-)
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.plans import compile_plans, level_plans
+from repro.colorcoding.level import (
+    HaloSums,
+    LiveColumns,
+    MemoryBudget,
+    column_block,
+    execute_level,
+    row_edges,
+)
+from repro.colorcoding.plans import compile_plans, level_source_sizes
 from repro.errors import BuildError
 from repro.graph.graph import Graph
 from repro.table.count_table import (
@@ -121,21 +111,6 @@ class DeltaResult:
     dirty_columns: Optional[np.ndarray] = None
 
 
-def _gather_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray
-) -> np.ndarray:
-    """Concatenated neighbor lists of ``verts`` (one CSR gather)."""
-    lengths = (indptr[verts + 1] - indptr[verts]).astype(np.int64)
-    offsets = np.zeros(verts.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    gather = (
-        np.repeat(indptr[verts].astype(np.int64) - offsets[:-1], lengths)
-        + np.arange(total, dtype=np.int64)
-    )
-    return indices[gather]
-
-
 def touched_frontiers(
     old_graph: Graph, new_graph: Graph, endpoints: np.ndarray, k: int
 ) -> List[np.ndarray]:
@@ -150,8 +125,8 @@ def touched_frontiers(
     balls = [ball]
     for _radius in range(1, max(k - 1, 1)):
         grown = np.union1d(
-            _gather_neighbors(old_graph.indptr, old_graph.indices, ball),
-            _gather_neighbors(new_graph.indptr, new_graph.indices, ball),
+            old_graph.indices[row_edges(old_graph.indptr, ball)[1]],
+            new_graph.indices[row_edges(new_graph.indptr, ball)[1]],
         )
         ball = np.union1d(ball, grown)
         balls.append(ball)
@@ -165,153 +140,6 @@ def _membership(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     positions = np.searchsorted(sorted_values, queries)
     positions = np.minimum(positions, sorted_values.size - 1)
     return sorted_values[positions] == queries
-
-
-def _column_block(layer: LayerView, cols: np.ndarray) -> np.ndarray:
-    """Dense float64 ``num_keys × len(cols)`` column block of a layer.
-
-    Dense layers slice; succinct layers scatter their CSR vertex records
-    for exactly the requested columns — no full densification either
-    way, so the cost stays proportional to the block.
-    """
-    if layer.layout == "dense":
-        return np.ascontiguousarray(
-            layer.counts[:, cols], dtype=np.float64
-        )
-    block = np.zeros((layer.num_keys, cols.size), dtype=np.float64)
-    indptr = layer.indptr
-    starts = indptr[cols].astype(np.int64)
-    lengths = (indptr[cols + 1] - starts).astype(np.int64)
-    offsets = np.zeros(cols.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    gather = (
-        np.repeat(starts - offsets[:-1], lengths)
-        + np.arange(total, dtype=np.int64)
-    )
-    block[
-        np.asarray(layer.key_row[gather], dtype=np.int64),
-        np.repeat(np.arange(cols.size, dtype=np.int64), lengths),
-    ] = layer.values[gather]
-    return block
-
-
-def _restricted_rows(adjacency, rows: np.ndarray):
-    """``adjacency[rows]`` with columns remapped onto the sorted halo.
-
-    Returns ``(piece, halo)`` where ``piece`` is a CSR over the halo
-    columns; the remap is monotone, so each row's axpy order — and with
-    it the floating-point sum — matches the unrestricted SpMM exactly.
-    """
-    sub = _csr_row_subset(adjacency, rows)
-    halo, halo_cols = np.unique(sub.indices, return_inverse=True)
-    piece = sparse.csr_matrix(
-        (sub.data, halo_cols.reshape(-1), sub.indptr),
-        shape=(rows.size, halo.size),
-    )
-    return piece, halo
-
-
-def _neighbor_block(
-    adjacency,
-    layer: LayerView,
-    rows: np.ndarray,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """Augmented ``(num_keys + 1, len(rows))`` restricted neighbor sums.
-
-    The frontier counterpart of
-    :func:`repro.colorcoding.buildup._neighbor_matrix`: the same values
-    as ``_neighbor_matrix(adjacency, counts)[:, rows]`` bit for bit,
-    computed from only the halo columns of the source layer, with the
-    trailing all-zero sentinel row the selection lookups rely on.
-    """
-    instrumentation.count("spmm_ops")
-    piece, halo = _restricted_rows(adjacency, rows)
-    operand = np.ascontiguousarray(_column_block(layer, halo).T)
-    sums = _spmm(piece, operand)
-    augmented = np.empty((layer.num_keys + 1, rows.size), dtype=np.float64)
-    augmented[:-1] = sums.T
-    augmented[-1] = 0.0
-    return augmented
-
-
-def _restricted_sums(
-    adjacency,
-    layer: LayerView,
-    rows: np.ndarray,
-    row_subset: np.ndarray,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """``(len(rows), len(row_subset))`` neighbor sums over selected keys.
-
-    Mirrors the sharded ``_streamed_spmm(..., row_subset=...)`` call the
-    zero-rooted selection groups make: only the layer rows the color-0
-    lookup actually reads enter the SpMM.
-    """
-    instrumentation.count("spmm_ops")
-    piece, halo = _restricted_rows(adjacency, rows)
-    operand = np.ascontiguousarray(_column_block(layer, halo)[row_subset].T)
-    return _spmm(piece, operand)
-
-
-def _exec_zero_restricted(
-    clevel,
-    shim: CountTable,
-    sources: Dict[int, LayerView],
-    adjacency,
-    cols: np.ndarray,
-    colors_local: np.ndarray,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """The zero-rooted size-``k`` level on the frontier columns.
-
-    Mirrors ``_exec_zero_shard`` with an arbitrary column set instead of
-    a contiguous shard: selection groups run one restricted SpMM over
-    exactly the rows the color-0 lookup reads, contraction groups
-    contract the frontier's color-0 columns against restricted neighbor
-    sums.  Non-color-0 columns stay exactly ``0.0``, as in the full
-    kernel.
-    """
-    width = cols.size
-    out = np.zeros((len(clevel.keys), width), dtype=np.float64)
-    zero_local = np.flatnonzero(colors_local == 0)
-    if zero_local.size == 0:
-        return out
-    zero_rows = cols[zero_local]
-    prime_cols: Dict[int, np.ndarray] = {}
-    for group in clevel.groups:
-        instrumentation.count("merge_ops", group.prime_rows.size)
-        if group.select_lut is not None:
-            slots_zero, rows_zero = group.color_slots[0]
-            if slots_zero.size:
-                values = _restricted_sums(
-                    adjacency, sources[group.h_second], zero_rows,
-                    rows_zero, instrumentation,
-                )
-                rows = group.out_rows[slots_zero]
-                divisors = clevel.betas[rows] > 1.0
-                acc = values.T
-                if divisors.any():
-                    acc = acc.copy()
-                    acc[divisors] /= clevel.betas[rows][divisors, None]
-                out[np.ix_(rows, zero_local)] = acc
-            continue
-        if group.h_prime not in prime_cols:
-            prime_cols[group.h_prime] = np.ascontiguousarray(
-                shim.layer(group.h_prime).counts[:, zero_local]
-            )
-        second = _neighbor_block(
-            adjacency, sources[group.h_second], zero_rows, instrumentation
-        )
-        acc = _exec_group(
-            group, prime_cols[group.h_prime], second, colors_local[zero_local]
-        )
-        divisors = clevel.betas[group.out_rows] > 1.0
-        if divisors.any():
-            acc[divisors] /= clevel.betas[group.out_rows][divisors, None]
-        out[np.ix_(group.out_rows, zero_local)] = acc
-    return out
 
 
 def _patched_layer(
@@ -483,88 +311,32 @@ def apply_edge_updates(
         new_graph, _touched = graph.apply_updates(updates)
         balls = touched_frontiers(graph, new_graph, endpoints, k)
         adjacency = new_graph.adjacency_csr()
-        colors = coloring.colors
         compiled = compile_plans(registry)
-        plans = level_plans(registry)
-        universe_sizes = {h: len(compiled[h].keys) for h in range(2, k + 1)}
-        universe_sizes[1] = k
-        zero_rooted = table.zero_rooted
 
-        new_table = CountTable(k, n, zero_rooted=zero_rooted)
+        new_table = CountTable(k, n, zero_rooted=table.zero_rooted)
         new_table.set_layer(table.layer(1))
+        live = LiveColumns(new_table)
+        budget = MemoryBudget()
         rows_touched = 0
         for h in range(2, k + 1):
-            clevel = compiled[h]
             cols = balls[h - 2]
-            width = cols.size
-            rows_touched += width
-            source_sizes = sorted(
-                {g.h_second for g in clevel.groups}
-                | {g.h_prime for g in clevel.groups}
+            rows_touched += cols.size
+            sources = CountTable(k, cols.size, False)
+            for size in level_source_sizes(registry, h):
+                layer = new_table.layer(size)
+                sources.set_layer(
+                    Layer(size, list(layer.keys), column_block(layer, cols))
+                )
+            out = execute_level(
+                h, registry, table.zero_rooted,
+                np.ascontiguousarray(coloring.colors[cols]), sources,
+                HaloSums(
+                    adjacency, cols, sources, live, budget, instrumentation
+                ),
             )
-            sources = {size: new_table.layer(size) for size in source_sizes}
-            # Mode selection must mirror _run_batched exactly; the keep
-            # sets agree by induction, so the decisions coincide with
-            # the fresh build's.
-            full = all(
-                sources[size].num_keys == universe_sizes[size]
-                for size in source_sizes
-            )
-            colors_local = np.ascontiguousarray(colors[cols])
-            shim = CountTable(k, width, False)
-            for size in source_sizes:
-                shim.set_layer(
-                    Layer(
-                        size,
-                        list(sources[size].keys),
-                        _column_block(sources[size], cols),
-                    )
-                )
-            if h == k and zero_rooted and full:
-                out = _exec_zero_restricted(
-                    clevel, shim, sources, adjacency, cols, colors_local,
-                    instrumentation,
-                )
-                keys: List[Key] = list(clevel.keys)
-            elif full:
-                neighbor_sums = {
-                    size: _neighbor_block(
-                        adjacency, sources[size], cols, instrumentation
-                    )
-                    for size in source_sizes
-                }
-                out = _exec_compiled(
-                    shim, clevel, colors_local,
-                    np.arange(width, dtype=np.int64), neighbor_sums, {},
-                    instrumentation,
-                )
-                keys = list(clevel.keys)
-            else:
-                instrumentation.count("fallback_levels")
-                plan = plans[h]
-                neighbor_sums = {
-                    size: _neighbor_block(
-                        adjacency, sources[size], cols, instrumentation
-                    )
-                    for size in source_sizes
-                }
-                out = _exec_resolved(
-                    shim, plan, neighbor_sums, instrumentation
-                )
-                if h == k and zero_rooted:
-                    out *= (colors_local == 0).astype(np.float64)
-                # The plan's enumeration order and the sorted universe
-                # hold the same key set; canonicalize to sorted so the
-                # patching below is order-independent.
-                perm = sorted(
-                    range(len(plan.out_keys)),
-                    key=lambda i: plan.out_keys[i],
-                )
-                out = out[perm]
-                keys = [plan.out_keys[i] for i in perm]
             new_table.set_layer(
                 _patched_layer(
-                    h, table.layer(h), keys, out, cols, n,
+                    h, table.layer(h), list(compiled[h].keys), out, cols, n,
                     in_place=in_place,
                 )
             )

@@ -1,11 +1,12 @@
-"""Per-level combination plans for the batched build-up kernel.
+"""Per-level combination plans for the build-up level step.
 
 The Equation (1) recurrence pairs, for every output key ``(T, C)`` of a
 level, the rows ``(T', C \\ C')`` of one finished layer with the
 neighbor-summed rows ``(T'', C')`` of another.  Which pairs exist is a pure
 function of the :class:`~repro.treelets.registry.TreeletRegistry` — it does
-not depend on the host graph or the coloring — so the batched kernel
-precomputes them once per registry as *combination plans*:
+not depend on the host graph or the coloring — so the level step
+(:mod:`repro.colorcoding.level`) precomputes them once per registry as
+*combination plans*:
 
 :class:`LevelPlan`
     For one treelet size ``h``: the full potential output key universe
@@ -15,16 +16,16 @@ precomputes them once per registry as *combination plans*:
     layers.
 :class:`PairGroup`
     All ``(T', C\\C') × (T'', C')`` combinations of a level that share one
-    ``(h', h'')`` split.  Pairs are stored in the exact enumeration order of
-    the legacy per-key loop (treelets in canonical order, color masks in
+    ``(h', h'')`` split.  Pairs are stored in one fixed enumeration order
+    (treelets in canonical order, color masks in
     :func:`~repro.util.bitops.masks_of_size` order, sub-masks in
-    :func:`~repro.util.bitops.iter_subsets_of_size` order), which keeps the
-    batched kernel's floating-point accumulation order — and therefore its
-    output bits — identical to the legacy path.
+    :func:`~repro.util.bitops.iter_subsets_of_size` order), which fixes
+    the level step's floating-point accumulation order — and therefore
+    its output bits — for every builder.
 
 At build time the kernel resolves each pair's keys against the actually
-present layer rows (absent keys mean zero counts and drop out, exactly like
-the legacy ``counts_for(...) is None`` checks) and realizes the recurrence
+present layer rows (absent keys mean zero counts and drop out, as an absent
+hash-table entry contributes nothing) and realizes the recurrence
 as gather → elementwise multiply → segment sum.
 
 On top of the structural plans sits the *compiled* form
@@ -32,7 +33,7 @@ On top of the structural plans sits the *compiled* form
 *full* — it realizes its entire potential key universe, the overwhelmingly
 common case on non-degenerate inputs — the key → row resolution is itself a
 pure function of the registry, so the row-index matrices can be compiled
-once and the per-build resolution loop disappears entirely.  The kernel
+once and the per-build resolution loop disappears entirely.  The level step
 checks fullness per layer (one integer comparison) and falls back to the
 resolving path otherwise.
 """
@@ -105,7 +106,7 @@ class LevelPlan:
     out_keys:
         Potential output keys ``(T, C)``: every canonical size-``h``
         treelet crossed with every ``h``-subset of the ``k`` colors, in
-        legacy enumeration order.  Keys whose accumulated counts end up
+        plan enumeration order.  Keys whose accumulated counts end up
         all-zero are dropped at install time, so the universe being a
         superset of the realized layer is harmless.
     betas:
@@ -177,7 +178,7 @@ class CompiledGroup:
         Sizes of the prime and (neighbor-summed) second source layers.
     pairs_per_slot:
         ``L = C(h, h'')`` — every output row of the group combines exactly
-        ``L`` pairs, one per color sub-mask, in legacy enumeration order.
+        ``L`` pairs, one per color sub-mask, in plan enumeration order.
     prime_rows / second_rows:
         ``num_slots × L`` row indices into the full prime layer and the
         full second layer's neighbor-sum matrix; column ``j`` is the

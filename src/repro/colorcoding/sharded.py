@@ -11,26 +11,16 @@ byte budget, finished blocks go straight to disk through crash-safe
 from the committed blocks without the full matrix ever being resident.
 
 Bit-identity.  The sharded build produces *exactly* the bytes of the
-in-memory build for the same coloring — not approximately, bit for bit:
-
-* Every per-column operation of the batched kernel (plan contractions,
-  selection lookups, β division, the zero-rooting mask) is elementwise
-  over the vertex axis, so a column block equals the same columns of the
-  full-matrix result trivially.
-* The neighbor sums are the one cross-column step.  They stream over the
-  source layer's shards in ascending vertex order, each shard's
-  contribution accumulating into a single output buffer through the same
-  ``csr_matvecs`` per-row axpy loop one full SpMM runs.  Neighbor lists
-  are sorted, so the additions hitting any output element happen in
-  ascending-neighbor order either way — the identical floating-point
-  sequence, hence identical bits.  (When scipy's private
-  ``_sparsetools`` module is unavailable the stream degrades to a single
-  whole-halo gather and one SpMM call — same sequence, more transient
-  memory.)
-* The keep-this-key decision ``Σ_v out[key, v] > 0`` is an
-  association-invariant predicate for nonnegative floats (a partial sum
-  never decreases), so OR-ing per-shard positivity bitmaps reproduces
-  the full-matrix keep set exactly.
+in-memory build for the same coloring — not approximately, bit for bit.
+Each (level, shard) task is one call of the shared level step
+(:func:`repro.colorcoding.level.execute_level`) over the shard's
+columns, with neighbor sums streamed by
+:class:`~repro.colorcoding.level.HaloSums` across the source layer's
+shards in ascending vertex order (see that module for why streaming
+never re-associates a sum).  The keep-this-key decision ``Σ_v out[key,
+v] > 0`` is an association-invariant predicate for nonnegative floats
+(a partial sum never decreases), so OR-ing per-shard positivity bitmaps
+reproduces the full-matrix keep set exactly.
 
 Memory budget.  ``memory_budget`` bytes bound the build's working set.
 :func:`plan_shards` picks the smallest shard count whose per-level
@@ -53,26 +43,16 @@ order, so parallel and serial builds are byte-identical.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from scipy import sparse
-
-from repro.colorcoding.buildup import (
-    _csr_row_subset,
-    _exec_compiled,
-    _exec_group,
-    _exec_resolved,
-    _scipy_sparsetools,
-)
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.level import HaloSums, MemoryBudget, execute_level
 from repro.colorcoding.plans import (
     compile_plans,
     full_universe_keys,
-    level_plans,
     level_source_sizes,
 )
 from repro.engine.pipeline import derive_child_seeds, execute_tasks
@@ -96,61 +76,6 @@ Key = Tuple[int, int]
 #: during a streamed neighbor-sum pass (indices + data + selection
 #: scratch), used by the planner's working-set model.
 _EDGE_BYTES = 32
-
-
-class MemoryBudget:
-    """Tracked byte budget: allocations fail loud past the limit.
-
-    The sharded build routes every significant allocation through
-    :meth:`allocate`/:meth:`release`; ``limit=None`` tracks peak usage
-    without enforcing anything.  Exceeding the limit raises
-    :class:`~repro.errors.MemoryBudgetError` *before* the allocation is
-    made — a budgeted build never silently overshoots.  Worker processes
-    run their own tracker with the same limit; the parent folds their
-    peaks in via :meth:`fold_peak`, so :attr:`peak` reports the build's
-    true high-water mark whatever the fan-out.
-    """
-
-    def __init__(self, limit: Optional[int] = None):
-        if limit is not None:
-            limit = int(limit)
-            if limit <= 0:
-                raise MemoryBudgetError("memory budget must be positive")
-        self.limit = limit
-        self.used = 0
-        self.peak = 0
-
-    def allocate(self, label: str, nbytes: int) -> int:
-        """Charge ``nbytes``; raises when the budget would be exceeded."""
-        nbytes = max(0, int(nbytes))
-        if self.limit is not None and self.used + nbytes > self.limit:
-            raise MemoryBudgetError(
-                f"allocating {nbytes} bytes for {label} would put the "
-                f"working set at {self.used + nbytes} bytes, over the "
-                f"{self.limit}-byte memory budget"
-            )
-        self.used += nbytes
-        if self.used > self.peak:
-            self.peak = self.used
-        return nbytes
-
-    def release(self, nbytes: int) -> None:
-        """Return ``nbytes`` to the budget."""
-        self.used = max(0, self.used - max(0, int(nbytes)))
-
-    @contextmanager
-    def hold(self, label: str, nbytes: int):
-        """Scope a charge to a ``with`` block."""
-        charged = self.allocate(label, nbytes)
-        try:
-            yield
-        finally:
-            self.release(charged)
-
-    def fold_peak(self, peak: int) -> None:
-        """Merge a worker tracker's high-water mark into this one."""
-        if int(peak) > self.peak:
-            self.peak = int(peak)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +169,6 @@ class _ShardTask:
     shard: int
     lo: int
     hi: int
-    mode: str  # "full" | "zero" | "fallback"
     seed: int
 
 
@@ -276,6 +200,23 @@ class _BuildContext:
         self.adjacency = graph.adjacency_csr()
         self.bounds = store.shard_bounds(graph.num_vertices)
 
+    def read(
+        self,
+        size: int,
+        shard: int,
+        verts: np.ndarray,
+        key_rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Layer ``size`` at vertices ``verts`` of one committed shard
+        (the :class:`~repro.colorcoding.level.HaloSums` column source):
+        the shard block is read buffered, gathered, and dropped."""
+        with _trace_span("sharded.halo", layer=size, source_shard=shard):
+            block = np.load(self.store._shard_path(size, shard))
+            local = verts - int(self.bounds[shard])
+            if key_rows is None:
+                return block[:, local]
+            return block[np.ix_(key_rows, local)]
+
 
 _SHARD_STATE: "dict[str, _BuildContext]" = {}
 
@@ -306,232 +247,6 @@ def _disk_keys(ctx: _BuildContext, size: int) -> List[Key]:
     return [(int(t), int(mask)) for t, mask in key_array]
 
 
-def _read_block(
-    ctx: _BuildContext,
-    size: int,
-    shard: int,
-    num_keys: int,
-    width: int,
-    budget: MemoryBudget,
-) -> np.ndarray:
-    """One committed shard block, read buffered and charged to the budget."""
-    budget.allocate(f"layer-{size} shard block", num_keys * width * 8)
-    return np.load(ctx.store._shard_path(size, shard))
-
-
-def _streamed_spmm(
-    ctx: _BuildContext,
-    row_ids: np.ndarray,
-    size: int,
-    num_keys: int,
-    budget: MemoryBudget,
-    row_subset: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Neighbor sums of selected adjacency rows against a sharded layer.
-
-    Returns ``out`` with ``out[i, j] = Σ_{u ~ row_ids[i]} counts[r_j, u]``
-    where ``r_j`` ranges over ``row_subset`` (or all layer rows) — bit
-    identical to ``_spmm(adjacency[row_ids], counts[row_subset].T)`` on
-    the fully-resident layer.  The layer streams in ascending
-    vertex-range shards; each shard's contribution accumulates into the
-    shared output buffer through the same ``csr_matvecs`` axpy loop, so
-    every output element sees its additions in ascending neighbor order
-    — the one-shot SpMM's exact floating-point sequence.  Without the
-    private ``_sparsetools`` entry point a per-shard ``+=`` would
-    re-associate the sums, so the fallback gathers the whole halo once
-    and runs a single SpMM instead (same bits, more transient memory).
-    """
-    adjacency = ctx.adjacency
-    indptr = adjacency.indptr
-    row_ids = np.asarray(row_ids, dtype=np.int64)
-    contiguous = row_ids.size and row_ids.size == int(
-        row_ids[-1] - row_ids[0] + 1
-    )
-    if contiguous:
-        start, stop = int(indptr[row_ids[0]]), int(indptr[row_ids[-1] + 1])
-        edge_cols = adjacency.indices[start:stop]
-        edge_data = adjacency.data[start:stop]
-        local_ptr = np.asarray(
-            indptr[row_ids[0]:row_ids[-1] + 2] - start, dtype=np.int64
-        )
-    elif row_ids.size:
-        sub_rows = _csr_row_subset(adjacency, row_ids)
-        edge_cols = sub_rows.indices
-        edge_data = sub_rows.data
-        local_ptr = np.asarray(sub_rows.indptr, dtype=np.int64)
-    else:
-        edge_cols = np.zeros(0, dtype=np.int64)
-        edge_data = np.zeros(0, dtype=np.float64)
-        local_ptr = np.zeros(1, dtype=np.int64)
-    num_vecs = num_keys if row_subset is None else int(row_subset.size)
-    budget.allocate(f"layer-{size} neighbor sums", row_ids.size * num_vecs * 8)
-    result = np.zeros((row_ids.size, num_vecs), dtype=np.float64)
-    bounds = ctx.bounds
-    if _scipy_sparsetools is not None:
-        for t in range(ctx.store.num_shards):
-            lo_t, hi_t = int(bounds[t]), int(bounds[t + 1])
-            if hi_t == lo_t:
-                continue
-            selected = np.flatnonzero((edge_cols >= lo_t) & (edge_cols < hi_t))
-            if selected.size == 0:
-                continue
-            shard_ptr = np.searchsorted(selected, local_ptr)
-            halo, halo_cols = np.unique(
-                edge_cols[selected], return_inverse=True
-            )
-            transient = (num_keys * (hi_t - lo_t) + halo.size * num_vecs) * 8
-            with budget.hold(f"layer-{size} halo shard", transient), \
-                    _trace_span("sharded.halo", layer=size, source_shard=t):
-                block = np.load(ctx.store._shard_path(size, t))
-                if row_subset is None:
-                    gathered = block[:, halo - lo_t]
-                else:
-                    gathered = block[np.ix_(row_subset, halo - lo_t)]
-                operand = np.ascontiguousarray(gathered.T)
-                del block, gathered
-                piece = sparse.csr_matrix(
-                    (
-                        edge_data[selected],
-                        halo_cols.reshape(-1),
-                        shard_ptr,
-                    ),
-                    shape=(row_ids.size, halo.size),
-                )
-                _scipy_sparsetools.csr_matvecs(
-                    row_ids.size, halo.size, num_vecs,
-                    piece.indptr, piece.indices, piece.data,
-                    operand.ravel(), result.ravel(),
-                )
-        return result
-    # Whole-halo fallback: one gather, one SpMM — identical bits.
-    halo, halo_cols = np.unique(edge_cols, return_inverse=True)
-    with budget.hold(f"layer-{size} whole halo", halo.size * num_vecs * 8):
-        operand = np.empty((halo.size, num_vecs), dtype=np.float64)
-        for t in range(ctx.store.num_shards):
-            lo_t, hi_t = int(bounds[t]), int(bounds[t + 1])
-            in_shard = np.flatnonzero((halo >= lo_t) & (halo < hi_t))
-            if in_shard.size == 0:
-                continue
-            with budget.hold(
-                f"layer-{size} halo source block",
-                num_keys * (hi_t - lo_t) * 8,
-            ):
-                block = np.load(ctx.store._shard_path(size, t))
-                if row_subset is None:
-                    operand[in_shard] = block[:, halo[in_shard] - lo_t].T
-                else:
-                    operand[in_shard] = block[
-                        np.ix_(row_subset, halo[in_shard] - lo_t)
-                    ].T
-        piece = sparse.csr_matrix(
-            (edge_data, halo_cols.reshape(-1), local_ptr),
-            shape=(row_ids.size, halo.size),
-        )
-        result[:] = piece.dot(operand)
-    return result
-
-
-def _neighbor_block(
-    ctx: _BuildContext,
-    size: int,
-    num_keys: int,
-    row_ids: np.ndarray,
-    budget: MemoryBudget,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """The augmented ``(num_keys + 1, len(row_ids))`` neighbor-sum block.
-
-    The sharded counterpart of ``_neighbor_matrix``: rows ``row_ids`` of
-    the full matrix plus the trailing all-zero sentinel the selection
-    lookups point "no such key" at.
-    """
-    instrumentation.count("spmm_ops")
-    sums = _streamed_spmm(ctx, row_ids, size, num_keys, budget)
-    budget.allocate(
-        f"layer-{size} augmented sums", (num_keys + 1) * row_ids.size * 8
-    )
-    augmented = np.empty((num_keys + 1, row_ids.size), dtype=np.float64)
-    augmented[:-1] = sums.T
-    augmented[-1] = 0.0
-    budget.release(sums.nbytes)
-    del sums
-    return augmented
-
-
-def _exec_zero_shard(
-    ctx: _BuildContext,
-    task: _ShardTask,
-    clevel,
-    shim: CountTable,
-    colors_local: np.ndarray,
-    budget: MemoryBudget,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """One shard of the zero-rooted size-``k`` level.
-
-    Mirrors ``_exec_compiled_zero_rooted`` restricted to this shard's
-    color-0 columns: selection groups run one streamed restricted SpMM
-    over exactly the layer rows the color-0 lookup reads, contraction
-    groups contract the shard's color-0 columns against streamed
-    restricted neighbor sums.  Restricting an SpMM to a row subset
-    replays those rows' axpy sequences unchanged, so the block matches
-    the same columns of the in-memory level bit for bit — whether the
-    in-memory kernel served the group from its full-matrix cache or from
-    its own restricted SpMM.
-    """
-    width = task.hi - task.lo
-    budget.allocate("zero-rooted out block", len(clevel.keys) * width * 8)
-    out = np.zeros((len(clevel.keys), width), dtype=np.float64)
-    zero_local = np.flatnonzero(colors_local == 0)
-    if zero_local.size == 0:
-        return out
-    zero_rows = task.lo + zero_local
-    prime_cols: Dict[int, np.ndarray] = {}
-    for group in clevel.groups:
-        instrumentation.count("merge_ops", group.prime_rows.size)
-        if group.select_lut is not None:
-            slots_zero, rows_zero = group.color_slots[0]
-            if slots_zero.size:
-                instrumentation.count("spmm_ops")
-                values = _streamed_spmm(
-                    ctx, zero_rows, group.h_second,
-                    shim.layer(group.h_second).num_keys, budget,
-                    row_subset=rows_zero,
-                )
-                rows = group.out_rows[slots_zero]
-                divisors = clevel.betas[rows] > 1.0
-                acc = values.T
-                if divisors.any():
-                    acc = acc.copy()
-                    acc[divisors] /= clevel.betas[rows][divisors, None]
-                out[np.ix_(rows, zero_local)] = acc
-                budget.release(values.nbytes)
-                del values, acc
-            continue
-        if group.h_prime not in prime_cols:
-            counts = shim.layer(group.h_prime).counts
-            budget.allocate(
-                "zero-rooted prime columns", counts.shape[0] * zero_local.size * 8
-            )
-            prime_cols[group.h_prime] = np.ascontiguousarray(
-                counts[:, zero_local]
-            )
-        second = _neighbor_block(
-            ctx, group.h_second, shim.layer(group.h_second).num_keys,
-            zero_rows, budget, instrumentation,
-        )
-        acc = _exec_group(
-            group, prime_cols[group.h_prime], second, colors_local[zero_local]
-        )
-        divisors = clevel.betas[group.out_rows] > 1.0
-        if divisors.any():
-            acc[divisors] /= clevel.betas[group.out_rows][divisors, None]
-        out[np.ix_(group.out_rows, zero_local)] = acc
-        budget.release(second.nbytes)
-        del second, acc
-    return out
-
-
 def _execute_shard(ctx: _BuildContext, task: _ShardTask):
     """Compute, commit, and summarize one (level, shard) block.
 
@@ -541,53 +256,22 @@ def _execute_shard(ctx: _BuildContext, task: _ShardTask):
     """
     budget = MemoryBudget(ctx.budget_limit)
     instrumentation = Instrumentation()
-    registry = ctx.registry
     lo, hi = task.lo, task.hi
     width = hi - lo
-    colors_local = np.ascontiguousarray(ctx.colors[lo:hi])
-    source_sizes = level_source_sizes(registry, task.h)
-    shim = CountTable(ctx.k, width, False)
-    source_keys: Dict[int, List[Key]] = {}
-    for size in source_sizes:
+    sources = CountTable(ctx.k, width, False)
+    for size in level_source_sizes(ctx.registry, task.h):
         keys = _disk_keys(ctx, size)
-        source_keys[size] = keys
-        block = _read_block(ctx, size, task.shard, len(keys), width, budget)
-        shim.set_layer(Layer(size, keys, block))
-    if task.mode == "zero":
-        clevel = compile_plans(registry)[task.h]
-        out = _exec_zero_shard(
-            ctx, task, clevel, shim, colors_local, budget, instrumentation
-        )
-    elif task.mode == "full":
-        clevel = compile_plans(registry)[task.h]
-        row_ids = np.arange(lo, hi, dtype=np.int64)
-        neighbor_sums = {
-            size: _neighbor_block(
-                ctx, size, len(source_keys[size]), row_ids, budget,
-                instrumentation,
-            )
-            for size in source_sizes
-        }
-        budget.allocate("out block", len(clevel.keys) * width * 8)
-        out = _exec_compiled(
-            shim, clevel, colors_local,
-            np.arange(width, dtype=np.int64), neighbor_sums, {},
-            instrumentation,
-        )
-    else:
-        plan = level_plans(registry)[task.h]
-        row_ids = np.arange(lo, hi, dtype=np.int64)
-        neighbor_sums = {
-            size: _neighbor_block(
-                ctx, size, len(source_keys[size]), row_ids, budget,
-                instrumentation,
-            )
-            for size in source_sizes
-        }
-        budget.allocate("out block", len(plan.out_keys) * width * 8)
-        out = _exec_resolved(shim, plan, neighbor_sums, instrumentation)
-        if task.h == ctx.k and ctx.zero_rooting:
-            out *= (colors_local == 0).astype(np.float64)
+        budget.allocate(f"layer-{size} shard block", len(keys) * width * 8)
+        block = np.load(ctx.store._shard_path(size, task.shard))
+        sources.set_layer(Layer(size, keys, block))
+    sums = HaloSums(
+        ctx.adjacency, np.arange(lo, hi, dtype=np.int64), sources, ctx,
+        budget, instrumentation,
+    )
+    out = execute_level(
+        task.h, ctx.registry, ctx.zero_rooting,
+        np.ascontiguousarray(ctx.colors[lo:hi]), sources, sums,
+    )
     # Nonnegative counts: a positive row sum within the shard flags "some
     # nonzero column here"; the parent ORs the shard bitmaps into the
     # exact full-matrix keep set.
@@ -665,8 +349,6 @@ def build_table_sharded(
     bounds = store.shard_bounds(n)
     num_shards = store.num_shards
     compiled = compile_plans(registry)
-    universe_sizes = {h: len(compiled[h].keys) for h in range(2, k + 1)}
-    universe_sizes[1] = k
     context = _BuildContext(
         graph, colors, k, zero_rooting, store, budget.limit
     )
@@ -705,34 +387,18 @@ def build_table_sharded(
 
         max_width = int(np.max(np.diff(bounds))) if n else 0
         for h in range(2, k + 1):
-            source_sizes = level_source_sizes(registry, h)
-            full = all(
-                len(store.layer_keys(size)) == universe_sizes[size]
-                for size in source_sizes
-            )
-            zero_restricted = h == k and zero_rooting and full
-            mode = (
-                "zero" if zero_restricted else "full" if full else "fallback"
-            )
-            if mode == "fallback":
-                instrumentation.count("fallback_levels")
-            level_keys = (
-                list(compiled[h].keys)
-                if mode != "fallback"
-                else list(level_plans(registry)[h].out_keys)
-            )
+            level_keys = list(compiled[h].keys)
             tasks = [
                 _ShardTask(
                     h=h,
                     shard=i,
                     lo=int(bounds[i]),
                     hi=int(bounds[i + 1]),
-                    mode=mode,
                     seed=shard_seeds[i],
                 )
                 for i in range(num_shards)
             ]
-            with _trace_span("sharded.level", level=h, mode=mode):
+            with _trace_span("sharded.level", level=h):
                 results = execute_tasks(
                     tasks,
                     _run_shard_task,
@@ -750,20 +416,17 @@ def build_table_sharded(
                 budget.fold_peak(peak)
                 instrumentation.merge(Instrumentation.from_snapshot(snapshot))
                 instrumentation.count("shard_tasks")
+            # Rows follow the sorted key universe, so the kept rows are
+            # already key-ascending, as the in-memory install sorts them.
             keep = np.flatnonzero(bitmap)
             store.register_layer(h, level_keys, bounds)
-            # Final row order is key-ascending, exactly like the Layer
-            # constructor sorts the in-memory install.
-            order = sorted(range(keep.size), key=lambda j: level_keys[keep[j]])
-            keep_order = (
-                keep[np.asarray(order, dtype=np.int64)] if keep.size else keep
-            )
-            kept_keys = [level_keys[i] for i in keep_order]
-            if kept_keys != level_keys:
+            if keep.size < len(level_keys):
                 with budget.hold(
                     "level compaction", 2 * len(level_keys) * max_width * 8
                 ):
-                    store.compact_layer(h, keep_order, kept_keys)
+                    store.compact_layer(
+                        h, keep, [level_keys[i] for i in keep]
+                    )
 
     # Assembly: the finished CountTable, one layer at a time.
     table = CountTable(k, n, zero_rooting)

@@ -17,11 +17,25 @@ from scipy import sparse
 
 from repro.errors import GraphError
 
-__all__ = ["Graph", "normalize_updates"]
+__all__ = ["Graph", "exact_int", "normalize_updates"]
 
 #: Accepted spellings of the two edge-update operations.
 _INSERT_OPS = {"+", "add", "insert", 1, +1}
 _DELETE_OPS = {"-", "remove", "delete", "del", -1}
+
+_INT64 = np.iinfo(np.int64)
+
+
+def exact_int(value) -> Optional[int]:
+    """``value`` as an ``int`` when it is an integer (bools excluded).
+
+    The trust-boundary check for integer fields: strings, floats (even
+    integral ones), bools and containers give ``None`` instead of being
+    coerced, so ``1.5`` is never silently truncated to ``1``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return None
 
 
 def normalize_updates(updates) -> np.ndarray:
@@ -30,7 +44,9 @@ def normalize_updates(updates) -> np.ndarray:
     Each entry is ``(op, u, v)`` with ``op`` ``+1`` (insert) or ``-1``
     (delete).  Accepts triples whose op is a signed int or one of the
     string spellings ``+/-``, ``add/insert``, ``remove/delete/del``, or
-    an already-normalized integer array.  Order is preserved — within a
+    an already-normalized integer array.  Endpoints must be integers
+    that fit int64 (:func:`exact_int`); anything else raises
+    :class:`~repro.errors.GraphError`.  Order is preserved — within a
     batch the *last* operation on an edge wins.
     """
     if isinstance(updates, np.ndarray) and updates.dtype.kind in "iu":
@@ -42,21 +58,33 @@ def normalize_updates(updates) -> np.ndarray:
         if not np.isin(ops[:, 0], (-1, 1)).all():
             raise GraphError("update ops must be +1 (insert) or -1 (delete)")
         return ops
+    try:
+        entries = iter(updates)
+    except TypeError:
+        raise GraphError(
+            f"updates must be a sequence of (op, u, v) triples, got "
+            f"{updates!r}"
+        ) from None
     rows = []
-    for entry in updates:
+    for entry in entries:
         try:
             op, u, v = entry
         except (TypeError, ValueError):
             raise GraphError(
                 f"update entries must be (op, u, v) triples, got {entry!r}"
             ) from None
-        if op in _INSERT_OPS:
-            sign = 1
-        elif op in _DELETE_OPS:
-            sign = -1
-        else:
+        try:
+            insert, delete = op in _INSERT_OPS, op in _DELETE_OPS
+        except TypeError:  # an unhashable op is no known spelling
+            insert = delete = False
+        if not (insert or delete):
             raise GraphError(f"unknown update op {op!r}")
-        rows.append((sign, int(u), int(v)))
+        ends = (exact_int(u), exact_int(v))
+        if any(x is None or not _INT64.min <= x <= _INT64.max for x in ends):
+            raise GraphError(
+                f"update endpoints must be int64 integers, got {entry!r}"
+            )
+        rows.append((1 if insert else -1, *ends))
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
 
 
@@ -98,11 +126,14 @@ class Graph:  # repro: pool-transport
         ----------
         edges:
             Edge endpoints; order and duplicates do not matter, self-loops
-            are dropped.
+            are dropped.  An ``(m, 2)`` array is taken as it is.
         n:
             Number of vertices.  Defaults to ``1 + max endpoint``.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        pairs = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges),
+            dtype=np.int64,
+        )
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:

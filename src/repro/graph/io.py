@@ -19,9 +19,10 @@ vertices no edge mentions are not silently dropped.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.errors import GraphError, GraphFormatError
 from repro.graph.graph import Graph
 
 __all__ = [
+    "EdgeLines",
     "load_edge_list",
     "load_edge_list_mapped",
     "save_edge_list",
@@ -48,34 +50,80 @@ _BINARY_MAGIC = "repro-graph-v1"
 _HEADER_RE = re.compile(r"repro graph n=(\d+) m=(\d+)")
 
 
-def _parse_edge_lines(path: PathLike, comment: str):
-    """Shared text parser: returns ``(edges, header_n)``."""
-    edges = []
-    header_n: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(comment):
-                if header_n is None:
-                    match = _HEADER_RE.search(stripped)
-                    if match:
-                        header_n = int(match.group(1))
-                continue
-            parts = stripped.split()
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: expected 'u v', got {stripped!r}"
-                )
+#: Vertex ids must fit the int64 arrays the loaders build.
+_MAX_VERTEX_ID = np.iinfo(np.int64).max
+
+
+class EdgeLines:
+    """The edge-list line loop both loaders share.
+
+    Iterating yields the ``(u, v)`` endpoints of each data line in file
+    order (extra columns ignored); blank lines and lines starting with
+    ``comment`` are skipped, and the first ``# repro graph n=... m=...``
+    header seen so far is in :attr:`header_n`.  Every malformed line —
+    too few columns, non-integer or negative endpoints, ids past int64,
+    bytes that are not UTF-8 — raises
+    :class:`~repro.errors.GraphFormatError` naming the file and line.
+    """
+
+    def __init__(self, path: PathLike, comment: str = "#"):
+        self.path = path
+        self.comment = comment
+        self.header_n: Optional[int] = None
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        path, comment, limit = self.path, self.comment, _MAX_VERTEX_ID
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for line_number, line in enumerate(handle, start=1):
+                    stripped = line.strip()
+                    if not stripped:
+                        continue
+                    if stripped.startswith(comment):
+                        if self.header_n is None:
+                            match = _HEADER_RE.search(stripped)
+                            if match:
+                                self.header_n = int(match.group(1))
+                        continue
+                    parts = stripped.split()
+                    if len(parts) < 2:
+                        raise GraphFormatError(
+                            f"{path}:{line_number}: expected 'u v', got "
+                            f"{stripped!r}"
+                        )
+                    try:
+                        u, v = int(parts[0]), int(parts[1])
+                    except ValueError as exc:
+                        raise GraphFormatError(
+                            f"{path}:{line_number}: non-integer endpoints "
+                            f"{stripped!r}"
+                        ) from exc
+                    if not (0 <= u <= limit and 0 <= v <= limit):
+                        raise GraphFormatError(
+                            f"{path}:{line_number}: vertex ids must be "
+                            f"non-negative int64 values, got {stripped!r}"
+                        )
+                    yield u, v
+        except UnicodeDecodeError:
+            raise GraphFormatError(
+                f"{path}:{_first_undecodable_line(path)}: not UTF-8 text"
+            ) from None
+
+
+def _first_undecodable_line(path: PathLike) -> int:
+    """1-based number of the first line that is not valid UTF-8.
+
+    UTF-8 never encodes a newline byte inside a character, so the
+    sequence the text decoder rejected lies within one line.
+    """
+    line_number = 0
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
             try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: non-integer endpoints {stripped!r}"
-                ) from exc
-            edges.append((u, v))
-    return edges, header_n
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_number
+    return line_number  # pragma: no cover - the file changed since
 
 
 def load_edge_list_mapped(
@@ -115,16 +163,16 @@ def load_edge_list_mapped(
         ``original_ids[new_id] = old_id`` when a remap happened (ids in
         ascending original order), ``None`` when ids were taken as-is.
     """
-    edges, header_n = _parse_edge_lines(path, comment)
-    declared = n if n is not None else header_n
+    lines = EdgeLines(path, comment)
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(lines), dtype=np.int64
+    ).reshape(-1, 2)
+    declared = n if n is not None else lines.header_n
     if compact is True and declared is not None:
         raise GraphFormatError(
             f"{path}: compact=True remaps ids and cannot honour a "
             f"declared vertex count (n={declared})"
         )
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if pairs.size and pairs.min() < 0:
-        raise GraphFormatError(f"{path}: vertex ids must be non-negative")
     unique_ids = np.unique(pairs)
     # "Substantially sparse": the raw allocation would be more than
     # twice the distinct-id count.  1-indexed or singly-gapped files
@@ -192,24 +240,29 @@ def load_updates(path: PathLike, comment: str = "#") -> np.ndarray:
     from repro.graph.graph import normalize_updates
 
     entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(comment):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: expected 'op u v', got "
-                    f"{stripped!r}"
-                )
-            try:
-                entries.append((parts[0], int(parts[1]), int(parts[2])))
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: non-integer endpoints "
-                    f"{stripped!r}"
-                ) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith(comment):
+                    continue
+                parts = stripped.split()
+                if len(parts) != 3:
+                    raise GraphFormatError(
+                        f"{path}:{line_number}: expected 'op u v', got "
+                        f"{stripped!r}"
+                    )
+                try:
+                    entries.append((parts[0], int(parts[1]), int(parts[2])))
+                except ValueError as exc:
+                    raise GraphFormatError(
+                        f"{path}:{line_number}: non-integer endpoints "
+                        f"{stripped!r}"
+                    ) from exc
+    except UnicodeDecodeError:
+        raise GraphFormatError(
+            f"{path}:{_first_undecodable_line(path)}: not UTF-8 text"
+        ) from None
     try:
         return normalize_updates(entries)
     except GraphError as exc:

@@ -30,6 +30,7 @@ the build actually touches its pages.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterator, Optional, Tuple, Union
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
-from repro.graph.io import _HEADER_RE
+from repro.graph.io import EdgeLines
 
 __all__ = [
     "stream_edge_chunks",
@@ -65,50 +66,23 @@ def stream_edge_chunks(
     ``pairs`` is an ``(c, 2)`` int64 array of at most ``chunk_edges``
     rows; ``header_n`` is the ``# repro graph n=...`` declaration when
     one has been seen so far (repeated with every chunk so consumers can
-    act on it whenever it appears).  Raises
-    :class:`~repro.errors.GraphFormatError` on malformed lines, like the
-    in-memory parser.
+    act on it whenever it appears).  Lines are parsed by
+    :class:`~repro.graph.io.EdgeLines`, the in-memory loader's parser, so
+    malformed lines raise the same
+    :class:`~repro.errors.GraphFormatError`.
     """
     if chunk_edges < 1:
         raise GraphFormatError("chunk_edges must be positive")
-    header_n: Optional[int] = None
-    buffer = np.empty((chunk_edges, 2), dtype=np.int64)
-    filled = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(comment):
-                if header_n is None:
-                    match = _HEADER_RE.search(stripped)
-                    if match:
-                        header_n = int(match.group(1))
-                continue
-            parts = stripped.split()
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: expected 'u v', got {stripped!r}"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: non-integer endpoints "
-                    f"{stripped!r}"
-                ) from exc
-            if u < 0 or v < 0:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: vertex ids must be non-negative"
-                )
-            buffer[filled, 0] = u
-            buffer[filled, 1] = v
-            filled += 1
-            if filled == chunk_edges:
-                yield buffer[:filled].copy(), header_n
-                filled = 0
-    if filled:
-        yield buffer[:filled].copy(), header_n
+    lines = EdgeLines(path, comment)
+    edges = iter(lines)
+    while True:
+        chunk = itertools.islice(edges, chunk_edges)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(chunk), dtype=np.int64
+        )
+        if not flat.size:
+            return
+        yield flat.reshape(-1, 2), lines.header_n
 
 
 def _create_npy(path: PathLike, shape: Tuple[int, ...]) -> None:

@@ -1,4 +1,4 @@
-"""Dtype-exactness rules for the integer descent / incremental kernels.
+"""Dtype-exactness rules for the integer descent and build-up level kernels.
 
 The PR 6 fused descent kernel's bit-identity argument is an *exact
 integer* argument: counts live in int64 (or uint32 in the gathered
@@ -6,14 +6,15 @@ store, chosen explicitly when the level maximum fits), thresholds are
 int64, and the only floats are the pre-drawn float64 uniforms — so
 every comparison is exact and the fused path can promise byte-equality
 with ``method="loop"`` (``docs/sampling.md``).  The PR 9 incremental
-frontier recomputation makes the same promise against a fresh rebuild.
+frontier recomputation, which runs the shared build-up level step, makes
+the same promise against a fresh rebuild.
 
 That argument dies quietly if an array is built without an explicit
 dtype: ``np.arange(n)`` is C ``long`` — int32 on Windows/some 32-bit
 platforms — and ``astype(int)`` inherits the same platform dependence,
 while any float32 narrows the uniforms below the exactness bar.  These
-rules pin the contract in ``colorcoding/urn.py`` and
-``colorcoding/incremental.py``.
+rules pin the contract in ``colorcoding/urn.py``,
+``colorcoding/incremental.py`` and ``colorcoding/level.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.lint.core import FileContext, Finding, Rule, dotted_name
 __all__ = ["DtypeExplicitRule", "DtypeExactRule"]
 
 #: Files owning the exact-integer kernel contract.
-_KERNEL_FILES = ("urn.py", "incremental.py")
+_KERNEL_FILES = ("urn.py", "incremental.py", "level.py")
 
 #: numpy constructors that take a dtype, with the positional index at
 #: which one may appear (keyword ``dtype=`` always counts).
@@ -105,9 +106,10 @@ class DtypeExplicitRule(_KernelRule):
 
     Enforces the PR 6 exact-integer contract (``docs/sampling.md``:
     fused descent is bit-identical to ``method="loop"`` because every
-    array's width is chosen, not inherited): in ``colorcoding/urn.py``
-    and ``colorcoding/incremental.py``, ``np.arange``/``np.zeros``/...
-    without ``dtype=`` default to platform-dependent widths.
+    array's width is chosen, not inherited): in ``colorcoding/urn.py``,
+    ``colorcoding/incremental.py`` and ``colorcoding/level.py``,
+    ``np.arange``/``np.zeros``/... without ``dtype=`` default to
+    platform-dependent widths.
     """
 
     rule_id = "REPRO-X001"

@@ -1,9 +1,8 @@
 """High-level facade: the ``motivo`` pipeline in one object.
 
 :class:`MotivoCounter` wires the full paper pipeline together — color the
-graph, run the build-up phase (the batched one-SpMM-per-layer kernel by
-default; ``kernel="legacy"`` keeps the per-key oracle), wrap the table in
-an urn, sample (naive or AGS, both drawn in vectorized batches of
+graph, run the build-up phase (one SpMM per source layer and level,
+:mod:`repro.colorcoding.buildup`), wrap the table in an urn, sample (naive or AGS, both drawn in vectorized batches of
 ``batch_size``), convert to count estimates — behind a configuration
 dataclass.  Layer storage follows the config: in-memory by default,
 greedily flushed to ``spill_dir`` and memory-mapped back when set
@@ -77,7 +76,7 @@ UpdateBatch = Union[np.ndarray, Iterable[Tuple[object, int, int]]]
 #: MotivoConfig fields recorded in (and restored from) artifact manifests.
 _BUILD_FIELDS = (
     "k", "seed", "zero_rooting", "biased_lambda",
-    "buffer_threshold", "buffer_size", "kernel", "batch_size",
+    "buffer_threshold", "buffer_size", "batch_size",
     "table_layout", "descent_cache_bytes",
 )
 
@@ -105,17 +104,13 @@ class MotivoConfig:
         (§3.1/§3.3).
     sigma_cache_dir:
         When set, σ_ij tables are cached on disk (§3.3).
-    kernel:
-        Build-up kernel: ``"batched"`` (one SpMM per layer, the default)
-        or ``"legacy"`` (per-key loop, the correctness oracle).  Both
-        produce bit-identical tables.
     batch_size:
         Samples per vectorized sampling chunk (naive chunks, AGS adaptive
         chunk cap).  ``<= 1`` falls back to the original per-sample draw
         loop; the two regimes consume the generator differently, so
         estimates are reproducible per ``(seed, batch_size)``.
     table_layout:
-        In-memory count-table layout: ``"dense"`` (the build kernels'
+        In-memory count-table layout: ``"dense"`` (the build-up's
         matrix form, the default) or ``"succinct"`` (the paper's CSR
         records — layers seal as they retire from the build frontier,
         shrinking resident memory to O(stored pairs)).  Both layouts
@@ -141,13 +136,13 @@ class MotivoConfig:
     memory_budget:
         Hard byte budget for the build-up working set.  Setting it (or
         ``num_shards``) routes the build through the out-of-core sharded
-        kernel (:func:`repro.colorcoding.sharded.build_table_sharded`):
+        build (:func:`repro.colorcoding.sharded.build_table_sharded`):
         each level runs vertex-shard by vertex-shard, finished blocks go
         straight to disk, and any allocation that would overshoot the
         budget raises :class:`~repro.errors.MemoryBudgetError` instead
         of silently growing.  The table is bit-identical to the
-        in-memory build.  Requires ``kernel="batched"``; incompatible
-        with ``spill_dir`` (the sharded store subsumes spilling).
+        in-memory build.  Incompatible with ``spill_dir`` (the sharded
+        store subsumes spilling).
     num_shards:
         Explicit shard count for the sharded build.  Defaults to the
         smallest count whose modeled working set fits ``memory_budget``
@@ -198,7 +193,6 @@ class MotivoConfig:
     buffer_size: int = 100
     spill_dir: Optional[str] = None
     sigma_cache_dir: Optional[str] = None
-    kernel: str = "batched"
     batch_size: int = DEFAULT_BATCH_SIZE
     table_layout: str = "dense"
     descent_cache_bytes: int = DEFAULT_DESCENT_CACHE_BYTES
@@ -290,9 +284,7 @@ class MotivoCounter:
         return self._build_fresh()
 
     def _build_fresh(self) -> Optional[TreeletUrn]:
-        with self._stage(
-            "buildup", k=self.config.k, kernel=self.config.kernel
-        ):
+        with self._stage("buildup", k=self.config.k):
             return self._build_fresh_inner()
 
     def _build_fresh_inner(self) -> Optional[TreeletUrn]:
@@ -318,7 +310,6 @@ class MotivoCounter:
                 zero_rooting=config.zero_rooting,
                 store=self.store,
                 instrumentation=self.instrumentation,
-                kernel=config.kernel,
                 layout=config.table_layout,
             )
         self._finish_build(table)
@@ -336,11 +327,6 @@ class MotivoCounter:
         from repro.table.layer_store import ShardedStore
 
         config = self.config
-        if config.kernel != "batched":
-            raise BuildError(
-                "the sharded build is an arrangement of the batched "
-                f"kernel; kernel={config.kernel!r} cannot run sharded"
-            )
         if config.spill_dir:
             raise BuildError(
                 "memory_budget/num_shards and spill_dir are mutually "
@@ -557,7 +543,6 @@ class MotivoCounter:
                         registry=self.registry,
                         zero_rooting=config.zero_rooting,
                         instrumentation=self.instrumentation,
-                        kernel=config.kernel,
                         layout=config.table_layout,
                     )
                 else:

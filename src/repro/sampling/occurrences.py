@@ -54,9 +54,14 @@ class GraphletClassifier:
         self._canon_by_bits: Dict[int, int] = {}
         # Persistent batch cache: distinct packed bit patterns seen so
         # far and their canonical ids, as parallel sorted arrays — one
-        # searchsorted resolves a whole batch.
-        self._pattern_bits = np.zeros(0, dtype=np.int64)
-        self._pattern_canon = np.zeros(0, dtype=np.int64)
+        # searchsorted resolves a whole batch.  The pair is published as
+        # one tuple and read once per batch, so concurrent batches (the
+        # serving plane shares a classifier) never pair one thread's
+        # bits with another's ids.
+        self._patterns: Tuple[np.ndarray, np.ndarray] = (
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+        )
         self.classified = 0
         self.cache_hits = 0
         #: Wall-clock seconds spent classifying batches (a plain float so
@@ -162,11 +167,12 @@ class GraphletClassifier:
         rows, cols = self._triu
         present = self.graph.has_edges(verts[:, rows], verts[:, cols])
         patterns = present.astype(np.int64) @ self._pair_weights
+        known_bits, known_canon = self._patterns
         known = np.zeros(n, dtype=bool)
-        if self._pattern_bits.size:
-            pos = np.searchsorted(self._pattern_bits, patterns)
-            clipped = np.minimum(pos, self._pattern_bits.size - 1)
-            known = self._pattern_bits[clipped] == patterns
+        if known_bits.size:
+            pos = np.searchsorted(known_bits, patterns)
+            clipped = np.minimum(pos, known_bits.size - 1)
+            known = known_bits[clipped] == patterns
         self.cache_hits += int(known.sum())
         if not known.all():
             novel = np.unique(patterns[~known])
@@ -174,13 +180,13 @@ class GraphletClassifier:
                 [self._canonical_of(int(bits)) for bits in novel],
                 dtype=np.int64,
             )
-            bits = np.concatenate([self._pattern_bits, novel])
-            canon = np.concatenate([self._pattern_canon, fresh])
+            bits = np.concatenate([known_bits, novel])
+            canon = np.concatenate([known_canon, fresh])
             order = np.argsort(bits, kind="stable")
-            self._pattern_bits = bits[order]
-            self._pattern_canon = canon[order]
-        pos = np.searchsorted(self._pattern_bits, patterns)
-        return self._pattern_canon[pos]
+            known_bits, known_canon = bits[order], canon[order]
+            self._patterns = (known_bits, known_canon)
+        pos = np.searchsorted(known_bits, patterns)
+        return known_canon[pos]
 
     def stats_snapshot(self) -> "dict[str, float]":
         """Classifier counters in instrumentation-snapshot key style.

@@ -54,6 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from repro.errors import ReproError, ServeError
+from repro.graph.graph import exact_int
 from repro.serve.service import SamplingService
 from repro.telemetry.tracing import new_trace_id
 
@@ -207,10 +208,10 @@ def _opt_int(request: dict, name: str) -> Optional[int]:
     value = request.get(name)
     if value is None:
         return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ServeError(f"{name!r} must be an integer") from None
+    result = exact_int(value)
+    if result is None:
+        raise ServeError(f"{name!r} must be an integer, got {value!r}")
+    return result
 
 
 def _as_int(request: dict, name: str, default: int) -> int:

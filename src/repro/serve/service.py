@@ -753,6 +753,8 @@ class SamplingService:
         self, key: str, session: str, seed: Optional[int]
     ) -> _Session:
         resolved = session_seed(session) if seed is None else int(seed)
+        if resolved < 0:
+            raise ServeError(f"seed must be non-negative, got {resolved}")
         with self._lock:
             state = self._sessions.get((key, session))
             created = state is None

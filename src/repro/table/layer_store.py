@@ -96,7 +96,7 @@ class LayerStore(ABC):
     """Storage policy for finished build-up layers."""
 
     #: Whether installed layers stay resident in process memory.  The
-    #: batched kernel caches per-layer neighbor-sum matrices across levels
+    #: in-memory build caches per-layer neighbor-sum matrices across levels
     #: only for resident stores; non-resident (spilling) stores keep peak
     #: memory one layer deep instead.
     resident: bool = True

@@ -389,10 +389,29 @@ class TestArtifactCache:
         assert cache.key(host, base) != cache.key(host, base, codec="succinct")
         other = erdos_renyi(40, 121, rng=6)
         assert cache.key(host, base) != cache.key(other, base)
-        # kernel choice must NOT split the cache: tables are bit-identical
-        assert cache.key(host, base) == cache.key(
-            host, MotivoConfig(k=4, seed=1, kernel="legacy")
-        )
+
+    def test_retired_kernel_build_field_still_opens_and_hits(
+        self, host, tmp_path
+    ):
+        """Manifests written while ``kernel`` was a build field record it
+        in their build section; such artifacts still open and still hit
+        the cache."""
+        root = str(tmp_path)
+        first = MotivoCounter(host, MotivoConfig(k=4, seed=13, artifact_dir=root))
+        first.build()
+        baseline = first.sample_naive(300)
+        entry = ArtifactCache(root).entries()[0]
+        manifest_path = os.path.join(entry.path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["build"]["kernel"] = "legacy"
+        json.dump(manifest, open(manifest_path, "w"))
+
+        warm = MotivoCounter.from_artifact(host, entry.path)
+        assert warm.sample_naive(300).counts == baseline.counts
+        again = MotivoCounter(host, MotivoConfig(k=4, seed=13, artifact_dir=root))
+        again.build()
+        assert again.instrumentation["artifact_cache_hits"] == 1
+        assert again.sample_naive(300).counts == baseline.counts
 
     def test_stale_cached_artifact_is_a_miss_not_a_failure(
         self, host, tmp_path

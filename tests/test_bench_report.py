@@ -90,4 +90,4 @@ def test_malformed_check_fails_before_staleness(root, capsys):
 def test_repo_tracked_files_still_render():
     text = bench_report.render()
     assert text.startswith("# Benchmark trajectory")
-    assert "BENCH_buildup.json" in text
+    assert "BENCH_sampling.json" in text

@@ -1,10 +1,11 @@
-"""Tests for the batched build-up kernel and the ensemble engine.
+"""Tests for the build-up level step and the ensemble engine.
 
-The contract under test is strong: the batched one-SpMM-per-layer kernel
-must produce *bit-identical* tables to the legacy per-key oracle on every
-configuration (sizes, 0-rooting, spill, degenerate colorings), and the
-ensemble engine must give identical results for a fixed seed no matter
-how many worker processes it fans out over.
+The contract under test is strong: the build-up must equal the exact
+big-int CC hash-table build (``build_hash_table``, the build's oracle)
+key for key and entry for entry on every configuration (sizes,
+0-rooting, spill, degenerate colorings), and the ensemble engine must
+give identical results for a fixed seed no matter how many worker
+processes it fans out over.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import BuildError, SamplingError
+from repro.errors import SamplingError
 from repro.colorcoding.buildup import build_table
+from repro.colorcoding.buildup_baseline import build_hash_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.engine import EnsembleResult, PipelineEngine, derive_child_seeds
 from repro.graph.generators import erdos_renyi
@@ -22,43 +24,45 @@ from repro.table.flush import SpillStore
 from repro.util.instrument import Instrumentation
 
 
-def assert_bit_identical(a, b, k):
-    for h in range(1, k + 1):
-        layer_a, layer_b = a.layer(h), b.layer(h)
-        assert layer_a.keys == layer_b.keys, f"layer {h} keys differ"
-        assert np.array_equal(
-            np.asarray(layer_a.counts), np.asarray(layer_b.counts)
-        ), f"layer {h} bits differ"
+def assert_matches_oracle(table, graph, coloring, zero_rooting=True):
+    """Exactly the oracle's key set and nonzero entries, layer by layer."""
+    reference = build_hash_table(
+        graph, coloring, zero_rooting=zero_rooting
+    ).to_encoding_dict()
+    built = {}
+    for h in range(1, table.k + 1):
+        layer = table.layer(h)
+        counts = np.asarray(layer.counts)
+        for row, key in enumerate(layer.keys):
+            built[key] = {
+                int(v): float(counts[row, v])
+                for v in np.flatnonzero(counts[row])
+            }
+    assert built.keys() == reference.keys()
+    for key, per_vertex in reference.items():
+        assert built[key] == {
+            v: float(count) for v, count in per_vertex.items()
+        }, key
 
 
 class TestKernelEquivalence:
-    """Batched vs legacy: bit-identical on the full configuration matrix."""
+    """The build equals the exact CC oracle on the configuration matrix."""
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.parametrize("zero_rooting", [True, False])
     def test_random_graphs(self, k, zero_rooting):
         graph = erdos_renyi(40, 140, rng=k)
         coloring = ColoringScheme.uniform(40, k, rng=k + 50)
-        batched = build_table(
-            graph, coloring, zero_rooting=zero_rooting, kernel="batched"
-        )
-        legacy = build_table(
-            graph, coloring, zero_rooting=zero_rooting, kernel="legacy"
-        )
-        assert_bit_identical(batched, legacy, k)
+        table = build_table(graph, coloring, zero_rooting=zero_rooting)
+        assert_matches_oracle(table, graph, coloring, zero_rooting)
 
-    @pytest.mark.parametrize("kernel_pair", [("batched", "legacy")])
-    def test_with_spill(self, tmp_path, kernel_pair):
+    def test_with_spill(self, tmp_path):
         graph = erdos_renyi(30, 90, rng=2)
         coloring = ColoringScheme.uniform(30, 4, rng=3)
-        tables = []
-        for kernel in kernel_pair:
-            store = SpillStore(str(tmp_path / kernel))
-            tables.append(
-                build_table(graph, coloring, spill=store, kernel=kernel)
-            )
-        assert_bit_identical(tables[0], tables[1], 4)
-        assert isinstance(tables[0].layer(4).counts, np.memmap)
+        store = SpillStore(str(tmp_path / "spill"))
+        table = build_table(graph, coloring, spill=store)
+        assert isinstance(table.layer(4).counts, np.memmap)
+        assert_matches_oracle(table, graph, coloring)
 
     def test_missing_color_falls_back(self):
         """A color absent from the graph forces the resolving path."""
@@ -66,27 +70,14 @@ class TestKernelEquivalence:
         colors = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
         coloring = ColoringScheme.fixed(colors, k=4)
         instrumentation = Instrumentation()
-        batched = build_table(
-            graph, coloring, instrumentation=instrumentation, kernel="batched"
-        )
-        legacy = build_table(graph, coloring, kernel="legacy")
+        table = build_table(graph, coloring, instrumentation=instrumentation)
         assert instrumentation["fallback_levels"] > 0
-        assert_bit_identical(batched, legacy, 4)
+        assert_matches_oracle(table, graph, coloring)
 
     def test_biased_coloring(self):
         graph = erdos_renyi(30, 80, rng=6)
         coloring = ColoringScheme.biased(30, 4, lam=0.15, rng=7)
-        assert_bit_identical(
-            build_table(graph, coloring, kernel="batched"),
-            build_table(graph, coloring, kernel="legacy"),
-            4,
-        )
-
-    def test_unknown_kernel_rejected(self):
-        graph = erdos_renyi(10, 20, rng=0)
-        coloring = ColoringScheme.uniform(10, 3, rng=1)
-        with pytest.raises(BuildError):
-            build_table(graph, coloring, kernel="turbo")
+        assert_matches_oracle(build_table(graph, coloring), graph, coloring)
 
     def test_batched_kernel_instrumentation(self):
         graph = erdos_renyi(25, 70, rng=8)
@@ -96,18 +87,6 @@ class TestKernelEquivalence:
         assert instrumentation["merge_ops"] > 0
         assert instrumentation["spmm_ops"] > 0
         assert instrumentation.timings["buildup"] > 0
-
-    def test_merge_ops_equal_across_kernels(self):
-        graph = erdos_renyi(25, 70, rng=10)
-        coloring = ColoringScheme.uniform(25, 5, rng=11)
-        counts = {}
-        for kernel in ("batched", "legacy"):
-            instrumentation = Instrumentation()
-            build_table(
-                graph, coloring, instrumentation=instrumentation, kernel=kernel
-            )
-            counts[kernel] = instrumentation["merge_ops"]
-        assert counts["batched"] == counts["legacy"]
 
 
 class TestDerivedSeeds:
@@ -236,18 +215,6 @@ class TestFacadeIntegration:
         estimates_fanned = fanned.averaged_naive(3, 300, jobs=2)
         assert estimates_serial.counts == estimates_fanned.counts
         assert estimates_serial.method == "naive-averaged"
-
-    def test_legacy_kernel_config(self):
-        graph = erdos_renyi(30, 90, rng=5)
-        batched = MotivoCounter(graph, MotivoConfig(k=4, seed=5))
-        legacy = MotivoCounter(
-            graph, MotivoConfig(k=4, seed=5, kernel="legacy")
-        )
-        batched.build()
-        legacy.build()
-        assert batched.sample_naive(500).counts == pytest.approx(
-            legacy.sample_naive(500).counts
-        )
 
 
 class TestInstrumentationTransport:

@@ -56,6 +56,21 @@ class TestConstruction:
 
     @given(edge_lists())
     @settings(max_examples=100)
+    def test_array_input_matches_pairs(self, data):
+        """An ``(m, 2)`` array is taken as it is, with the same bytes."""
+        n, edges = data
+        from_pairs = Graph.from_edges(edges, n=n)
+        for array in (
+            np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            np.asarray(edges, dtype=np.int32).reshape(-1, 2),
+        ):
+            from_array = Graph.from_edges(array, n=n)
+            assert np.array_equal(from_array.indptr, from_pairs.indptr)
+            assert np.array_equal(from_array.indices, from_pairs.indices)
+            assert from_array.fingerprint() == from_pairs.fingerprint()
+
+    @given(edge_lists())
+    @settings(max_examples=100)
     def test_from_edges_invariants(self, data):
         n, edges = data
         g = Graph.from_edges(edges, n=n)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph.generators import barabasi_albert, cycle_graph, erdos_renyi
@@ -15,6 +17,19 @@ from repro.graph.io import (
     save_binary,
     save_edge_list,
 )
+from repro.graph.stream import build_csr_external, open_external
+
+
+def _load_external(path, directory):
+    build_csr_external(path, directory)
+    return open_external(directory)
+
+
+#: Both text loaders; each must load a file or raise GraphFormatError.
+LOADERS = {
+    "in-memory": lambda path, directory: load_edge_list(path),
+    "external": _load_external,
+}
 
 
 class TestEdgeList:
@@ -87,6 +102,67 @@ class TestEdgeList:
         path.write_text("-1 2\n")
         with pytest.raises(GraphFormatError, match="non-negative"):
             load_edge_list(path)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+class TestMalformedFilesAreTyped:
+    """Every bad line names the file and the line, in both loaders."""
+
+    def _load(self, loader, tmp_path, content: bytes):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        return LOADERS[loader](path, tmp_path / "csr")
+
+    def test_vertex_id_past_int64(self, loader, tmp_path):
+        with pytest.raises(GraphFormatError, match=r"bad\.txt:2: .*int64"):
+            self._load(loader, tmp_path, b"0 1\n0 %d\n" % 2**63)
+
+    def test_non_utf8_byte(self, loader, tmp_path):
+        with pytest.raises(GraphFormatError, match=r"bad\.txt:3: not UTF-8"):
+            self._load(loader, tmp_path, b"0 1\n1 2\n2 \xff3\n")
+
+    def test_negative_id(self, loader, tmp_path):
+        with pytest.raises(
+            GraphFormatError, match=r"bad\.txt:1: .*non-negative"
+        ):
+            self._load(loader, tmp_path, b"-1 2\n")
+
+
+#: Line material for the fuzzed files: small ids, ids past int64,
+#: negative ids, junk tokens and invalid UTF-8.  A *valid* id ``v``
+#: makes the external loader allocate a ``v + 1``-vertex CSR (it never
+#: compacts ids), and a header's ``n`` does the same for both loaders,
+#: so valid ids and declared counts stay small here.
+_TOKENS = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(2**63, 2**70).map(str),
+    st.integers(-(2**70), -1).map(str),
+    st.sampled_from(["a", "1.5", "0x3", "", "٣", "1_0", "nan"]),
+).map(lambda token: token.encode("utf-8"))
+_LINES = st.one_of(
+    st.lists(_TOKENS, min_size=0, max_size=4).map(b" ".join),
+    st.integers(0, 40).map(lambda n: b"# repro graph n=%d m=1" % n),
+    st.binary(max_size=6).map(lambda raw: b"# " + raw),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(_LINES, max_size=8),
+    loader=st.sampled_from(sorted(LOADERS)),
+)
+def test_any_file_loads_or_raises_graph_format_error(
+    tmp_path_factory, lines, loader
+):
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "g.txt"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        graph = LOADERS[loader](path, directory / "csr")
+    except GraphFormatError:
+        return
+    assert isinstance(graph, Graph)
 
 
 class TestSparseIdCompaction:

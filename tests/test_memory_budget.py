@@ -179,11 +179,6 @@ class TestFacadeBudget:
         with pytest.raises(BuildError):
             MotivoCounter(
                 graph,
-                MotivoConfig(k=4, memory_budget=1 << 26, kernel="legacy"),
-            ).build()
-        with pytest.raises(BuildError):
-            MotivoCounter(
-                graph,
                 MotivoConfig(
                     k=4, num_shards=2, spill_dir=str(tmp_path / "spill")
                 ),

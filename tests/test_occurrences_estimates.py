@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.graph.generators import complete_graph, cycle_graph, path_graph
+from repro.graph.generators import (
+    complete_graph,
+    cycle_graph,
+    erdos_renyi,
+    path_graph,
+)
 from repro.graphlets.enumerate import (
     clique_graphlet,
     cycle_graphlet,
@@ -71,6 +80,46 @@ class TestClassifier:
     def test_k_validation(self):
         with pytest.raises(SamplingError):
             GraphletClassifier(path_graph(3), 1)
+
+    def test_shared_classifier_under_concurrent_batches(self):
+        """Threads sharing one classifier (as the serving plane's
+        requests do) get the single-threaded answers while its pattern
+        cache grows under them."""
+        graph = erdos_renyi(60, 400, rng=3)
+        rng = np.random.default_rng(4)
+        batches = [
+            np.stack(
+                [rng.choice(60, size=5, replace=False) for _ in range(40)]
+            )
+            for _ in range(16)
+        ]
+        expected = [
+            GraphletClassifier(graph, 5).classify_batch(batch)
+            for batch in batches
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _trial in range(10):
+                shared = GraphletClassifier(graph, 5)
+                results: list = [None] * len(batches)
+
+                def work(i: int) -> None:
+                    results[i] = shared.classify_batch(batches[i])
+
+                threads = [
+                    threading.Thread(target=work, args=(i,))
+                    for i in range(len(batches))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for got, want in zip(results, expected):
+                    assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestEstimatesContainer:

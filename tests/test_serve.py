@@ -16,15 +16,18 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.artifacts import ArtifactCache, save_table
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
-from repro.errors import SamplingError, ServeError
+from repro.errors import ReproError, SamplingError, ServeError
 from repro.graph.generators import erdos_renyi
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, normalize_updates
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService, serve_http, session_seed
+from repro.serve.http import _as_int, _opt_int
 
 
 @pytest.fixture(scope="module")
@@ -466,6 +469,34 @@ class TestHTTP:
         with urllib.request.urlopen(self._url(server, "/healthz")):
             pass  # server still alive after errors
 
+    def _status(self, server, path, body: bytes) -> int:
+        request = urllib.request.Request(
+            self._url(server, path), data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request) as response:
+                return response.status
+        except urllib.error.HTTPError as error:
+            return error.code
+
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/count", b'{"samples": 50, "seed": 1e400}'),
+            ("/count", b'{"samples": 1.5}'),
+            ("/count", b'{"samples": 50, "seed": -1}'),
+            ("/update", b'{"updates": [["+", "a", 1]]}'),
+            ("/update", b'{"updates": [["+", [1], 1]]}'),
+            ("/update", b'{"updates": [["+", %d, 1]]}' % 2**70),
+            ("/update", b'{"updates": [["+", 1.5, 2]]}'),
+        ],
+    )
+    def test_malformed_fields_answer_400(self, server, path, body):
+        assert self._status(server, path, body) == 400
+        with urllib.request.urlopen(self._url(server, "/healthz")):
+            pass  # server still alive
+
     def test_metrics_endpoint_serves_prometheus_text(self, server):
         self._post(server, "/count", {"samples": 200, "session": "m",
                                       "seed": 4})
@@ -544,6 +575,58 @@ class TestHTTP:
             )
             expected = json.loads(ref.to_json())["counts"]
             assert results[index]["counts"] == expected, index
+
+
+#: Arbitrary JSON request values, big integers included.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**62, max_value=2**80)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestRequestFieldsAreTyped:
+    """Request bodies yield a valid value or a typed ReproError (HTTP
+    400), never a raw exception (HTTP 500)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        updates=_JSON
+        | st.lists(st.tuples(_JSON, _JSON, _JSON), max_size=4)
+        | st.lists(
+            st.tuples(st.sampled_from(["+", "-", 1, -1]), _JSON, _JSON),
+            max_size=4,
+        )
+    )
+    def test_normalize_updates(self, updates):
+        try:
+            ops = normalize_updates(updates)
+        except ReproError:
+            return
+        assert ops.dtype == np.int64 and ops.ndim == 2 and ops.shape[1] == 3
+        assert np.isin(ops[:, 0], (-1, 1)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(["samples", "seed", "cover_threshold"]),
+        value=_JSON,
+    )
+    def test_count_integer_fields(self, name, value):
+        try:
+            parsed = _opt_int({name: value}, name)
+        except ReproError:
+            return
+        if value is None:
+            assert parsed is None and _as_int({name: value}, name, 7) == 7
+        else:
+            assert type(parsed) is int and parsed == value
+            assert not isinstance(value, bool)
 
 
 class TestTelemetryNameStability:

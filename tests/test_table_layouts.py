@@ -204,19 +204,6 @@ class TestLayoutMatrix:
             assert la["keys"]["digest"] == lb["keys"]["digest"]
 
 
-class TestLegacyKernelSeals:
-    def test_legacy_succinct_matches_reference(self, workload, reference):
-        graph, coloring, registry = workload
-        table = build_table(
-            graph, coloring, registry=registry,
-            kernel="legacy", layout="succinct",
-        )
-        assert table.layout() == "succinct"
-        _assert_tables_equivalent(
-            reference, table, graph, coloring, registry
-        )
-
-
 class TestFacadeThreading:
     def test_counter_layouts_bit_identical(self, workload):
         graph, _coloring, _registry = workload

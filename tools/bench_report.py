@@ -6,7 +6,7 @@ Every perf-oriented PR leaves a machine-readable result at the
 repository root (written by the ``benchmarks/bench_*.py`` scripts via
 ``emit_json(..., also_repo_root=True)``).  This tool renders them into
 one markdown summary table — the README links it — so the performance
-trajectory is readable without opening eight JSON documents.
+trajectory is readable without opening seven JSON documents.
 
 Usage::
 
@@ -70,17 +70,6 @@ def _fmt(value, spec: str = "{:.1f}"):
         return spec.format(value)
     except (TypeError, ValueError):
         return str(value)
-
-
-def _row_buildup(p):
-    return (
-        "build-up kernel",
-        _get(p, "workload", "graph", default="fig3-style"),
-        f"batched {_fmt(_get(p, 'batched_kernel_seconds'), '{:.4f}')}s vs "
-        f"legacy {_fmt(_get(p, 'old_kernel_seconds'), '{:.4f}')}s "
-        f"(**{_fmt(_get(p, 'speedup'))}x**)",
-        _get(p, "bit_identical"),
-    )
 
 
 def _row_sampling(p):
@@ -187,7 +176,6 @@ def _row_incremental(p):
 
 
 EXTRACTORS = {
-    "BENCH_buildup": _row_buildup,
     "BENCH_sampling": _row_sampling,
     "BENCH_table": _row_table,
     "BENCH_artifacts": _row_artifacts,
@@ -199,9 +187,8 @@ EXTRACTORS = {
 
 #: Render order: the pipeline-stage order the README's prose follows.
 ORDER = [
-    "BENCH_buildup", "BENCH_sampling", "BENCH_table", "BENCH_artifacts",
-    "BENCH_serve", "BENCH_scale", "BENCH_observability",
-    "BENCH_INCREMENTAL",
+    "BENCH_sampling", "BENCH_table", "BENCH_artifacts", "BENCH_serve",
+    "BENCH_scale", "BENCH_observability", "BENCH_INCREMENTAL",
 ]
 
 
