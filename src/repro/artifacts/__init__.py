@@ -40,10 +40,12 @@ from repro.artifacts.table_artifact import (
     FORMAT_VERSION,
     TABLE_FORMAT,
     TableArtifact,
+    advance_lineage,
     compact_table,
     load_manifest,
     load_table_delta,
     open_table,
+    rewrite_table,
     save_table,
     save_table_delta,
 )
@@ -61,10 +63,12 @@ __all__ = [
     "FORMAT_VERSION",
     "TABLE_FORMAT",
     "TableArtifact",
+    "advance_lineage",
     "compact_table",
     "load_manifest",
     "load_table_delta",
     "open_table",
+    "rewrite_table",
     "save_table",
     "save_table_delta",
 ]

@@ -69,6 +69,8 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "TABLE_FORMAT",
     "TableArtifact",
+    "advance_lineage",
+    "rewrite_table",
     "save_table",
     "save_table_delta",
     "load_table_delta",
@@ -456,6 +458,79 @@ def save_table(
     _write_manifest(directory, manifest)
     return TableArtifact(
         directory, manifest, table, coloring, descent_program
+    )
+
+
+def advance_lineage(
+    lineage: Optional[dict], parent_fingerprint: str, updates_applied: int
+) -> dict:
+    """The ``lineage`` section after one more applied update batch.
+
+    ``lineage`` is the section so far (``None`` before the first
+    batch) and ``parent_fingerprint`` the graph the table counted
+    before this batch — it becomes the recorded parent only on the
+    first batch, so the section keeps naming the graph the table was
+    built on.  Returns a new dict; the input is not modified.
+    """
+    advanced = dict(lineage or {"parent_fingerprint": parent_fingerprint})
+    advanced["update_batches"] = int(advanced.get("update_batches", 0)) + 1
+    advanced["updates_applied"] = (
+        int(advanced.get("updates_applied", 0)) + int(updates_applied)
+    )
+    return advanced
+
+
+def rewrite_table(
+    directory: str,
+    manifest: dict,
+    table: CountTable,
+    coloring: ColoringScheme,
+    graph: Graph,
+    updates_applied: int,
+    descent_program: Optional[DescentProgram] = None,
+    instrumentation: Optional[Instrumentation] = None,
+) -> TableArtifact:
+    """Rewrite a table artifact in place after an edge-update batch.
+
+    The one persistence step of ``motivo-py update`` and
+    ``POST /update``.  ``manifest`` is the artifact's manifest before
+    the batch: its codec, build parameters and RNG state are written
+    back verbatim (an update consumes no draws and changes no build
+    field), and its lineage advances by one batch of
+    ``updates_applied`` edge changes (:func:`advance_lineage`).
+
+    The old source hint loads the pre-update graph, whose fingerprint
+    no longer matches, so the updated ``graph`` is saved next to the
+    blobs (``graph.npz``) and the hint repointed there — the artifact
+    stays self-resolving across restarts.  This goes through
+    :func:`save_table` rather than the facade's ``save_artifact``: a
+    batch that deletes the last colorful k-treelet leaves a legitimate
+    empty-urn table (zero estimates) that must stay openable.
+    """
+    # Both resolved at call time through their public modules, as the
+    # facade's save_artifact does, so wrappers installed there (the
+    # e2ebench span recorder) also see the rewrites.
+    from repro.artifacts import save_table as save
+    from repro.graph.io import save_binary
+
+    graph_blob = os.path.join(os.path.abspath(directory), "graph.npz")
+    save_binary(graph, graph_blob)
+    return save(
+        directory,
+        table,
+        coloring,
+        graph,
+        codec=str(manifest.get("codec", "dense")),
+        build=manifest.get("build"),
+        rng_state=manifest.get("rng_state"),
+        instrumentation=instrumentation,
+        source=graph_blob,
+        descent_program=descent_program,
+        lineage=advance_lineage(
+            manifest.get("lineage"),
+            manifest["graph"]["fingerprint"],
+            updates_applied,
+        ),
     )
 
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from typing import List, Optional
@@ -782,7 +781,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    from repro.artifacts import ENSEMBLE_FORMAT, load_manifest, save_table
+    from repro.artifacts import ENSEMBLE_FORMAT, load_manifest, rewrite_table
     from repro.graph.io import load_updates
 
     manifest = load_manifest(args.artifact)
@@ -810,35 +809,20 @@ def _cmd_update(args: argparse.Namespace) -> int:
         counter.config.delta_log_dir = args.delta_log
         stats = counter.update(updates)
         if stats["updates_applied"]:
-            # Rewrite the artifact in place under its recorded codec.
-            # save_table, not save_artifact: a batch that deletes the
-            # last colorful k-treelet leaves a legitimate empty-urn
-            # table (zero estimates) that must stay openable.  The old
-            # source hint now loads a pre-update graph whose
-            # fingerprint no longer matches, so the updated graph is
-            # embedded next to the blobs and the hint repointed —
-            # later sample/update/serve runs resolve it without
-            # --graph.
-            program = (
-                counter.urn.descent_program()
-                if counter.urn is not None else None
-            )
-            graph_blob = os.path.join(
-                os.path.abspath(args.artifact), "graph.npz"
-            )
-            save_binary(counter.graph, graph_blob)
-            save_table(
+            # Rewrite the artifact in place (updated graph embedded, so
+            # later sample/update/serve runs resolve it without --graph).
+            rewrite_table(
                 args.artifact,
+                manifest,
                 counter.table,
                 counter.coloring,
                 counter.graph,
-                codec=str(manifest.get("codec", "dense")),
-                build=counter.config.build_params(),
-                rng_state=counter._rng.bit_generator.state,
+                stats["updates_applied"],
+                descent_program=(
+                    counter.urn.descent_program()
+                    if counter.urn is not None else None
+                ),
                 instrumentation=counter.instrumentation,
-                source=graph_blob,
-                descent_program=program,
-                lineage=counter._lineage,
             )
         if args.stats_out:
             _write_stats(args.stats_out, counter.instrumentation)

@@ -45,7 +45,7 @@ names deliberately distinct from the build counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class DeltaResult:
         contains the endpoints.  The sampling plane's cache-retargeting
         hint: gathered-cumulative rows stay valid for every vertex
         whose neighborhood avoids this set (see
-        :meth:`repro.colorcoding.urn.TreeletUrn.rebind`).
+        :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).
     """
 
     table: CountTable
@@ -109,6 +109,18 @@ class DeltaResult:
     edges_added: int
     edges_removed: int
     dirty_columns: Optional[np.ndarray] = None
+
+    def stats(self) -> Dict[str, int]:
+        """The batch's counters under the names the update APIs report
+        (``MotivoCounter.update``, ``motivo-py update``,
+        ``POST /update``)."""
+        return {
+            "updates_applied": self.updates_applied,
+            "edges_added": self.edges_added,
+            "edges_removed": self.edges_removed,
+            "rows_touched": self.rows_touched,
+            "touched_vertices": int(self.touched.size),
+        }
 
 
 def touched_frontiers(

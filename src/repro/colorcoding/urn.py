@@ -240,88 +240,60 @@ class TreeletUrn:
         self._gath_slot: Optional[np.ndarray] = None
         # The graph snapshot the gathered store is pinned to, plus the
         # per-vertex dirty mask of the stale-row read discipline (see
-        # :meth:`_retarget_gathered`).  Identical to ``self.graph`` until
-        # an incremental rebind keeps the store across an edge update.
+        # :meth:`take_gathered`).  Identical to ``self.graph`` until a
+        # successor takes the store over across an edge update.
         self._gath_graph: Graph = graph
         self._gath_dirty: Optional[np.ndarray] = None
         self._key_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def rebind(
-        self,
-        graph: Graph,
-        table: CountTable,
-        dirty_columns: Optional[np.ndarray] = None,
-    ) -> "TreeletUrn":
-        """Point the urn at an updated ``(graph, table)`` pair, in place.
+    def successor(self, graph: Graph, table: CountTable) -> "TreeletUrn":
+        """A new urn over an updated ``(graph, table)`` pair.
 
-        The incremental maintainer's sampling-side counterpart: after an
+        The incremental maintainer's sampling-side step: after an
         edge-update batch the table's counts (and the graph's adjacency)
-        have moved, so every weight-derived structure is refreshed — but
-        the expensive graph-independent state survives.  The compiled
-        descent program is kept whenever it still validates against the
-        new table (key sets rarely change under a trickle of updates),
-        so the warm path never recompiles.  When ``dirty_columns`` names
-        the vertices whose sub-``k`` counts an update batch changed, the
-        gathered-cumulative store survives too: it stays pinned to its
-        snapshot graph and reads for vertices outside the dirty
-        neighborhood remain bit-exact, while dirty vertices take a live
-        per-segment path (:meth:`_retarget_gathered`).  Without that
-        hint the store, shape aliases, and neighbor buffers are dropped
-        and refill on demand.  Every refreshed structure is rebuilt by
-        the same code a fresh :class:`TreeletUrn` would run, so draws
-        after ``rebind`` are bit-identical to a from-scratch urn's.
+        have moved, so every weight-derived structure — root alias,
+        totals, shape aliases, neighbor buffers — is built afresh by the
+        constructor, and draws from the successor are bit-identical to a
+        from-scratch urn's.  The compiled descent program carries over
+        whenever it still validates against the new table (key sets
+        rarely change under a trickle of updates), so the warm path
+        never recompiles; :meth:`take_gathered` then carries the
+        gathered-cumulative store over too.
+
+        This urn is not touched: it stays valid for draws still in
+        flight on the old table.
 
         Raises :class:`SamplingError` when the updated table holds no
-        colorful k-treelets (the empty-urn degradation); the urn is then
-        unusable and the caller should fall back to its empty-urn state.
+        colorful k-treelets (the empty-urn degradation).
         """
-        weights = table.root_weights()
-        total = float(weights.sum())
-        if total <= 0:
-            raise SamplingError(
-                "the urn is empty: no colorful k-treelets were counted "
-                "(unlucky coloring or disconnected graph?)"
-            )
         program = self._program
         if program is not None:
             try:
                 program.validate_for(table)
             except ValueError:
                 program = None
-        old_graph = self.graph
-        self.graph = graph
-        self.table = table
-        self._total_weight = total
-        self._root_alias = AliasSampler(weights)
-        self._shape_weights.clear()
-        self._shape_alias.clear()
-        self._shape_totals.clear()
-        self._buffers.clear()
-        self._program = program
-        self._key_arrays = None
-        if not self._retarget_gathered(
-            old_graph, dirty_columns, program is not None
-        ):
-            self._gath_graph = graph
-            self._gath_dirty = None
-            row_bytes = (graph.indices.size + 1) * 8
-            self._gathered_row_budget = max(
-                16, self.descent_cache_bytes // row_bytes
-            )
-            self._gathered_cached_rows = 0
-            self._gath_matrix = None
-            self._gath_slot = None
-        return self
+        return TreeletUrn(
+            graph,
+            table,
+            self.coloring,
+            registry=self.registry,
+            buffer_threshold=self.buffer_threshold,
+            buffer_size=self.buffer_size,
+            instrumentation=self.instrumentation,
+            program=program,
+            descent_cache_bytes=self.descent_cache_bytes,
+        )
 
-    def _retarget_gathered(
+    def take_gathered(
         self,
-        old_graph: Graph,
+        previous: "TreeletUrn",
         dirty_columns: Optional[np.ndarray],
-        program_kept: bool,
     ) -> bool:
-        """Try to carry the gathered-cumulative store across a rebind.
+        """Take over ``previous``'s gathered-cumulative store.
 
-        The store holds, per gathered key, the running sum of that key's
+        ``previous`` is the urn this one succeeds and ``dirty_columns``
+        the update batch's vertices whose sub-``k`` counts changed.  The
+        store holds, per gathered key, the running sum of that key's
         counts over the snapshot graph's edge array.  The fused kernel
         only ever reads it *relatively* — segment-endpoint differences
         for split weights, and bisection against ``row[start] + t``
@@ -332,41 +304,60 @@ class TreeletUrn:
         neighbors' counts for sub-``k`` layers are unchanged.  The dirty
         mask marks exactly the vertices where that fails — the updated
         columns plus their one-hop neighborhoods under both the old and
-        new adjacency — and the kernel routes those lanes through a live
-        per-segment computation against the *current* graph and table
-        (:meth:`_live_segments`), which is exact by construction.
+        new adjacency, unioned with ``previous``'s mask — and the kernel
+        routes those lanes through a live per-segment computation
+        against the *current* graph and table (:meth:`_live_segments`),
+        which is exact by construction.
 
-        Returns ``False`` (caller flushes the store) when there is no
-        dirty hint, the program was invalidated (gathered-key ids would
-        renumber), the store was never materialized, the dirty mask
-        would cover too much of the graph for stale reads to pay off, or
-        the updated counts would overflow the store's integer dtype.
+        The matrix is shared, not copied: this urn reads the rows
+        cached so far and appends its own past them, while
+        ``previous`` keeps reading its rows but never appends again —
+        its later misses are built transiently — so two urns never
+        write one row.  Call it while no draw runs on ``previous``
+        (the serving plane holds the old handle's draw lock), so the
+        hand-over point cannot move.
+
+        Returns ``False`` and leaves both urns as they were when there
+        is no dirty hint, the program was not carried over (gathered-key
+        ids would renumber), ``previous`` never materialized a store,
+        the dirty mask would cover more than a quarter of the vertices
+        (too much for stale reads to pay off), or the updated counts
+        would overflow the store's integer dtype.  This urn then starts
+        with an empty store.
         """
         if (
             dirty_columns is None
-            or not program_kept
-            or self._gath_slot is None
+            or self._program is None
+            or self._program is not previous._program
+            or previous._gath_slot is None
         ):
             return False
         n = self.graph.num_vertices
         seed = np.zeros(n, dtype=bool)
         seed[np.asarray(dirty_columns, dtype=np.int64)] = True
         fresh = seed.copy()
-        for adjacency in (old_graph, self.graph):
+        for adjacency in (previous.graph, self.graph):
             hits = seed[adjacency.indices]
             if hits.any():
                 owners = np.repeat(
                     np.arange(n, dtype=np.int64), np.diff(adjacency.indptr)
                 )
                 fresh[owners[hits]] = True
-        dirty = fresh if self._gath_dirty is None else (
-            self._gath_dirty | fresh
+        dirty = fresh if previous._gath_dirty is None else (
+            previous._gath_dirty | fresh
         )
         if int(dirty.sum()) * 4 > n:
             return False
-        if self._gath_matrix.dtype != self._gathered_dtype():
+        snapshot = previous._gath_graph
+        if previous._gath_matrix.dtype != self._gathered_dtype(snapshot):
             return False
+        self._gath_graph = snapshot
         self._gath_dirty = dirty
+        self._gath_matrix = previous._gath_matrix
+        self._gath_slot = previous._gath_slot.copy()
+        self._gathered_cached_rows = previous._gathered_cached_rows
+        self._gathered_row_budget = previous._gathered_row_budget
+        previous._gathered_row_budget = previous._gathered_cached_rows
         return True
 
     # ------------------------------------------------------------------
@@ -688,18 +679,19 @@ class TreeletUrn:
 
     # -- gathered-cumulative store ---------------------------------------
 
-    def _gathered_dtype(self) -> np.dtype:
+    def _gathered_dtype(self, snapshot: Graph) -> np.dtype:
         """Narrowest exact integer dtype for the gathered running sums.
 
         A gathered row's largest entry is bounded by ``max_count · 2m``
         over layers ``1..k-1`` (only ``T''`` layers feed gathered rows —
-        never the big size-k layer); when that fits uint32 the store
-        halves its memory traffic, else it widens to int64.
+        never the big size-k layer) and the ``2m`` edge entries of the
+        ``snapshot`` graph the rows run over; when that fits uint32 the
+        store halves its memory traffic, else it widens to int64.
         """
         largest = 0.0
         for size in range(1, self.k):
             largest = max(largest, self.table.layer(size).max_value())
-        bound = largest * self._gath_graph.indices.size
+        bound = largest * snapshot.indices.size
         return np.dtype(np.uint32) if bound < 2**32 else np.dtype(np.int64)
 
     def _ensure_gathered(self) -> None:
@@ -709,7 +701,7 @@ class TreeletUrn:
             )
             self._gath_matrix = np.zeros(
                 (0, self._gath_graph.indices.size + 1),
-                dtype=self._gathered_dtype(),
+                dtype=self._gathered_dtype(self._gath_graph),
             )
 
     def _build_gathered_row(self, gk: int, out_row: np.ndarray) -> None:
@@ -740,10 +732,11 @@ class TreeletUrn:
 
         Rows are built once (one ``O(m)`` pass each) into a global
         grow-on-demand matrix shared by all layers, capped at
-        ``descent_cache_bytes``; once full, waves touching uncached keys
-        get a transient per-call matrix instead (same arithmetic, nothing
-        retained, counted as ``gathered_budget_fallbacks``), so resident
-        memory stays bounded on paper-scale graphs.
+        ``descent_cache_bytes``; once full — or once a successor took
+        the store over (:meth:`take_gathered`) — waves touching uncached
+        keys get a transient per-call matrix instead (same arithmetic,
+        nothing retained, counted as ``gathered_budget_fallbacks``), so
+        resident memory stays bounded on paper-scale graphs.
         """
         self._ensure_gathered()
         slot = self._gath_slot

@@ -289,8 +289,14 @@ def load_graph(spec: str) -> Graph:
 
 
 def save_binary(graph: Graph, path: PathLike) -> None:
-    """Save the CSR arrays as a compressed ``.npz`` (binary format)."""
-    np.savez_compressed(
+    """Save the CSR arrays as an uncompressed ``.npz`` (binary format).
+
+    Uncompressed on purpose: every edge update rewrites the graph blob
+    beside its artifact, and deflate dominated that write for a
+    few-fold size saving.  :func:`load_binary` still reads the
+    compressed files earlier versions wrote.
+    """
+    np.savez(
         path,
         magic=np.array(_BINARY_MAGIC),
         indptr=graph.indptr,

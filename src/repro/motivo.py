@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.artifacts.table_artifact import advance_lineage
 from repro.errors import ArtifactError, BuildError, SamplingError
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
@@ -238,8 +239,9 @@ class MotivoCounter:
         self._built: bool = False
         self._table = None
         #: Provenance of a delta-maintained table (recorded into saved
-        #: artifacts as the manifest's ``lineage`` section); ``None``
-        #: until the first :meth:`update`.
+        #: artifacts as the manifest's ``lineage`` section, and adopted
+        #: back by :meth:`from_artifact`); ``None`` until the first
+        #: :meth:`update`.
         self._lineage: Optional[dict] = None
         self._tracer = build_tracer(self.config.telemetry)
 
@@ -513,14 +515,7 @@ class MotivoCounter:
                 )
                 new_graph, table = result.graph, result.table
                 dirty_columns = result.dirty_columns
-                stats = {
-                    "mode": "incremental",
-                    "updates_applied": result.updates_applied,
-                    "edges_added": result.edges_added,
-                    "edges_removed": result.edges_removed,
-                    "rows_touched": result.rows_touched,
-                    "touched_vertices": int(result.touched.size),
-                }
+                stats = {"mode": "incremental", **result.stats()}
             else:
                 added, removed, touched = self.graph.resolve_updates(updates)
                 new_graph, _ = self.graph.apply_updates(updates)
@@ -556,34 +551,32 @@ class MotivoCounter:
                     updates, parent_fingerprint, new_graph.fingerprint(),
                     stats,
                 )
-            if self._lineage is None:
-                self._lineage = {
-                    "parent_fingerprint": parent_fingerprint,
-                    "update_batches": 0,
-                    "updates_applied": 0,
-                }
-            self._lineage["update_batches"] += 1
-            self._lineage["updates_applied"] += stats["updates_applied"]
+            self._lineage = advance_lineage(
+                self._lineage, parent_fingerprint, stats["updates_applied"]
+            )
             self.graph = new_graph
             self._refresh_after_update(table, dirty_columns)
         return stats
 
     def _refresh_after_update(self, table, dirty_columns=None) -> None:
-        """Rebind the warm sampling machinery to the updated graph/table.
+        """Advance the warm sampling machinery to the updated graph/table.
 
-        The steady-state counterpart of :meth:`_finish_build`: instead
-        of constructing a fresh urn and classifier (recompiling the
-        descent plan, re-deriving the canonicalization caches), the
-        existing ones are pointed at the new graph and table.
-        :meth:`TreeletUrn.rebind` rebuilds exactly the state a fresh
-        constructor would (root alias, totals), keeps the compiled
-        descent program and — given the delta's ``dirty_columns`` hint —
-        the gathered-cumulative store, and recomputes exactly the reads
-        the update invalidated, so post-update samples stay
-        bit-identical to a fresh build without paying the cold-start
-        costs on every update.  Empty-urn transitions in
-        either direction fall back to the full :meth:`_finish_build`
-        path.
+        The steady-state counterpart of :meth:`_finish_build`, and the
+        same successor steps ``POST /update`` takes: instead of
+        constructing a fresh urn and classifier from nothing,
+        :meth:`TreeletUrn.successor` builds the weight-derived state a
+        fresh constructor would (root alias, totals) while keeping the
+        compiled descent program; :meth:`TreeletUrn.take_gathered` —
+        given the delta's ``dirty_columns`` hint — carries the
+        gathered-cumulative store over, recomputing exactly the reads
+        the update invalidated; and
+        :meth:`GraphletClassifier.successor` keeps the
+        canonicalization caches.  Post-update samples stay bit-identical
+        to a fresh build without paying the cold-start costs on every
+        update.  The previous urn and classifier are superseded (with
+        ``incremental_updates`` the batch patched the previous table in
+        place).  Empty-urn transitions in either direction fall back to
+        the full :meth:`_finish_build` path.
         """
         self._table = table
         if self.urn is None or self.classifier is None:
@@ -591,15 +584,18 @@ class MotivoCounter:
             self.empty_urn = False
             self._finish_build(table)
             return
+        previous = self.urn
         try:
-            self.urn.rebind(self.graph, table, dirty_columns=dirty_columns)
+            urn = previous.successor(self.graph, table)
         except SamplingError:
             self.urn = None
             self.empty_urn = True
             self.instrumentation.count("empty_urn_builds")
         else:
+            urn.take_gathered(previous, dirty_columns)
+            self.urn = urn
             self.empty_urn = False
-        self.classifier.rebind(self.graph)
+        self.classifier = self.classifier.successor(self.graph)
         self._built = True
 
     def _log_delta(
@@ -774,6 +770,8 @@ class MotivoCounter:
                 artifact.manifest.get("instrumentation", {})
             )
         )
+        lineage = artifact.manifest.get("lineage")
+        self._lineage = dict(lineage) if lineage else None
         self._finish_build(
             artifact.table, program=getattr(artifact, "descent_program", None)
         )

@@ -79,19 +79,29 @@ class GraphletClassifier:
             else None
         )
 
-    def rebind(self, graph: Graph) -> "GraphletClassifier":
-        """Point the classifier at an updated graph, in place.
+    def successor(self, graph: Graph) -> "GraphletClassifier":
+        """A new classifier for an updated graph.
 
         Used by the incremental maintainer after an edge-update batch:
         the vertex-tuple cache keys induced subgraphs of the *old*
-        adjacency, so it is dropped, while the pattern caches (packed
-        edge bits → canonical id) are graph-independent canonicalization
-        results and survive — classification after ``rebind`` returns
-        exactly what a fresh classifier would, just warmer.
+        adjacency, so the successor starts without it, while the pattern
+        caches (packed edge bits → canonical id) are graph-independent
+        canonicalization results and carry over — the successor
+        classifies exactly as a fresh classifier would, just warmer.
+        The counters carry over too, so totals span updates.
+
+        This classifier is not touched: it keeps serving draws still in
+        flight on the old graph.  The memo dict is copied; the batch
+        cache is shared, which is safe because it is only ever replaced
+        as a whole tuple, never mutated.
         """
-        self.graph = graph
-        self._by_vertices.clear()
-        return self
+        successor = GraphletClassifier(graph, self.k, self.cache_limit)
+        successor._canon_by_bits = dict(self._canon_by_bits)
+        successor._patterns = self._patterns
+        successor.classified = self.classified
+        successor.cache_hits = self.cache_hits
+        successor.classify_seconds = self.classify_seconds
+        return successor
 
     def induced_bits(self, vertices: Sequence[int]) -> int:
         """Packed adjacency bits of the subgraph induced by ``vertices``."""

@@ -25,9 +25,10 @@ work, so the HTTP layer is a thin JSON codec:
 ``POST /update``
     Body: ``{"artifact": <key>?, "updates": [[op, u, v], ...]}`` with
     ``op`` ``1``/``-1`` (or ``"+"``/``"-"``).  Delta-maintains the
-    artifact's table under the edge updates (bit-identical to a
-    rebuild on the updated graph), rewrites the artifact, and swaps
-    the warm handle; in-flight draws finish on the old table.
+    served table in memory under the edge updates (bit-identical to a
+    rebuild on the updated graph), rewrites the artifact, then swaps in
+    a warm successor handle — no reopen; in-flight requests finish on
+    the old table and the key's sessions restart.
     Response: the update stats (``updates_applied``, ``rows_touched``,
     new ``fingerprint``, ...).
 
@@ -89,6 +90,11 @@ class SamplingHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "motivo-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection.  A response goes out as two
+    #: writes (headers, then body); with Nagle's algorithm on, the body
+    #: waits for the client's delayed ACK of the headers — up to the
+    #: delayed-ACK timeout (40 ms on Linux) on every request.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 

@@ -80,7 +80,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.artifacts import ArtifactCache, load_manifest, open_table
+from repro.artifacts import (
+    ArtifactCache,
+    load_manifest,
+    open_table,
+    rewrite_table,
+)
+from repro.colorcoding.coloring import ColoringScheme
 from repro.errors import ArtifactError, ReproError, SamplingError, ServeError
 from repro.graph.graph import Graph
 from repro.graphlets.spanning import SigmaCache
@@ -89,6 +95,7 @@ from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
 from repro.colorcoding.urn import DEFAULT_DESCENT_CACHE_BYTES, TreeletUrn
+from repro.table.count_table import CountTable
 from repro.telemetry import (
     MetricsRegistry,
     TelemetryConfig,
@@ -192,12 +199,17 @@ class _Session:
 
 
 class TableHandle:
-    """One warm artifact shared read-only by every request thread.
+    """One warm artifact version shared read-only by every request thread.
 
     The urn's lazy caches (gathered-cumulative rows, split candidates,
     shape aliases) are only ever filled under the handle's draw lock,
     so the shared table needs no further synchronization; classifier
     caches are deterministic same-value inserts and tolerate races.
+
+    A handle never changes version: an edge update builds a *successor*
+    handle over the updated graph and table (:meth:`SamplingService.update`)
+    and retires this one, so a request that checked it out finishes
+    wholly on the table it started on.
     """
 
     #: Lock contract, statically checked by repro-lint (REPRO-L001).
@@ -216,6 +228,8 @@ class TableHandle:
         key: str,
         directory: str,
         graph: Graph,
+        table: CountTable,
+        coloring: ColoringScheme,
         urn: Optional[TreeletUrn],
         classifier: GraphletClassifier,
         k: int,
@@ -226,6 +240,10 @@ class TableHandle:
         self.key = key
         self.directory = directory
         self.graph = graph
+        #: The table and coloring, kept beside the urn so an update can
+        #: advance an empty-urn table too.
+        self.table: Optional[CountTable] = table
+        self.coloring = coloring
         self.urn = urn
         self.classifier = classifier
         self.k = k
@@ -288,7 +306,9 @@ class TableHandle:
         """Drop the table references (idempotent).
 
         Dense layers are ``np.load(mmap_mode="r")`` views; dropping the
-        urn releases the mappings once the interpreter collects them.
+        urn and the table releases the mappings (or, for a version an
+        update produced, the in-memory layers) once the interpreter
+        collects them, so superseded versions never stay resident.
         An on-disk evict that already unlinked the blobs is safe
         either way — the inode lives until the mappings go.
         """
@@ -297,6 +317,21 @@ class TableHandle:
                 return
             self._closed = True
         self.urn = None
+        self.table = None
+
+    def hand_over(
+        self, successor: TreeletUrn, dirty_columns: Optional[np.ndarray]
+    ) -> None:
+        """Let ``successor`` take over this handle's gathered store.
+
+        Runs under the draw lock, so no draw on this handle's urn is
+        mid-append while the hand-over point is taken; afterwards this
+        urn only reads its rows below that point and builds later
+        misses transiently (:meth:`TreeletUrn.take_gathered`).
+        """
+        with self._draw_lock:
+            if self.urn is not None:
+                successor.take_gathered(self.urn, dirty_columns)
 
     # -- coalesced draws ----------------------------------------------
 
@@ -660,31 +695,19 @@ class SamplingService:
             from repro.sampling.naive import DEFAULT_BATCH_SIZE
 
             batch_size = DEFAULT_BATCH_SIZE
-        try:
-            # A plan-carrying artifact hands its compiled descent
-            # program straight to the urn — a warm open never pays the
-            # plan compile again (the zero-recompilation contract).
-            urn: Optional[TreeletUrn] = TreeletUrn(
-                graph,
-                artifact.table,
-                artifact.coloring,
-                buffer_threshold=int(build.get("buffer_threshold", 10_000)),
-                buffer_size=int(build.get("buffer_size", 100)),
-                program=artifact.descent_program,
-                descent_cache_bytes=int(
-                    build.get("descent_cache_bytes", 0)
-                    or DEFAULT_DESCENT_CACHE_BYTES
-                ),
-                instrumentation=Instrumentation(registry=self.registry),
-            )
-        except SamplingError:
-            # An artifact holding an empty table (e.g. exported through
-            # LayerStore.export_artifact) serves zero estimates.
-            urn = None
+        # A plan-carrying artifact hands its compiled descent program
+        # straight to the urn — a warm open never pays the plan compile
+        # again (the zero-recompilation contract).
+        urn = self._make_urn(
+            graph, artifact.table, artifact.coloring, build,
+            artifact.descent_program,
+        )
         handle = TableHandle(
             key=key,
             directory=directory,
             graph=graph,
+            table=artifact.table,
+            coloring=artifact.coloring,
             urn=urn,
             classifier=GraphletClassifier(graph, k),
             k=k,
@@ -694,6 +717,37 @@ class SamplingService:
         )
         self.instrumentation.count("serve_tables_opened")
         return handle
+
+    def _make_urn(
+        self,
+        graph: Graph,
+        table: CountTable,
+        coloring: ColoringScheme,
+        build: dict,
+        program=None,
+    ) -> Optional[TreeletUrn]:
+        """A fresh urn under the artifact's recorded build parameters.
+
+        ``None`` for an empty table (e.g. exported through
+        LayerStore.export_artifact, or emptied by an update), which
+        serves zero estimates.
+        """
+        try:
+            return TreeletUrn(
+                graph,
+                table,
+                coloring,
+                buffer_threshold=int(build.get("buffer_threshold", 10_000)),
+                buffer_size=int(build.get("buffer_size", 100)),
+                program=program,
+                descent_cache_bytes=int(
+                    build.get("descent_cache_bytes", 0)
+                    or DEFAULT_DESCENT_CACHE_BYTES
+                ),
+                instrumentation=Instrumentation(registry=self.registry),
+            )
+        except SamplingError:
+            return None
 
     def _checkout(self, key: str) -> TableHandle:
         """Open-or-get the handle *and* take an in-flight reference."""
@@ -719,17 +773,22 @@ class SamplingService:
         """
         with self._lock:
             handle = self._handles.pop(key, None)
-            self._evict_gen[key] = self._evict_gen.get(key, 0) + 1
-            for session_key in [
-                sk for sk in self._sessions if sk[0] == key
-            ]:
-                del self._sessions[session_key]
+            self._retire_locked(key)
         if handle is not None:
             handle.mark_closing()
             self.instrumentation.count("serve_tables_evicted")
         if from_disk:
             self.cache.evict(key)
         return handle is not None
+
+    def _retire_locked(self, key: str) -> None:  # repro: holds-lock
+        """Retire the key's registered version: bump its eviction
+        generation, so an open racing this change refuses to register
+        the version it read, and drop its sessions, so no stream
+        continues across a table change."""
+        self._evict_gen[key] = self._evict_gen.get(key, 0) + 1
+        for session_key in [sk for sk in self._sessions if sk[0] == key]:
+            del self._sessions[session_key]
 
     def close(self) -> None:
         """Evict every warm handle (disk untouched)."""
@@ -932,26 +991,34 @@ class SamplingService:
         artifact: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> dict:
-        """Apply an edge-update batch to a served artifact in place.
+        """Apply an edge-update batch to a served artifact.
 
-        The engine behind ``POST /update``: the artifact's table is
-        delta-maintained over the touched-column frontier
+        The engine behind ``POST /update``.  The served table is
+        delta-maintained in memory over the touched-column frontier
         (:func:`repro.colorcoding.incremental.apply_edge_updates` — bit
-        identical to a rebuild on the updated graph), the artifact
-        directory is rewritten, the updated graph is registered, and the
-        warm handle is swapped using the existing evict-while-served
-        semantics: in-flight draws finish on the old table (whose
-        memory-mapped blobs keep their unlinked inodes), and the next
-        request opens the updated artifact.  Evicting the key also drops
-        its session states — deliberate, since continuing a stream
-        across a table change would make "same session" mean two
-        different count distributions.
+        identical to a rebuild on the updated graph), without mutating
+        the table in-flight requests read.  The sampling machinery
+        advances through the same successor steps as
+        :meth:`repro.motivo.MotivoCounter.update`: the new urn keeps the
+        compiled descent program and takes over the gathered-cumulative
+        store, the new classifier keeps the pattern caches.  The
+        artifact directory is rewritten (updated graph embedded beside
+        the blobs, lineage advanced) *before* the successor handle is
+        swapped in, so a failed rewrite leaves the old handle serving.
+
+        The swap retires the old handle like an evict does — in-flight
+        requests finish on the old table, and the handle closes when
+        the last of them drains — but the next request is answered by
+        the warm successor instead of reopening the artifact.  The
+        key's session states are dropped: continuing a stream across a
+        table change would make "same session" mean two different count
+        distributions.
 
         Updates for one key are serialized (concurrent batches would
         race on the directory rewrite); updates for different keys run
-        concurrently.  Returns the update stats
-        (:meth:`repro.motivo.MotivoCounter.update`) plus the key and
-        the new graph fingerprint.
+        concurrently.  Returns the update stats (the keys of
+        :meth:`repro.motivo.MotivoCounter.update`) plus the key, the
+        new graph fingerprint, ``swapped`` and ``elapsed_seconds``.
         """
         if self.tracer is None:
             return self._update_inner(updates, artifact)
@@ -961,10 +1028,6 @@ class SamplingService:
             return self._update_inner(updates, artifact)
 
     def _update_inner(self, updates, artifact: Optional[str]) -> dict:
-        from repro.artifacts import save_table
-        from repro.graph.io import save_binary
-        from repro.motivo import MotivoCounter
-
         started = time.perf_counter()
         key = self._resolve_key(artifact)
         with self._lock:
@@ -972,53 +1035,16 @@ class SamplingService:
         with lock:
             handle = self._checkout(key)
             try:
-                directory = handle.directory
-                graph = handle.graph
-                manifest = handle.manifest
+                stats, successor = self._advance(handle, updates)
+                if successor is not None:
+                    self._swap(key, successor)
             finally:
                 handle.release()
-            counter = MotivoCounter.from_artifact(graph, directory)
-            try:
-                stats = counter.update(updates)
-                if stats["updates_applied"] == 0:
-                    stats.update(
-                        key=key, fingerprint=graph.fingerprint(), swapped=False
-                    )
-                    return stats
-                # Rewrite the artifact in place.  save_artifact would
-                # refuse an empty-urn table, but a batch that deletes
-                # the last colorful k-treelet is a legitimate served
-                # state (zero estimates), so go through save_table
-                # directly.  The old source hint now loads a
-                # pre-update graph whose fingerprint no longer
-                # matches, so the updated graph is embedded next to
-                # the blobs and the hint repointed — the artifact
-                # stays self-resolving across service restarts.
-                program = (
-                    counter.urn.descent_program()
-                    if counter.urn is not None else None
-                )
-                graph_blob = os.path.join(
-                    os.path.abspath(directory), "graph.npz"
-                )
-                save_binary(counter.graph, graph_blob)
-                save_table(
-                    directory,
-                    counter.table,
-                    counter.coloring,
-                    counter.graph,
-                    codec=str(manifest.get("codec", "dense")),
-                    build=counter.config.build_params(),
-                    rng_state=counter._rng.bit_generator.state,
-                    instrumentation=counter.instrumentation,
-                    source=graph_blob,
-                    descent_program=program,
-                    lineage=counter._lineage,
-                )
-                self.add_graph(counter.graph, source=graph_blob)
-                self.evict(key, from_disk=False)
-            finally:
-                counter.close()
+        if successor is None:
+            stats.update(
+                key=key, fingerprint=handle.graph.fingerprint(), swapped=False
+            )
+            return stats
         elapsed = time.perf_counter() - started
         self.instrumentation.count("serve_updates")
         self.instrumentation.count(
@@ -1032,11 +1058,109 @@ class SamplingService:
         )
         stats.update(
             key=key,
-            fingerprint=counter.graph.fingerprint(),
+            fingerprint=successor.graph.fingerprint(),
             swapped=True,
             elapsed_seconds=elapsed,
         )
         return stats
+
+    def _advance(
+        self, handle: TableHandle, updates
+    ) -> Tuple[dict, Optional[TableHandle]]:
+        """One batch on ``handle``'s version: ``(stats, successor)``.
+
+        ``successor`` is ``None`` for a batch that changes nothing (the
+        artifact is then left untouched).  Nothing ``handle`` serves is
+        mutated except its urn's right to append gathered rows, which
+        passes to the successor's urn.
+        """
+        # Looked up at call time, like rewrite_table's entry points, so
+        # wrappers installed on the module (e2ebench/spans.py) see it.
+        from repro.colorcoding.incremental import apply_edge_updates
+
+        started = time.perf_counter()
+        table = handle.table
+        if table is None:
+            raise SamplingError("handle is closed")
+        # The manifest keeps the build's counters; the batch's delta
+        # counters join them in the rewritten manifest.
+        instrumentation = Instrumentation.from_snapshot(
+            handle.manifest.get("instrumentation", {})
+        )
+        result = apply_edge_updates(
+            table,
+            handle.graph,
+            updates,
+            handle.coloring,
+            instrumentation=instrumentation,
+            in_place=False,
+        )
+        stats: dict = {
+            "mode": "incremental",
+            **result.stats(),
+            "propagate_seconds": time.perf_counter() - started,
+        }
+        if result.updates_applied == 0:
+            return stats, None
+        graph, table = result.graph, result.table
+        if handle.urn is None:
+            urn = self._make_urn(
+                graph, table, handle.coloring,
+                handle.manifest.get("build", {}),
+            )
+        else:
+            try:
+                urn = handle.urn.successor(graph, table)
+            except SamplingError:
+                urn = None  # the batch emptied the urn: zero estimates
+        artifact = rewrite_table(
+            handle.directory,
+            handle.manifest,
+            table,
+            handle.coloring,
+            graph,
+            result.updates_applied,
+            descent_program=(
+                urn.descent_program() if urn is not None else None
+            ),
+            instrumentation=instrumentation,
+        )
+        # Refresh the blob's entry so a later reopen of this key (after
+        # an evict) resolves the updated graph without loading it.  Not
+        # keyed by fingerprint: superseded graphs must not stay resident
+        # once their handles close.
+        with self._lock:
+            self._graphs[artifact.manifest["graph"]["source"]] = graph
+        if urn is not None:
+            handle.hand_over(urn, result.dirty_columns)
+        successor = TableHandle(
+            key=handle.key,
+            directory=handle.directory,
+            graph=graph,
+            table=table,
+            coloring=handle.coloring,
+            urn=urn,
+            classifier=handle.classifier.successor(graph),
+            k=handle.k,
+            batch_size=handle.batch_size,
+            manifest=artifact.manifest,
+            registry=self.registry,
+        )
+        return stats, successor
+
+    def _swap(self, key: str, successor: TableHandle) -> None:
+        """Register ``successor`` as the key's version; retire the old.
+
+        Under the service lock, as :meth:`evict` does: the eviction
+        generation bumps and the key's sessions drop.  The replaced
+        handle drains and closes.
+        """
+        with self._lock:
+            replaced = self._handles.get(key)
+            self._handles[key] = successor
+            self._retire_locked(key)
+        if replaced is not None:
+            replaced.mark_closing()
 
     # -- introspection ---------------------------------------------------
 

@@ -269,6 +269,29 @@ class TestBinary:
         save_binary(g, path)
         assert load_binary(path) == g
 
+    def test_written_uncompressed(self, tmp_path):
+        import zipfile
+
+        path = tmp_path / "graph.npz"
+        save_binary(barabasi_albert(60, 4, rng=2), path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_compressed_blob_still_loads(self, tmp_path):
+        # The format earlier versions wrote (and artifacts may still
+        # carry beside their blobs): the same arrays, deflated.
+        g = barabasi_albert(60, 4, rng=2)
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            magic=np.array("repro-graph-v1"),
+            indptr=g.indptr,
+            indices=g.indices,
+        )
+        assert load_binary(path).fingerprint() == g.fingerprint()
+
     def test_bad_payload(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, stuff=np.arange(3))

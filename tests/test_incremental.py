@@ -40,6 +40,7 @@ from repro.colorcoding.incremental import (
     apply_edge_updates,
     touched_frontiers,
 )
+from repro.colorcoding.urn import TreeletUrn
 from repro.errors import ArtifactError, BuildError
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
@@ -366,8 +367,8 @@ class TestEmptyUrnLifecycle:
 class TestGatheredStoreRetention:
     """The sampling plane's snapshot-pinned cache across updates.
 
-    On a sparse graph the urn keeps its gathered-cumulative store across
-    ``rebind``: stale rows are read only relatively (segment
+    On a sparse graph the successor urn takes over its predecessor's
+    gathered-cumulative store: stale rows are read only relatively (segment
     differences), so they stay bit-exact outside the dirty neighborhood,
     and dirty vertices take the exact live path.  A batch whose dirty
     neighborhood exceeds a quarter of the vertices flushes instead.
@@ -424,6 +425,45 @@ class TestGatheredStoreRetention:
         assert _rng_state(counter) == _rng_state(fresh)
         counter.close()
         fresh.close()
+
+    def test_store_hand_over_keeps_old_rows(self):
+        """The successor shares the gathered matrix: rows below the
+        hand-over point stay byte-identical while it draws, and the old
+        urn, still valid for in-flight draws, builds later misses
+        transiently instead of appending."""
+        graph, counter = self._cycle_counter()
+        old = counter.urn
+        old.sample_batch(4, np.random.default_rng(1))
+        handed = old._gathered_cached_rows
+        assert 0 < handed < old.descent_program().num_gathered_keys
+        rows = old._gath_matrix[:handed].copy()
+
+        result = apply_edge_updates(
+            old.table, graph, [("+", 0, self.N // 2)], old.coloring
+        )
+        new = old.successor(result.graph, result.table)
+        assert new.take_gathered(old, result.dirty_columns)
+        assert new._gath_matrix is old._gath_matrix
+
+        uniforms = np.random.default_rng(2).random((512, new.draw_width))
+        drawn = new.sample_batch(512, uniforms=uniforms)
+        assert new._gathered_cached_rows > handed
+        assert np.array_equal(old._gath_matrix[:handed], rows)
+        assert np.array_equal(new._gath_matrix[:handed], rows)
+        fresh = TreeletUrn(result.graph, result.table, old.coloring)
+        for got, want in zip(drawn, fresh.sample_batch(512, uniforms=uniforms)):
+            assert np.array_equal(got, want)
+
+        counters = old.instrumentation.counters
+        transient = counters.get("gathered_transient_builds", 0)
+        drawn = old.sample_batch(512, uniforms=uniforms)
+        assert counters["gathered_transient_builds"] > transient
+        assert old._gathered_cached_rows == handed
+        assert np.array_equal(old._gath_matrix[:handed], rows)
+        fresh = TreeletUrn(graph, old.table, old.coloring)
+        for got, want in zip(drawn, fresh.sample_batch(512, uniforms=uniforms)):
+            assert np.array_equal(got, want)
+        counter.close()
 
     def test_wide_batch_flushes_store(self):
         _graph, counter = self._cycle_counter()
@@ -538,6 +578,28 @@ class TestDeltaArtifacts:
         counter.close()
 
 
+    def test_reopened_counter_continues_lineage(self, tmp_path):
+        graph = self._graph()
+        counter = MotivoCounter(graph, MotivoConfig(k=4, seed=13))
+        counter.build()
+        counter.update([("+", 0, 1)] if not graph.has_edge(0, 1)
+                       else [("-", 0, 1)])
+        counter.save_artifact(str(tmp_path / "art"))
+        reopened = MotivoCounter.from_artifact(
+            counter.graph, str(tmp_path / "art")
+        )
+        reopened.update([("+", 2, 5)] if not counter.graph.has_edge(2, 5)
+                        else [("-", 2, 5)])
+        lineage = reopened.save_artifact(
+            str(tmp_path / "again")
+        ).manifest["lineage"]
+        assert lineage["parent_fingerprint"] == graph.fingerprint()
+        assert lineage["update_batches"] == 2
+        assert lineage["updates_applied"] == 2
+        counter.close()
+        reopened.close()
+
+
 class TestServeUpdate:
     @pytest.fixture()
     def served(self, tmp_path):
@@ -566,6 +628,26 @@ class TestServeUpdate:
         after = service.count(samples=100, session="a", seed=3)
         assert after.estimates.counts  # served from the updated table
         assert before.key == after.key
+
+    def test_lineage_and_stream_kept_across_updates(self, served):
+        host, service = served
+        key = service.cache.entries()[0].key
+        directory = service.cache.path(key)
+        built = load_manifest(directory)
+        absent = [
+            (a, b) for a in range(40) for b in range(a + 1, 40)
+            if not host.has_edge(a, b)
+        ][:3]
+        for u, v in absent:
+            assert service.update([["+", u, v]])["updates_applied"] == 1
+        manifest = load_manifest(directory)
+        lineage = manifest["lineage"]
+        assert lineage["update_batches"] == 3
+        assert lineage["updates_applied"] == 3
+        assert lineage["parent_fingerprint"] == host.fingerprint()
+        assert manifest["rng_state"] == built["rng_state"]
+        assert manifest["build"] == built["build"]
+        assert service.instrumentation.counters["serve_tables_opened"] == 1
 
     def test_http_update_endpoint(self, served):
         host, service = served
@@ -648,3 +730,34 @@ class TestCLIUpdate:
             [("+", *absent), ("-", *present)]
         )
         assert manifest["graph"]["fingerprint"] == new_graph.fingerprint()
+
+    def test_lineage_kept_across_update_commands(self, tmp_path, capsys):
+        graph = erdos_renyi(25, 60, rng=9)
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text(
+            "".join(f"{u} {v}\n" for u, v in graph.edges())
+        )
+        artifact = tmp_path / "artifact"
+        assert cli_main([
+            "build", str(graph_path), "--k", "3", "--seed", "5",
+            "-o", str(artifact),
+        ]) == 0
+        built = load_manifest(str(artifact))
+        absent = [
+            (a, b) for a in range(25) for b in range(a + 1, 25)
+            if not graph.has_edge(a, b)
+        ][:3]
+        for index, (u, v) in enumerate(absent):
+            updates_path = tmp_path / f"updates{index}.txt"
+            updates_path.write_text(f"+ {u} {v}\n")
+            assert cli_main([
+                "update", str(artifact), "--updates", str(updates_path),
+            ]) == 0
+        capsys.readouterr()
+        manifest = load_manifest(str(artifact))
+        lineage = manifest["lineage"]
+        assert lineage["update_batches"] == 3
+        assert lineage["updates_applied"] == 3
+        assert lineage["parent_fingerprint"] == graph.fingerprint()
+        assert manifest["rng_state"] == built["rng_state"]
+        assert manifest["build"] == built["build"]

@@ -19,15 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.artifacts import ArtifactCache, save_table
+from repro.artifacts import ArtifactCache, load_manifest, save_table
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.errors import ReproError, SamplingError, ServeError
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, normalize_updates
+from repro.graph.io import load_graph
 from repro.motivo import MotivoConfig, MotivoCounter
+from repro.sampling.estimates import GraphletEstimates
+from repro.sampling.naive import naive_estimate
 from repro.serve import SamplingService, serve_http, session_seed
 from repro.serve.http import _as_int, _opt_int
+from repro.util.rng import ensure_rng
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +416,234 @@ class TestEmptyUrnMatrix:
         assert result.estimates.counts == {}
 
 
+def _served_artifact(tmp_path, host, codec):
+    """(cache root, artifact directory) of one k=4 build of ``host``."""
+    root = str(tmp_path / f"cache-{codec}")
+    counter = MotivoCounter(
+        host,
+        MotivoConfig(k=4, seed=11, artifact_dir=root, artifact_codec=codec),
+    )
+    counter.build()
+    counter.close()
+    return root, ArtifactCache(root).path(_key(root))
+
+
+def _replay(counter, samples, seed):
+    """A single-threaded naive estimate on one table version."""
+    if counter.urn is None:
+        return GraphletEstimates.empty(counter.config.k, samples, "naive")
+    return naive_estimate(
+        counter.urn, counter.classifier, samples, ensure_rng(seed),
+        batch_size=counter.config.batch_size,
+    )
+
+
+def _same(a, b) -> bool:
+    return (a.counts, a.hits, a.empty_urn) == (b.counts, b.hits, b.empty_urn)
+
+
+class TestUpdateSwap:
+    """``POST /update`` advances the served handle in memory and swaps
+    in a warm successor: no reopen, and every response equals a replay
+    on the table version its request checked out."""
+
+    @pytest.mark.parametrize("codec", ["dense", "succinct"])
+    def test_each_update_serves_the_rewritten_artifact_warm(
+        self, tmp_path, codec
+    ):
+        host = erdos_renyi(40, 100, rng=5)
+        root, directory = _served_artifact(tmp_path, host, codec)
+        built = load_manifest(directory)
+        edges = [list(edge) for edge in host.edges()]
+        absent = next(
+            (a, b) for a in range(40) for b in range(a + 1, 40)
+            if not host.has_edge(a, b)
+        )
+        batches = [
+            [["+", *absent]],
+            [["-", *edges[0]]],
+            [["-", *edge] for edge in edges],  # empties the urn
+            [["+", *edge] for edge in edges],  # revives it
+        ]
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            service.count(samples=100, session="warm", seed=1)
+            for index, batch in enumerate(batches):
+                stats = service.update(batch)
+                assert stats["swapped"] and stats["updates_applied"] > 0
+                seed = 300 + index
+                served = service.count(
+                    samples=250, session=f"after{index}", seed=seed
+                )
+                manifest = load_manifest(directory)
+                graph = load_graph(manifest["graph"]["source"])
+                assert graph.fingerprint() == stats["fingerprint"]
+                replayed = MotivoCounter.from_artifact(graph, directory)
+                assert _same(served.estimates, _replay(replayed, 250, seed))
+                replayed.close()
+                assert served.estimates.empty_urn == (index == 2)
+                assert manifest["rng_state"] == built["rng_state"]
+                assert manifest["build"] == built["build"]
+                assert (
+                    service.instrumentation.counters["serve_tables_opened"]
+                    == 1
+                )
+            assert load_manifest(directory)["lineage"]["update_batches"] == 4
+            # An evicted key reopens the rewritten artifact from disk.
+            service.evict(_key(root), from_disk=False)
+            reopened = service.count(samples=250, session="re", seed=seed)
+            assert _same(reopened.estimates, served.estimates)
+            assert service.instrumentation.counters["serve_tables_opened"] == 2
+
+    def test_in_flight_request_finishes_on_the_old_table(
+        self, host, cache_root, tmp_path
+    ):
+        import shutil
+
+        root = str(tmp_path / "cache")
+        shutil.copytree(cache_root, root)
+        key = _key(root)
+        old_version = MotivoCounter.from_artifact(
+            host, ArtifactCache(root).path(key), mmap=False
+        )
+        absent = next(
+            (a, b) for a in range(90) for b in range(a + 1, 90)
+            if not host.has_edge(a, b)
+        )
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            old = service.open(key)
+            assert old.acquire()  # a request checked out the old version
+            service.count(samples=50, session="s", seed=4)
+            service.update([["+", *absent]])
+            assert old.closing and service.open(key) is not old
+            estimates, _extras = old.run("naive", 300, ensure_rng(8), 300)
+            assert _same(estimates, _replay(old_version, 300, 8))
+            old.release()
+            assert old.urn is None and old.table is None  # drained
+            # The swap dropped the key's sessions, as an evict does.
+            assert service.count(samples=50, session="s").sequence == 0
+        old_version.close()
+
+    def test_failed_rewrite_keeps_the_old_handle(
+        self, host, cache_root, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        from repro.serve import service as service_module
+
+        root = str(tmp_path / "cache")
+        shutil.copytree(cache_root, root)
+        key = _key(root)
+        absent = next(
+            (a, b) for a in range(90) for b in range(a + 1, 90)
+            if not host.has_edge(a, b)
+        )
+
+        def fail(*_args, **_kwargs):
+            raise OSError("disk full")
+
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            before = service.count(samples=200, session="a", seed=6)
+            handle = service.open(key)
+            monkeypatch.setattr(service_module, "rewrite_table", fail)
+            with pytest.raises(OSError):
+                service.update([["+", *absent]])
+            assert service.open(key) is handle and not handle.closing
+            again = service.count(samples=200, session="b", seed=6)
+            assert _same(again.estimates, before.estimates)
+            assert load_manifest(ArtifactCache(root).path(key))[
+                "graph"
+            ]["fingerprint"] == host.fingerprint()
+
+    @pytest.mark.parametrize("codec", ["dense", "succinct"])
+    def test_counts_racing_updates_match_a_table_version(
+        self, host, tmp_path, codec
+    ):
+        import sys
+
+        root, directory = _served_artifact(tmp_path, host, codec)
+        versions = [MotivoCounter.from_artifact(host, directory, mmap=False)]
+        colors = versions[0].coloring.colors
+        # Endpoints of different colors: a same-color edge changes no
+        # colorful treelet, so both versions would sample identically.
+        edge = next(
+            (a, b) for a in range(90) for b in range(a + 1, 90)
+            if not host.has_edge(a, b) and colors[a] != colors[b]
+        )
+        threads_n, per_thread, samples = 8, 25, 200
+        responses: list = []
+        errors: list = []
+        progress = threading.Condition()
+
+        def counts(index: int) -> None:
+            try:
+                for request in range(per_thread):
+                    seed = 1000 + 100 * index + request
+                    result = service.count(
+                        samples=samples, session=f"t{index}-{request}",
+                        seed=seed,
+                    )
+                    with progress:
+                        responses.append((seed, result.estimates))
+                        progress.notify_all()
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def updates() -> None:
+            try:
+                total = threads_n * per_thread
+                for step, op in enumerate("+-+-"):
+                    with progress:
+                        progress.wait_for(
+                            lambda: len(responses) >= total * (step + 1) // 5,
+                            timeout=60,
+                        )
+                    service.update([[op, *edge]])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            threads = [
+                threading.Thread(target=counts, args=(i,))
+                for i in range(threads_n)
+            ] + [threading.Thread(target=updates)]
+            try:
+                sys.setswitchinterval(1e-5)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len(responses) == threads_n * per_thread
+            opened = service.instrumentation.counters["serve_tables_opened"]
+            assert opened == 1
+            # One more insert leaves the artifact at the edge's version.
+            service.update([["+", *edge]])
+        inserted, _ = host.apply_updates([("+", *edge)])
+        versions.append(
+            MotivoCounter.from_artifact(inserted, directory, mmap=False)
+        )
+        served_on = [0, 0]
+        for seed, estimates in responses:
+            matches = [
+                _same(estimates, _replay(version, samples, seed))
+                for version in versions
+            ]
+            assert any(matches), seed
+            if matches != [True, True]:
+                served_on[matches.index(True)] += 1
+        assert served_on[0] > 0 and served_on[1] > 0, served_on
+        for version in versions:
+            version.close()
+
+
 class TestHTTP:
     @pytest.fixture()
     def server(self, service):
@@ -434,6 +666,38 @@ class TestHTTP:
         )
         with urllib.request.urlopen(request) as response:
             return json.load(response)
+
+    def test_served_sockets_disable_nagle(self, service, monkeypatch):
+        """Responses go out as two writes (headers, body); with Nagle
+        on, the body would wait for the client's delayed ACK."""
+        import socket
+
+        from repro.serve import http as serve_http_module
+
+        nodelay: list = []
+        setup = serve_http_module._Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(
+            serve_http_module._Handler, "setup", recording_setup
+        )
+        server = serve_http(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with urllib.request.urlopen(self._url(server, "/healthz")):
+                pass
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert nodelay and all(nodelay), nodelay
 
     def test_healthz_and_artifacts(self, server):
         with urllib.request.urlopen(self._url(server, "/healthz")) as resp:
