@@ -22,7 +22,7 @@ from repro.colorcoding.urn import TreeletUrn
 from repro.exact.esu import exact_colorful_counts
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi, star_heavy
-from repro.graphlets.spanning import spanning_tree_shape_counts
+from repro.graphlets.spanning import spanning_tree_shape_counts_batch
 from repro.sampling.ags import ags_estimate
 from repro.sampling.occurrences import GraphletClassifier
 from repro.sampling.setcover import (
@@ -71,9 +71,7 @@ def test_theorem6_ags_vs_clairvoyant(benchmark):
         table = build_table(graph, coloring)
         urn = TreeletUrn(graph, table, coloring)
         counts = exact_colorful_counts(graph, K, coloring)
-        sigma = {
-            bits: spanning_tree_shape_counts(bits, K) for bits in counts
-        }
+        sigma = spanning_tree_shape_counts_batch(counts, K)
         totals = {
             shape: urn.shape_total(shape)
             for shape in urn.registry.free_shapes
@@ -121,7 +119,7 @@ def test_theorem6_ags_vs_clairvoyant(benchmark):
     table = build_table(graph, coloring)
     urn = TreeletUrn(graph, table, coloring)
     counts = exact_colorful_counts(graph, K, coloring)
-    sigma = {bits: spanning_tree_shape_counts(bits, K) for bits in counts}
+    sigma = spanning_tree_shape_counts_batch(counts, K)
     totals = {
         shape: urn.shape_total(shape)
         for shape in urn.registry.free_shapes

@@ -10,8 +10,10 @@ This module draws from it:
     recursive decomposition (§2.2).
 ``sample_shape(T)``
     The AGS primitive: a uniform copy of one *free* treelet shape ``T``.
-    Root selection uses a per-shape alias table, rebuilt from scratch when
-    the shape changes — the paper notes exactly this rebuild cost.
+    Root selection uses a per-shape alias table — the rebuild cost the
+    paper notes when AGS switches shapes.  Each urn builds it once per
+    shape, on the shape's first draw, and keeps it; an update successor
+    (:meth:`TreeletUrn.successor`) starts without any and builds its own.
 ``sample_batch(n)`` / ``sample_shape_batch(T, n)``
     The same two draws, vectorized across ``n`` samples: one
     ``searchsorted`` sweep per decision level instead of a Python
@@ -202,12 +204,12 @@ class TreeletUrn:
                 "the urn is empty: no colorful k-treelets were counted "
                 "(unlucky coloring or disconnected graph?)"
             )
-        self._root_alias = AliasSampler(weights)
+        self._root_alias = self._alias_table(weights)
         self._full_mask = (1 << self.k) - 1
         #: Uniform-matrix width of the batched draw discipline.
         self._draw_width = 3 + 2 * (self.k - 1)
 
-        # Per-shape machinery (built lazily; the alias is rebuilt per shape).
+        # Per-shape machinery (built lazily, once per shape).
         self._shape_weights: Dict[int, np.ndarray] = {}
         self._shape_alias: Dict[int, AliasSampler] = {}
         self._shape_totals: Dict[int, float] = {}
@@ -410,8 +412,17 @@ class TreeletUrn:
             # Paper §3.3: when a new T is chosen the alias sampler must be
             # rebuilt from scratch.
             self.instrumentation.count("shape_alias_rebuilds")
-            alias = AliasSampler(weights)
+            with _trace_span("urn.shape_alias", shape=shape):
+                alias = self._alias_table(weights)
             self._shape_alias[shape] = alias
+        return alias
+
+    def _alias_table(self, weights: np.ndarray) -> AliasSampler:
+        """An alias table over ``weights``; near-tie fallbacks to Vose's
+        loop count as ``alias_fallbacks``."""
+        alias = AliasSampler(weights)
+        if alias.fell_back:
+            self.instrumentation.count("alias_fallbacks")
         return alias
 
     # ------------------------------------------------------------------

@@ -11,26 +11,41 @@ Two quantities drive the sampling estimators:
     shape ``T_j`` — needed by AGS.  Motivo computes it with an *in-memory
     run of the build-up phase* on the graphlet itself and caches the
     results on disk because they are expensive for k ≥ 7.  Both behaviors
-    are reproduced: a self-contained exact dynamic program over the
-    graphlet (every node gets a distinct color, so every spanning tree is
-    colorful and is counted exactly once at the color-0 node), plus an
-    in-process/disk cache.
+    are reproduced.  :func:`spanning_tree_shape_counts_batch` runs the
+    repo's own build-up (:func:`~repro.colorcoding.buildup.build_table`)
+    once over the disjoint union of many graphlets: node ``i`` of each
+    graphlet gets color ``i``, so every spanning tree is colorful and the
+    zero-rooted size-``k`` counts at each graphlet's node 0 are its
+    spanning trees, bucketed by rooted treelet and hence by free shape.
+    One build serves a whole batch (all 853 graphlets at k = 7 fit one),
+    and :class:`SigmaCache` keeps the tables in process and on disk.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.colorcoding.buildup import build_table
+from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.plans import compile_plans
 from repro.errors import GraphletError
-from repro.graphlets.encoding import GraphletEncoding, adjacency_sets
-from repro.treelets.encoding import canonical_free, getsize
+from repro.graph.graph import Graph
+from repro.graphlets.encoding import (
+    GraphletEncoding,
+    adjacency_sets,
+    decode_graphlet,
+)
 from repro.treelets.registry import TreeletRegistry
+from repro.util.instrument import Instrumentation
 
 __all__ = [
     "spanning_tree_count",
     "spanning_tree_shape_counts",
+    "spanning_tree_shape_counts_batch",
     "SigmaCache",
 ]
 
@@ -85,6 +100,14 @@ def _bareiss_determinant(matrix: List[List[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+#: Count-matrix bytes one union build may hold, as its key universes
+#: times its vertices times 8; a larger batch runs as several builds.
+#: Measured peaks run about twice this (product and contraction
+#: temporaries).  Every graphlet up to k = 7 fits one build; at k = 8
+#: a build takes 264 of them.
+_UNION_BUILD_BYTES = 32 << 20
+
+
 def spanning_tree_shape_counts(
     bits: GraphletEncoding,
     k: int,
@@ -95,70 +118,84 @@ def spanning_tree_shape_counts(
 
     Returns ``{canonical_free encoding of T_j: σ_ij}``; shapes with zero
     spanning trees are omitted.  ``sum(result.values())`` equals
-    :func:`spanning_tree_count` (property-tested).
-
-    The computation is the paper's in-memory build-up on the graphlet: give
-    node ``i`` color ``i`` (all k colors distinct), run the Equation (1)
-    dynamic program with exact integers, and read off, at the node of color
-    0, the counts of every size-k rooted treelet grouped by its free shape.
-    Every spanning tree contains the color-0 node exactly once, so it is
-    counted exactly once — this is 0-rooting at its purest.
+    :func:`spanning_tree_count` (property-tested).  A one-graphlet call of
+    :func:`spanning_tree_shape_counts_batch`.
     """
+    return spanning_tree_shape_counts_batch([bits], k, registry, cache)[bits]
+
+
+def spanning_tree_shape_counts_batch(
+    graphlets: Iterable[GraphletEncoding],
+    k: int,
+    registry: Optional[TreeletRegistry] = None,
+    cache: "Optional[SigmaCache]" = None,
+) -> Dict[GraphletEncoding, Dict[int, int]]:
+    """σ_ij tables of several graphlets from one build-up pass.
+
+    Returns ``{graphlet: {shape: σ_ij}}`` in input order (duplicates
+    collapse).  Graphlets found in ``cache`` are not recomputed; the
+    others are computed together — the paper's in-memory build-up run on
+    the disjoint union of their graphs (see the module docstring), split
+    into several runs only past ``_UNION_BUILD_BYTES`` — and put into
+    ``cache`` afterwards.
+    """
+    order = list(dict.fromkeys(graphlets))
+    tables: Dict[GraphletEncoding, Dict[int, int]] = {}
     if cache is not None:
-        cached = cache.get(bits, k)
-        if cached is not None:
-            return cached
-    registry = registry or _default_registry(k)
-    adjacency = adjacency_sets(bits, k)
+        for bits in order:
+            cached = cache.get(bits, k)
+            if cached is not None:
+                tables[bits] = cached
+    missing = [bits for bits in order if bits not in tables]
+    if missing:
+        registry = registry or _default_registry(k)
+        keys = sum(len(plan.keys) for plan in compile_plans(registry).values())
+        per_build = max(1, _UNION_BUILD_BYTES // (8 * k * keys))
+        for start in range(0, len(missing), per_build):
+            part = missing[start:start + per_build]
+            for bits, table in zip(part, _union_shape_counts(part, k, registry)):
+                tables[bits] = table
+                if cache is not None:
+                    cache.put(bits, k, table)
+    return {bits: tables[bits] for bits in order}
+
+
+def _union_shape_counts(
+    graphlets: List[GraphletEncoding], k: int, registry: TreeletRegistry
+) -> List[Dict[int, int]]:
+    """One zero-rooted build over the disjoint union of the graphlets.
+
+    Graphlet ``g`` occupies vertices ``g·k .. g·k + k − 1``, so its
+    spanning trees are the size-``k`` counts at vertex ``g·k``.  The
+    build gets a private :class:`Instrumentation`: σ work adds nothing
+    to any caller's build counters.
+    """
+    edges = [
+        (base + i, base + j)
+        for base, bits in zip(range(0, k * len(graphlets), k), graphlets)
+        for i, j in decode_graphlet(bits, k)
+    ]
+    graph = Graph.from_edges(
+        np.asarray(edges, dtype=np.int64).reshape(-1, 2), n=k * len(graphlets)
+    )
+    coloring = ColoringScheme.fixed(np.tile(np.arange(k), len(graphlets)), k)
+    table = build_table(
+        graph, coloring, registry, zero_rooting=True,
+        instrumentation=Instrumentation(),
+    )
+    layer = table.layer(k)
+    roots = np.arange(len(graphlets)) * k
     full_mask = (1 << k) - 1
-
-    # table[(treelet, mask)] = per-node exact counts.
-    table: Dict[Tuple[int, int], List[int]] = {}
-    for v in range(k):
-        key = (0, 1 << v)  # SINGLETON encoding is 0.
-        counts = [0] * k
-        counts[v] = 1
-        table[key] = counts
-
-    for h in range(2, k + 1):
-        for treelet in registry.treelets_of_size(h):
-            t_prime, t_second, beta_t = registry.decomposition(treelet)
-            h_second = getsize(t_second)
-            for mask in _masks_of_size(k, h):
-                accumulated = [0] * k
-                touched = False
-                for sub_mask in _submasks_of_size(mask, h_second):
-                    counts_second = table.get((t_second, sub_mask))
-                    if counts_second is None:
-                        continue
-                    counts_prime = table.get((t_prime, mask ^ sub_mask))
-                    if counts_prime is None:
-                        continue
-                    touched = True
-                    for v in range(k):
-                        left = counts_prime[v]
-                        if not left:
-                            continue
-                        right = sum(counts_second[u] for u in adjacency[v])
-                        if right:
-                            accumulated[v] += left * right
-                if touched and any(accumulated):
-                    for v in range(k):
-                        # Exact division: the sum is β_T times the count.
-                        accumulated[v] //= beta_t
-                    table[(treelet, mask)] = accumulated
-
-    shape_counts: Dict[int, int] = {}
+    shape_counts: List[Dict[int, int]] = [{} for _ in graphlets]
     for treelet in registry.treelets_of_size(k):
-        counts = table.get((treelet, full_mask))
-        if counts is None:
+        row = layer.counts_for(treelet, full_mask)
+        if row is None:
             continue
-        rooted_at_zero = counts[0]
-        if rooted_at_zero:
-            shape = registry.shape_of_rooted[treelet]
-            shape_counts[shape] = shape_counts.get(shape, 0) + rooted_at_zero
-    if cache is not None:
-        cache.put(bits, k, shape_counts)
+        at_root = row[roots]
+        shape = registry.shape_of_rooted[treelet]
+        for g in np.flatnonzero(at_root).tolist():
+            counts = shape_counts[g]
+            counts[shape] = counts.get(shape, 0) + int(at_root[g])
     return shape_counts
 
 
@@ -171,18 +208,6 @@ def _default_registry(k: int) -> TreeletRegistry:
         registry = TreeletRegistry(k)
         _REGISTRY_CACHE[k] = registry
     return registry
-
-
-def _masks_of_size(k: int, size: int) -> List[int]:
-    from repro.util.bitops import masks_of_size
-
-    return masks_of_size(k, size)
-
-
-def _submasks_of_size(mask: int, size: int) -> List[int]:
-    from repro.util.bitops import iter_subsets_of_size
-
-    return list(iter_subsets_of_size(mask, size))
 
 
 class SigmaCache:

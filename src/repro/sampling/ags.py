@@ -17,7 +17,10 @@ estimate of the colorful count of ``H_i`` with importance weights
 The pseudocode updates every ``w_i`` each step; tracking the per-shape
 usage ``n_j`` instead is equivalent and lets σ tables be computed lazily —
 only for graphlets actually observed — exactly the laziness motivo's disk
-cache of σ_ij enables (§3.3).
+cache of σ_ij enables (§3.3).  The graphlets a chunk sees for the first
+time get their tables from one batched build-up run
+(:func:`~repro.graphlets.spanning.spanning_tree_shape_counts_batch`,
+traced as ``ags.sigma``).
 
 Chunked draws.  With the batched sampling engine, draws run in *adaptive
 chunks* between set-cover checks: a chunk of up to ``batch_size`` copies
@@ -49,10 +52,14 @@ from typing import Callable, Dict, List, Optional
 from repro.colorcoding.urn import TreeletUrn
 from repro.errors import SamplingError
 from repro.graphlets.enumerate import graphlet_census
-from repro.graphlets.spanning import SigmaCache, spanning_tree_shape_counts
+from repro.graphlets.spanning import (
+    SigmaCache,
+    spanning_tree_shape_counts_batch,
+)
 from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import DEFAULT_BATCH_SIZE
 from repro.sampling.occurrences import GraphletClassifier
+from repro.telemetry.tracing import span as _trace_span
 from repro.util.rng import RngLike, ensure_rng
 
 __all__ = ["ags_estimate", "AGSResult", "covering_threshold"]
@@ -189,12 +196,14 @@ def ags_estimate(
             )
             codes = classifier.classify_batch(matrix).tolist()
             drawn += size
+        unseen = sorted({bits for bits in codes if bits not in sigma_tables})
+        if unseen:
+            with _trace_span("ags.sigma", graphlets=len(unseen)):
+                sigma_tables.update(spanning_tree_shape_counts_batch(
+                    unseen, k, registry, cache=sigma_cache
+                ))
         newly_covered = False
         for bits in codes:
-            if bits not in sigma_tables:
-                sigma_tables[bits] = spanning_tree_shape_counts(
-                    bits, k, registry, cache=sigma_cache
-                )
             hits[bits] = hits.get(bits, 0) + 1
             if hits[bits] >= cover_threshold and bits not in covered:
                 covered.add(bits)

@@ -76,7 +76,8 @@ def coverage_matrix(
         (exact or estimated).
     sigma_tables:
         Per graphlet, its spanning-tree shape table σ_ij
-        (:func:`repro.graphlets.spanning.spanning_tree_shape_counts`).
+        (:func:`repro.graphlets.spanning.spanning_tree_shape_counts_batch`
+        computes them all in one build-up run).
     shape_totals:
         Colorful copy counts ``r_j`` per free treelet shape (the urn's
         ``shape_total``).

@@ -236,6 +236,7 @@ class TableHandle:
         batch_size: int,
         manifest: dict,
         registry: Optional[MetricsRegistry] = None,
+        sigma_cache: Optional[SigmaCache] = None,
     ):
         self.key = key
         self.directory = directory
@@ -255,7 +256,11 @@ class TableHandle:
         # per-handle stats lock this replaced could not cover the
         # urn's counters at all.
         self.instrumentation = Instrumentation(registry=registry)
-        self.sigma_cache = SigmaCache(None)
+        #: σ_ij tables depend only on the graphlet and k, so an update
+        #: successor shares its predecessor's cache.
+        self.sigma_cache = (
+            sigma_cache if sigma_cache is not None else SigmaCache(None)
+        )
         self._state_lock = threading.Lock()
         self._draw_lock = threading.Lock()
         self._queue: List[_DrawJob] = []
@@ -1145,6 +1150,7 @@ class SamplingService:
             batch_size=handle.batch_size,
             manifest=artifact.manifest,
             registry=self.registry,
+            sigma_cache=handle.sigma_cache,
         )
         return stats, successor
 

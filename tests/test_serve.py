@@ -9,6 +9,7 @@ got coalesced into shared batches.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import urllib.error
@@ -27,6 +28,7 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, normalize_updates
 from repro.graph.io import load_graph
 from repro.motivo import MotivoConfig, MotivoCounter
+from repro.sampling.ags import ags_estimate
 from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import naive_estimate
 from repro.serve import SamplingService, serve_http, session_seed
@@ -438,6 +440,17 @@ def _replay(counter, samples, seed):
     )
 
 
+def _replay_ags(counter, samples, seed, cover_threshold):
+    """A single-threaded AGS estimate on one table version."""
+    if counter.urn is None:
+        return GraphletEstimates.empty(counter.config.k, samples, "ags")
+    return ags_estimate(
+        counter.urn, counter.classifier, samples,
+        cover_threshold=cover_threshold, rng=ensure_rng(seed),
+        batch_size=counter.config.batch_size,
+    ).estimates
+
+
 def _same(a, b) -> bool:
     return (a.counts, a.hits, a.empty_urn) == (b.counts, b.hits, b.empty_urn)
 
@@ -494,6 +507,48 @@ class TestUpdateSwap:
             reopened = service.count(samples=250, session="re", seed=seed)
             assert _same(reopened.estimates, served.estimates)
             assert service.instrumentation.counters["serve_tables_opened"] == 2
+
+    def test_sigma_tables_survive_the_swap(
+        self, host, cache_root, tmp_path, monkeypatch
+    ):
+        """σ_ij depends only on the graphlet and k: the successor handle
+        shares its predecessor's cache, so an AGS ``/count`` after an
+        update computes no table for an already-seen graphlet."""
+        import shutil
+
+        import repro.graphlets.spanning as spanning
+
+        computed = []
+        compute = spanning._union_shape_counts
+
+        def spy(graphlets, k, registry):
+            computed.extend(graphlets)
+            return compute(graphlets, k, registry)
+
+        monkeypatch.setattr(spanning, "_union_shape_counts", spy)
+        root = str(tmp_path / "cache")
+        shutil.copytree(cache_root, root)
+        absent = next(
+            (a, b) for a in range(90) for b in range(a + 1, 90)
+            if not host.has_edge(a, b)
+        )
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            first = service.count(
+                estimator="ags", samples=600, session="a", seed=77
+            )
+            seen = set(first.estimates.hits)
+            assert set(computed) == seen
+            old = service.open(_key(root))
+            computed.clear()
+            service.update([["+", *absent]])
+            new = service.open(_key(root))
+            assert new is not old and new.sigma_cache is old.sigma_cache
+            again = service.count(
+                estimator="ags", samples=600, session="b", seed=77
+            )
+            assert set(again.estimates.hits) & seen
+            assert not set(computed) & seen
 
     def test_in_flight_request_finishes_on_the_old_table(
         self, host, cache_root, tmp_path
@@ -572,21 +627,24 @@ class TestUpdateSwap:
             (a, b) for a in range(90) for b in range(a + 1, 90)
             if not host.has_edge(a, b) and colors[a] != colors[b]
         )
-        threads_n, per_thread, samples = 8, 25, 200
+        threads_n, per_thread, samples, cover = 8, 25, 200, 40
         responses: list = []
         errors: list = []
         progress = threading.Condition()
 
         def counts(index: int) -> None:
+            # Odd threads run AGS, whose σ tables every version shares.
+            estimator = "ags" if index % 2 else "naive"
             try:
                 for request in range(per_thread):
                     seed = 1000 + 100 * index + request
                     result = service.count(
-                        samples=samples, session=f"t{index}-{request}",
-                        seed=seed,
+                        estimator=estimator, samples=samples,
+                        session=f"t{index}-{request}", seed=seed,
+                        cover_threshold=cover,
                     )
                     with progress:
-                        responses.append((seed, result.estimates))
+                        responses.append((seed, estimator, result.estimates))
                         progress.notify_all()
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
@@ -631,9 +689,12 @@ class TestUpdateSwap:
             MotivoCounter.from_artifact(inserted, directory, mmap=False)
         )
         served_on = [0, 0]
-        for seed, estimates in responses:
+        for seed, estimator, estimates in responses:
+            replay = _replay if estimator == "naive" else functools.partial(
+                _replay_ags, cover_threshold=cover
+            )
             matches = [
-                _same(estimates, _replay(version, samples, seed))
+                _same(estimates, replay(version, samples, seed))
                 for version in versions
             ]
             assert any(matches), seed

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,15 @@ from repro.graphlets.enumerate import (
     path_graphlet,
     star_graphlet,
 )
+import repro.graphlets.spanning as spanning
+from repro.graph.datasets import load_dataset
 from repro.graphlets.spanning import (
     SigmaCache,
     spanning_tree_count,
     spanning_tree_shape_counts,
+    spanning_tree_shape_counts_batch,
 )
+from repro.motivo import MotivoConfig, MotivoCounter
 from repro.treelets.encoding import canonical_free, spanning_tree_shapes
 from repro.treelets.registry import TreeletRegistry
 
@@ -80,7 +86,7 @@ class TestShapeCounts:
         )
         assert table == {path_shape: k}
 
-    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("k", [4, 5, 6])
     def test_matches_independent_brute_force(self, k):
         """Cross-check the DP against explicit edge-subset enumeration."""
         for bits in enumerate_graphlets(k):
@@ -93,6 +99,126 @@ class TestShapeCounts:
         for bits in enumerate_graphlets(k):
             for shape in spanning_tree_shape_counts(bits, k):
                 assert canonical_free(shape) == shape
+
+
+_ONE_AT_A_TIME = {
+    bits: spanning_tree_shape_counts(bits, 5) for bits in enumerate_graphlets(5)
+}
+
+
+class _Spy:
+    """Records the graphlets each union build computes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        compute = spanning._union_shape_counts
+
+        def spy(graphlets, k, registry):
+            self.calls.append(list(graphlets))
+            return compute(graphlets, k, registry)
+
+        monkeypatch.setattr(spanning, "_union_shape_counts", spy)
+
+
+class TestBatch:
+    @given(
+        st.permutations(sorted(_ONE_AT_A_TIME)),
+        st.lists(st.integers(min_value=0, max_value=21), max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_order_and_partition_matches_one_at_a_time(self, order, cuts):
+        bounds = [0, *sorted(cuts), len(order)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = order[lo:hi]
+            tables = spanning_tree_shape_counts_batch(part, 5)
+            assert list(tables) == part
+            for bits in part:
+                # Same shapes, counts and insertion order.
+                assert list(tables[bits].items()) == list(
+                    _ONE_AT_A_TIME[bits].items()
+                )
+
+    def test_oversized_batch_splits_into_bounded_builds(self, monkeypatch):
+        spy = _Spy(monkeypatch)
+        # Room for five k = 5 graphlets per build: 59 keys, 5 vertices each.
+        monkeypatch.setattr(spanning, "_UNION_BUILD_BYTES", 5 * 5 * 59 * 8)
+        order = sorted(_ONE_AT_A_TIME)
+        tables = spanning_tree_shape_counts_batch(order, 5)
+        assert [len(call) for call in spy.calls] == [5, 5, 5, 5, 1]
+        assert [list(tables[bits].items()) for bits in order] == [
+            list(_ONE_AT_A_TIME[bits].items()) for bits in order
+        ]
+
+    def test_duplicates_collapse(self):
+        bits = clique_graphlet(5)
+        tables = spanning_tree_shape_counts_batch([bits, bits, bits], 5)
+        assert tables == {bits: _ONE_AT_A_TIME[bits]}
+
+    def test_empty_batch(self):
+        assert spanning_tree_shape_counts_batch([], 5) == {}
+
+    def test_cached_entries_are_not_recomputed(self, monkeypatch):
+        spy = _Spy(monkeypatch)
+        cache = SigmaCache()
+        clique, cycle, path = (
+            clique_graphlet(5), cycle_graphlet(5), path_graphlet(5)
+        )
+        sentinel = {0: 7}  # not a real table: proves the cache answered
+        cache.put(clique, 5, sentinel)
+        tables = spanning_tree_shape_counts_batch(
+            [clique, cycle, path], 5, cache=cache
+        )
+        assert spy.calls == [[cycle, path]]
+        assert tables[clique] == sentinel
+        assert tables[cycle] == _ONE_AT_A_TIME[cycle]
+        assert cache.get(path, 5) == _ONE_AT_A_TIME[path]
+        spanning_tree_shape_counts_batch([path, cycle, clique], 5, cache=cache)
+        assert spy.calls == [[cycle, path]]
+
+    def test_build_counters_stay_private(self):
+        """σ work adds nothing to the caller's build counters."""
+        counter = MotivoCounter(load_dataset("facebook"), MotivoConfig(k=5, seed=3))
+        counter.build()
+        before = counter.instrumentation.snapshot()
+        counter.sample_ags(500, cover_threshold=30)
+        after = counter.instrumentation.snapshot()
+        for name in ("count.spmm_ops", "count.merge_ops", "time.buildup"):
+            assert after.get(name) == before.get(name), name
+
+
+def _estimate_digest(estimates) -> str:
+    rows = sorted(
+        (bits, value.hex(), estimates.hits.get(bits, 0))
+        for bits, value in estimates.counts.items()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+class TestFixedSeedDigests:
+    """Estimates pinned before σ_ij moved to the batched build-up."""
+
+    @pytest.mark.parametrize(
+        "name, k, seed, naive, ags, switches",
+        [
+            ("facebook", 5, 777, "7e8418ef5fc12e18", "0fd39d72cd69c41e", 4),
+            ("amazon", 6, 31, "d287b58a4ca2a4ad", "1df5958bec8bb3ef", 7),
+        ],
+    )
+    def test_naive_and_ags(self, name, k, seed, naive, ags, switches):
+        counter = MotivoCounter(load_dataset(name), MotivoConfig(k=k, seed=seed))
+        counter.build()
+        assert _estimate_digest(counter.sample_naive(2000)) == naive
+        result = counter.sample_ags(3000, cover_threshold=60)
+        assert _estimate_digest(result.estimates) == ags
+        assert result.switches == switches
+
+    def test_per_sample_ags(self):
+        config = MotivoConfig(k=5, seed=778, batch_size=1)
+        counter = MotivoCounter(load_dataset("facebook"), config)
+        counter.build()
+        result = counter.sample_ags(600, cover_threshold=40)
+        assert _estimate_digest(result.estimates) == "f50550048ab69827"
+        assert result.switches == 3
 
 
 class TestSigmaCache:

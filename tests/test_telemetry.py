@@ -350,6 +350,37 @@ class TestBitIdentity:
         assert "sample.naive" in names
         assert "sample.ags" in names
 
+    def test_ags_setup_spans_nest_under_sample_ags(self, host, tmp_path):
+        """σ tables and shape aliases are traced as ``sample.ags``
+        children: one ``ags.sigma`` per chunk that met new graphlets, one
+        ``urn.shape_alias`` per shape the run visits."""
+        trace_path = tmp_path / "ags.jsonl"
+        config = MotivoConfig(
+            k=4, seed=33, telemetry=TelemetryConfig(trace_out=str(trace_path))
+        )
+        counter = MotivoCounter(host, config)
+        counter.build()
+        result = counter.sample_ags(400, cover_threshold=20)
+        counter.close()
+        records = [
+            json.loads(line) for line in trace_path.read_text().splitlines()
+        ]
+        (ags,) = [r for r in records if r["name"] == "sample.ags"]
+        sigma = [r for r in records if r["name"] == "ags.sigma"]
+        aliases = [r for r in records if r["name"] == "urn.shape_alias"]
+        assert sigma and aliases
+        for record in sigma + aliases:
+            assert record["parent"] == ags["span"]
+            assert record["trace"] == ags["trace"]
+        assert sum(r["attrs"]["graphlets"] for r in sigma) == len(
+            result.estimates.hits
+        )
+        used = {shape for shape, n in result.shape_usage.items() if n}
+        assert {r["attrs"]["shape"] for r in aliases} == used
+        assert len(aliases) == counter.instrumentation.counters[
+            "shape_alias_rebuilds"
+        ]
+
     def test_configure_telemetry_swaps_tracer(self, host, tmp_path):
         counter = MotivoCounter(host, MotivoConfig(k=4, seed=33))
         counter.build()
