@@ -7,19 +7,15 @@ motivo saves a factor of 2, in half of the cases a factor of 5."
 Both sides are measured with the paper's own costing — CC stores one
 (64-bit pointer, 64-bit count) pair per table entry plus hash overhead;
 motivo stores 176 bits per pair but only *one rooting* at level k
-(0-rooting) and spills to disk.  The benchmark reports the pair counts,
-the costed bytes, and the measured on-disk bytes of the spilled build.
+(0-rooting).  The benchmark reports the pair counts and the costed bytes.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.buildup_baseline import build_hash_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.graph.datasets import load_dataset
-from repro.table.flush import SpillStore
 
 from common import emit, format_table
 
@@ -36,27 +32,23 @@ GRID = [
 ]
 
 
-def _measure(dataset: str, k: int, tmp_dir: str):
+def _measure(dataset: str, k: int):
     graph = load_dataset(dataset)
     coloring = ColoringScheme.uniform(graph.num_vertices, k, rng=29)
     cc_table = build_hash_table(graph, coloring)
     cc_bytes = cc_table.paper_equivalent_bytes() * CC_HASH_OVERHEAD
 
-    store = SpillStore(tmp_dir)
-    motivo_table = build_table(graph, coloring, spill=store)
+    motivo_table = build_table(graph, coloring)
     motivo_bytes = motivo_table.paper_equivalent_bytes()
-    disk_bytes = store.bytes_on_disk()
-    return cc_bytes, motivo_bytes, disk_bytes, cc_table.total_pairs(), (
+    return cc_bytes, motivo_bytes, cc_table.total_pairs(), (
         motivo_table.total_pairs()
     )
 
 
-def test_table_count_table_size(benchmark, tmp_path):
+def test_table_count_table_size(benchmark):
     rows = []
-    for i, (dataset, k) in enumerate(GRID):
-        cc_bytes, motivo_bytes, disk_bytes, cc_pairs, motivo_pairs = (
-            _measure(dataset, k, str(tmp_path / f"s{i}"))
-        )
+    for dataset, k in GRID:
+        cc_bytes, motivo_bytes, cc_pairs, motivo_pairs = _measure(dataset, k)
         ratio = cc_bytes / motivo_bytes
         rows.append(
             (
@@ -85,13 +77,6 @@ def test_table_count_table_size(benchmark, tmp_path):
 
     graph = load_dataset("amazon")
     coloring = ColoringScheme.uniform(graph.num_vertices, 5, rng=29)
-
-    def build_spilled():
-        import uuid
-
-        build_table(
-            graph, coloring,
-            spill=SpillStore(str(tmp_path / uuid.uuid4().hex)),
-        )
-
-    benchmark.pedantic(build_spilled, rounds=3, iterations=1)
+    benchmark.pedantic(
+        build_table, args=(graph, coloring), rounds=3, iterations=1
+    )

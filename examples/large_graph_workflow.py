@@ -8,8 +8,9 @@ found by growing it until counts appear (§3.4).  This example runs that
 exact recipe end to end on the largest surrogate:
 
 1. tune λ with the §3.4 growth procedure;
-2. build with a spill directory — watch the layers land on disk and the
-   in-memory table stay one layer deep;
+2. build under a memory budget — the build runs vertex-shard by
+   vertex-shard, finished blocks land on disk, and the tracked working
+   set stays under the budget;
 3. sample straight off the memory-mapped tables;
 4. report what the Theorem 3 bound says about the accuracy cost.
 
@@ -21,6 +22,8 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+
+import numpy as np
 
 from repro import MotivoConfig, MotivoCounter
 from repro.graph.datasets import load_dataset
@@ -54,28 +57,33 @@ def main() -> None:
         print("\nthis graph is small enough that bias buys nothing; "
               "using the uniform coloring")
 
-    # 2. Build with greedy flushing to a spill directory.
+    # 2. Build under a memory budget: shard blocks go straight to disk.
+    budget = 2_000_000
     with tempfile.TemporaryDirectory() as tmp:
-        spill_dir = os.path.join(tmp, "tables")
+        shard_dir = os.path.join(tmp, "shards")
         counter = MotivoCounter(
             graph,
-            MotivoConfig(k=k, seed=22, biased_lambda=lam, spill_dir=spill_dir),
+            MotivoConfig(
+                k=k, seed=22, biased_lambda=lam,
+                memory_budget=budget, shard_dir=shard_dir,
+            ),
         )
         start = time.perf_counter()
         counter.build()
         build_s = time.perf_counter() - start
 
-        files = sorted(os.listdir(spill_dir))
+        files = sorted(os.listdir(shard_dir))
         on_disk = sum(
-            os.path.getsize(os.path.join(spill_dir, f)) for f in files
+            os.path.getsize(os.path.join(shard_dir, f)) for f in files
         )
         table = counter.urn.table
-        print(f"\nbuild: {build_s:.2f}s; {len(files)} spill files, "
-              f"{on_disk / 1e6:.1f} MB on disk")
+        print(f"\nbuild: {build_s:.2f}s in {counter.store.num_shards} "
+              f"vertex shards; tracked peak "
+              f"{counter.build_budget.peak / 1e6:.2f} MB of a "
+              f"{budget / 1e6:.0f} MB budget")
+        print(f"{len(files)} shard files, {on_disk / 1e6:.1f} MB on disk")
         print(f"stored pairs: {table.total_pairs():,} "
               f"(paper costing: {table.paper_equivalent_bytes() / 1e6:.1f} MB)")
-        import numpy as np
-
         assert isinstance(table.layer(k).counts, np.memmap)
         print("size-k layer is memory-mapped — reads page in on demand")
 
@@ -98,6 +106,7 @@ def main() -> None:
             f"\nTheorem 3: one coloring gives ±25% w.p. 0.9 for every "
             f"graphlet with at least {needed:,.0f} copies"
         )
+        counter.close()
 
 
 if __name__ == "__main__":

@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-zero-rooting", action="store_true", help="disable the §3.2 optimization"
     )
     count.add_argument("--top", type=int, default=20, help="rows to print")
-    count.add_argument("--spill-dir", default=None, help="greedy-flush layers here")
     count.add_argument(
         "--memory-budget", type=_parse_bytes, default=None,
         help="hard byte budget for the build working set (suffixes K/M/G; "
@@ -282,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--no-zero-rooting", action="store_true",
         help="disable the §3.2 optimization",
-    )
-    build.add_argument(
-        "--spill-dir", default=None,
-        help="greedy-flush layers here during the build",
     )
     build.add_argument(
         "--memory-budget", type=_parse_bytes, default=None,
@@ -562,7 +557,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         seed=args.seed,
         zero_rooting=not args.no_zero_rooting,
         biased_lambda=args.biased_lambda,
-        spill_dir=args.spill_dir,
         batch_size=args.batch_size,
         table_layout=args.table_layout,
         descent_cache_bytes=args.descent_cache_bytes,
@@ -649,7 +643,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         seed=args.seed,
         zero_rooting=not args.no_zero_rooting,
         biased_lambda=args.biased_lambda,
-        spill_dir=args.spill_dir,
         table_layout=args.table_layout,
         descent_cache_bytes=args.descent_cache_bytes,
         memory_budget=args.memory_budget,

@@ -23,10 +23,10 @@ factor ``k``.  The exact-integer CC baseline
 (:func:`repro.colorcoding.buildup_baseline.build_hash_table`) is the
 build's oracle.
 
-Layer storage is delegated to a :class:`~repro.table.layer_store.LayerStore`
-backend: in-memory (default), greedy flush to disk with memory-mapped
-reopen (§3.1/§3.3, :class:`~repro.table.layer_store.SpillLayerStore`), or
-vertex-range sharding (:class:`~repro.table.layer_store.ShardedStore`).
+Every layer stays in process memory.  The build that flushes finished
+blocks to disk and reads them back memory-mapped (§3.1/§3.3) is the
+sharded one, :func:`repro.colorcoding.sharded.build_table_sharded`,
+which produces the same bytes under a hard memory budget.
 
 Table layout (``layout="succinct"``).  The level step needs the matrix
 form while a layer is still on the build frontier (SpMM operands, blocked
@@ -54,8 +54,6 @@ from repro.colorcoding.level import ResidentSums, execute_level
 from repro.colorcoding.plans import compile_plans, frontier_last_use
 from repro.graph.graph import Graph
 from repro.table.count_table import LAYOUTS, CountTable, Layer
-from repro.table.flush import SpillStore
-from repro.table.layer_store import LayerStore, resolve_store
 from repro.treelets.registry import TreeletRegistry
 from repro.util.instrument import Instrumentation
 
@@ -69,8 +67,6 @@ def build_table(
     coloring: ColoringScheme,
     registry: Optional[TreeletRegistry] = None,
     zero_rooting: bool = True,
-    spill: Optional[SpillStore] = None,
-    store: Optional[LayerStore] = None,
     instrumentation: Optional[Instrumentation] = None,
     layout: str = "dense",
 ) -> CountTable:
@@ -87,17 +83,10 @@ def build_table(
     zero_rooting:
         Apply the §3.2 optimization: store size-``k`` counts only at
         vertices of color 0 (each colorful copy counted exactly once).
-    spill:
-        Optional :class:`SpillStore`; shorthand for
-        ``store=SpillLayerStore(spill)``, kept for compatibility.
-    store:
-        Optional :class:`~repro.table.layer_store.LayerStore` deciding
-        where finished layers live (in memory, spilled + memory-mapped, or
-        sharded by vertex range).  Defaults to in-memory.
     instrumentation:
         Counter bag; receives ``merge_ops`` (one per realized (T, C-split)
         combination pair), ``spmm_ops`` (one per SpMM), and the
-        ``buildup``/``sort_pass`` timers.
+        ``buildup`` timer.
     layout:
         In-memory layout of the finished table: ``"dense"`` (the
         matrices, as built) or ``"succinct"`` (the paper's CSR records;
@@ -121,7 +110,6 @@ def build_table(
             f"unknown table layout {layout!r}; choose from {LAYOUTS}"
         )
     instrumentation = instrumentation or Instrumentation()
-    layer_store = resolve_store(store, spill)
 
     n = graph.num_vertices
     table = CountTable(k, n, zero_rooted=zero_rooting)
@@ -133,9 +121,9 @@ def build_table(
             indicator = coloring.indicator(color)
             if indicator.any():
                 level_one[(0, 1 << color)] = indicator
-        _install(layer_store, table, 1, level_one)
+        _install(table, 1, level_one)
 
-        sealer = _FrontierSealer(registry, layout, layer_store, instrumentation)
+        sealer = _FrontierSealer(registry, layout, instrumentation)
         sums = ResidentSums(
             table, graph.adjacency_csr(), registry, instrumentation
         )
@@ -143,26 +131,19 @@ def build_table(
             out = execute_level(
                 h, registry, zero_rooting, coloring.colors, table, sums
             )
-            if not layer_store.resident:
-                sums.evict()
             keys = compile_plans(registry)[h].keys
             # Counts are nonnegative, so a positive row sum is exactly "any
             # nonzero" — and the float sum is one fast reduction pass.
             keep = np.flatnonzero(np.einsum("ij->i", out) > 0.0)
             if keep.size == out.shape[0]:
-                layer_store.install(table, h, list(keys), out)
+                table.set_layer(Layer(h, list(keys), out))
             else:
-                layer_store.install(
-                    table, h, [keys[i] for i in keep], out[keep]
+                table.set_layer(
+                    Layer(h, [keys[i] for i in keep], out[keep])
                 )
             del out
             sealer.after_level(table, h, sums)
 
-    layer_store.finalize(table, instrumentation, layout=layout)
-    if layout == "succinct":
-        # Catch anything neither the in-loop sealing nor the store's
-        # finalize converted (degenerate builds, custom stores).
-        table.seal("succinct")
     return table
 
 
@@ -170,19 +151,16 @@ class _FrontierSealer:
     """Seals layers to the succinct layout as they retire (see module
     docstring).  A layer retires after the last level whose combination
     plans reference its size; the size-``k`` layer is never a source, so
-    it retires the moment it is installed.  Non-resident stores skip the
-    in-loop pass — their finalize step replaces every resident layer
-    anyway — and get one seal at the end of the build instead.
+    it retires the moment it is installed.
     """
 
     def __init__(
         self,
         registry: TreeletRegistry,
         layout: str,
-        store: LayerStore,
         instrumentation: Instrumentation,
     ):
-        self.active = layout == "succinct" and store.resident
+        self.active = layout == "succinct"
         self.last_use: Dict[int, int] = (
             frontier_last_use(registry) if self.active else {}
         )
@@ -191,8 +169,8 @@ class _FrontierSealer:
     def after_level(
         self, table: CountTable, level: int, sums: ResidentSums
     ) -> None:
-        """Seal every resident dense layer with no use beyond ``level``,
-        evicting its cached neighbor sums."""
+        """Seal every dense layer with no use beyond ``level``, evicting
+        its cached neighbor sums."""
         if not self.active:
             return
         for size in range(1, level + 1):
@@ -208,15 +186,12 @@ class _FrontierSealer:
 
 
 def _install(
-    store: LayerStore,
-    table: CountTable,
-    size: int,
-    entries: Dict[Key, np.ndarray],
-) -> Layer:
-    """Install a finished layer through the storage backend."""
+    table: CountTable, size: int, entries: Dict[Key, np.ndarray]
+) -> None:
+    """Install a finished layer from its per-key count rows."""
     keys = list(entries)
     if keys:
         matrix = np.vstack([entries[key] for key in keys])
     else:
         matrix = np.zeros((0, table.num_vertices), dtype=np.float64)
-    return store.install(table, size, keys, matrix)
+    table.set_layer(Layer(size, keys, matrix))

@@ -20,7 +20,7 @@ provider:
 
 :class:`ResidentSums`
     The in-memory build: one full SpMM per source layer, cached for the
-    whole build while the store keeps layers resident.
+    whole build.
 :class:`HaloSums`
     The sharded build and updates: the rows of the column set multiplied
     against only the *halo* columns they reference, read source shard by
@@ -533,13 +533,12 @@ class ResidentSums:
     """Neighbor sums over every column of a resident table.
 
     One full SpMM per source layer, cached for the whole build: the
-    in-memory build runs each layer's SpMM at most once while the store
-    keeps layers resident (a spilling store :meth:`evict`s after every
-    level, keeping peak memory one layer deep as §3.1 promises).  Sizes
-    some *contraction* group consumes are kept row-major; selection-only
-    sizes keep the SpMM's natural column-major layout, with the sentinel
-    as a zero input column the SpMM maps to zero for free — skipping a
-    strided transpose per layer.
+    in-memory build runs each layer's SpMM at most once (a succinct
+    build drops a layer's sums with :meth:`evict` when it seals the
+    layer).  Sizes some *contraction* group consumes are kept row-major;
+    selection-only sizes keep the SpMM's natural column-major layout,
+    with the sentinel as a zero input column the SpMM maps to zero for
+    free — skipping a strided transpose per layer.
     """
 
     def __init__(
@@ -591,13 +590,10 @@ class ResidentSums:
             self.budget, self.instrumentation, cached=self._row_major,
         )
 
-    def evict(self, size: Optional[int] = None) -> None:
-        """Drop the cached sums of ``size`` (of every size by default)."""
+    def evict(self, size: int) -> None:
+        """Drop the cached sums of ``size``."""
         for cache in (self._row_major, self._column_major):
-            if size is None:
-                cache.clear()
-            else:
-                cache.pop(size, None)
+            cache.pop(size, None)
 
 
 def row_edges(

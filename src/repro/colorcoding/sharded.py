@@ -303,10 +303,10 @@ def build_table_sharded(
     """Run the build-up shard by shard; bit-identical to ``build_table``.
 
     Parameters mirror :func:`repro.colorcoding.buildup.build_table`
-    where they overlap.  ``store`` must be a directory-backed
-    :class:`~repro.table.layer_store.ShardedStore`; its ``num_shards``
-    fixes the work partition (use :func:`plan_shards` to pick one that
-    fits a budget).  ``memory_budget`` is a byte limit or a
+    where they overlap.  ``store`` is the
+    :class:`~repro.table.layer_store.ShardedStore` the blocks go to; its
+    ``num_shards`` fixes the work partition (use :func:`plan_shards` to
+    pick one that fits a budget).  ``memory_budget`` is a byte limit or a
     :class:`MemoryBudget` tracker — pass a tracker to read back
     ``peak`` afterwards.  ``jobs > 1`` fans the shard tasks of each
     level out over worker processes; ``seed`` derives the deterministic
@@ -330,10 +330,8 @@ def build_table_sharded(
         raise BuildError(
             f"unknown table layout {layout!r}; choose from {LAYOUTS}"
         )
-    if store is None or store.directory is None:
-        raise BuildError(
-            "the sharded build needs a directory-backed ShardedStore"
-        )
+    if store is None:
+        raise BuildError("the sharded build needs a ShardedStore")
     if jobs < 1:
         raise BuildError("jobs must be at least 1")
     budget = (

@@ -31,9 +31,9 @@ outer loop:
   artifact (:mod:`repro.artifacts.ensemble`); ``run_naive``/``run_ags``
   with ``artifact=`` sample such a bundle without rebuilding — the
   recorded child seeds and per-member RNG states make the result
-  bit-identical to the live ensemble.  Members close their layer
-  stores when done (``cleanup_spill``) so long ensemble builds do not
-  leak per-coloring spill files.
+  bit-identical to the live ensemble.  Members close their counters
+  when done, so long ensemble builds do not leak per-coloring shard
+  files.
 
 Consumed by :meth:`repro.motivo.MotivoCounter.averaged_naive`, the CLI
 (``motivo-py count --colorings N --jobs J``, ``build``/``sample``), and
@@ -112,7 +112,7 @@ def execute_tasks(
         # on a restricted platform surfaces here — as
         # BrokenProcessPool or as the raw OSError from fork/spawn.
         # Those types can also be a *worker's* genuine error
-        # re-raised (e.g. an unwritable spill dir); the serial rerun
+        # re-raised (e.g. an unwritable shard dir); the serial rerun
         # then reproduces it with a clean traceback, trading
         # duplicated work for never crashing on a platform that
         # simply cannot fork.  Other exception types propagate.
@@ -171,8 +171,6 @@ class _RunSpec:
     ``mode`` is ``"naive"`` / ``"ags"`` (build + sample, or reload +
     sample when ``load_dir`` points at a member table artifact) or
     ``"build"`` (build and persist to ``save_dir``, no sampling).
-    ``cleanup`` closes the member's layer store afterwards so
-    per-coloring spill files do not accumulate across a long ensemble.
     """
 
     seed: int
@@ -182,7 +180,6 @@ class _RunSpec:
     load_dir: Optional[str] = None
     save_dir: Optional[str] = None
     codec: str = "dense"
-    cleanup: bool = True
     batch_size: Optional[int] = None
     table_layout: Optional[str] = None
 
@@ -196,9 +193,11 @@ def _execute_run(
 
     Returns the estimates as a plain dict plus an instrumentation
     snapshot (both cheap to ship between processes); ``None`` estimates
-    flag an empty urn.  A configured ``spill_dir`` is namespaced per
+    flag an empty urn.  A configured ``shard_dir`` is namespaced per
     coloring (by child seed, so it stays deterministic) — concurrent
-    workers must not flush layers into the same files.
+    workers must not write shard blocks into the same files.  The
+    member's counter is closed before returning, so its shard files do
+    not accumulate across a long ensemble.
     """
     from repro.motivo import MotivoCounter
 
@@ -214,11 +213,11 @@ def _execute_run(
         )
     else:
         config = replace(config, seed=spec.seed)
-        if config.spill_dir is not None:
+        if config.shard_dir is not None:
             config = replace(
                 config,
-                spill_dir=os.path.join(
-                    config.spill_dir, f"coloring-{spec.seed}"
+                shard_dir=os.path.join(
+                    config.shard_dir, f"coloring-{spec.seed}"
                 ),
             )
         counter = MotivoCounter(graph, config)
@@ -227,8 +226,7 @@ def _execute_run(
             # An empty-urn coloring is a recorded null member: it
             # contributes zero to every graphlet and (in build mode)
             # persists nothing.
-            if spec.cleanup:
-                counter.close()
+            counter.close()
             return None, counter.instrumentation.snapshot()
     if spec.batch_size is not None:
         counter.config.batch_size = spec.batch_size
@@ -248,8 +246,7 @@ def _execute_run(
                 "hits": estimates.hits,
             }
     finally:
-        if spec.cleanup:
-            counter.close()
+        counter.close()
     return payload_out, counter.instrumentation.snapshot()
 
 
@@ -284,11 +281,6 @@ class PipelineEngine:
         Ensemble size (the paper's 20).
     jobs:
         Worker processes; 1 means in-process serial execution.
-    cleanup_spill:
-        Close each member's layer store once its run finishes (default),
-        so the per-coloring namespaced spill directories of a long
-        ensemble build do not accumulate.  Set ``False`` to keep every
-        member's spill files on disk after the run.
     """
 
     def __init__(
@@ -297,7 +289,6 @@ class PipelineEngine:
         config=None,
         colorings: int = 1,
         jobs: int = 1,
-        cleanup_spill: bool = True,
     ):
         from repro.motivo import MotivoConfig
 
@@ -309,7 +300,6 @@ class PipelineEngine:
         self.config = config or MotivoConfig()
         self.colorings = colorings
         self.jobs = jobs
-        self.cleanup_spill = cleanup_spill
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -385,7 +375,6 @@ class PipelineEngine:
                 mode="build",
                 save_dir=os.path.join(directory, member),
                 codec=codec,
-                cleanup=self.cleanup_spill,
             )
             for seed, member in zip(seeds, members)
         ]
@@ -475,7 +464,6 @@ class PipelineEngine:
                     samples=samples,
                     cover_threshold=cover_threshold,
                     load_dir=member,
-                    cleanup=self.cleanup_spill,
                     batch_size=batch_size,
                     table_layout=table_layout,
                 )

@@ -4,10 +4,10 @@
 graph, run the build-up phase (one SpMM per source layer and level,
 :mod:`repro.colorcoding.buildup`), wrap the table in an urn, sample (naive or AGS, both drawn in vectorized batches of
 ``batch_size``), convert to count estimates — behind a configuration
-dataclass.  Layer storage follows the config: in-memory by default,
-greedily flushed to ``spill_dir`` and memory-mapped back when set
-(§3.1/§3.3).  The whole pipeline is walked module by module in
-``docs/architecture.md``.
+dataclass.  The table is built in memory by default; with
+``memory_budget`` or ``num_shards`` set, the sharded build flushes
+finished blocks to disk and memory-maps them back (§3.1/§3.3).  The
+whole pipeline is walked module by module in ``docs/architecture.md``.
 
 Multi-coloring averaging — how the paper both reduces variance and
 produces its non-exact ground truths ("we averaged the counts given by
@@ -56,8 +56,7 @@ from repro.sampling.ags import AGSResult, ags_estimate
 from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import DEFAULT_BATCH_SIZE, naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
-from repro.table.flush import SpillStore
-from repro.table.layer_store import InMemoryStore, LayerStore, SpillLayerStore
+from repro.table.layer_store import ShardedStore
 from repro.telemetry import TelemetryConfig, build_tracer
 from repro.telemetry.tracing import activate
 from repro.treelets.registry import TreeletRegistry
@@ -100,9 +99,6 @@ class MotivoConfig:
         uniform coloring.
     buffer_threshold / buffer_size:
         Neighbor-buffering parameters (§3.2; paper: 10^4 and 100).
-    spill_dir:
-        When set, layers are greedily flushed there and memory-mapped back
-        (§3.1/§3.3).
     sigma_cache_dir:
         When set, σ_ij tables are cached on disk (§3.3).
     batch_size:
@@ -142,8 +138,7 @@ class MotivoConfig:
         straight to disk, and any allocation that would overshoot the
         budget raises :class:`~repro.errors.MemoryBudgetError` instead
         of silently growing.  The table is bit-identical to the
-        in-memory build.  Incompatible with ``spill_dir`` (the sharded
-        store subsumes spilling).
+        in-memory build.
     num_shards:
         Explicit shard count for the sharded build.  Defaults to the
         smallest count whose modeled working set fits ``memory_budget``
@@ -192,7 +187,6 @@ class MotivoConfig:
     biased_lambda: Optional[float] = None
     buffer_threshold: int = 10_000
     buffer_size: int = 100
-    spill_dir: Optional[str] = None
     sigma_cache_dir: Optional[str] = None
     batch_size: int = DEFAULT_BATCH_SIZE
     table_layout: str = "dense"
@@ -227,7 +221,8 @@ class MotivoCounter:
         self.coloring: Optional[ColoringScheme] = None
         self.urn: Optional[TreeletUrn] = None
         self.classifier: Optional[GraphletClassifier] = None
-        self.store: Optional[LayerStore] = None
+        #: The sharded build's on-disk store (``None`` for in-memory builds).
+        self.store: Optional[ShardedStore] = None
         #: MemoryBudget tracker of the last sharded build (peak bytes).
         self.build_budget = None
         #: True once build() finished with an urn that holds no colorful
@@ -301,16 +296,11 @@ class MotivoCounter:
         if config.memory_budget is not None or config.num_shards is not None:
             table = self._build_sharded()
         else:
-            if config.spill_dir:
-                self.store = SpillLayerStore(SpillStore(config.spill_dir))
-            else:
-                self.store = InMemoryStore()
             table = build_table(
                 self.graph,
                 self.coloring,
                 registry=self.registry,
                 zero_rooting=config.zero_rooting,
-                store=self.store,
                 instrumentation=self.instrumentation,
                 layout=config.table_layout,
             )
@@ -326,15 +316,8 @@ class MotivoCounter:
             build_table_sharded,
             plan_shards,
         )
-        from repro.table.layer_store import ShardedStore
 
         config = self.config
-        if config.spill_dir:
-            raise BuildError(
-                "memory_budget/num_shards and spill_dir are mutually "
-                "exclusive — the sharded store already keeps the build "
-                "on disk"
-            )
         if config.num_shards is not None:
             if config.num_shards < 1:
                 raise BuildError("num_shards must be at least 1")
@@ -708,7 +691,7 @@ class MotivoCounter:
                 name: stored[name] for name in _BUILD_FIELDS if name in stored
             }
             # The manifest's top-level k is authoritative: artifacts saved
-            # without build params (e.g. via LayerStore.export_artifact)
+            # without build params (e.g. by a direct save_table call)
             # must not fall back to the MotivoConfig default.
             known["k"] = artifact.k
             config = MotivoConfig(**known)
@@ -797,11 +780,11 @@ class MotivoCounter:
         self._tracer = build_tracer(telemetry)
 
     def close(self) -> None:
-        """Release the build's on-disk scratch state (spill files).
+        """Release the sharded build's shard files and the tracer.
 
-        After closing, memory-mapped layers served by a spilling store
-        are gone — sampling must not continue.  In-memory builds are
-        unaffected.  Idempotent.
+        After closing, dense layers the sharded build memory-mapped from
+        its shard directory are gone — sampling must not continue.
+        In-memory builds are unaffected.  Idempotent.
         """
         if self.store is not None:
             self.store.close()

@@ -733,9 +733,9 @@ class SamplingService:
     ) -> Optional[TreeletUrn]:
         """A fresh urn under the artifact's recorded build parameters.
 
-        ``None`` for an empty table (e.g. exported through
-        LayerStore.export_artifact, or emptied by an update), which
-        serves zero estimates.
+        ``None`` for an empty table (e.g. saved by a direct
+        ``save_table`` call, or emptied by an update), which serves zero
+        estimates.
         """
         try:
             return TreeletUrn(

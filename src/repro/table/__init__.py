@@ -14,15 +14,14 @@ of two interchangeable layouts: :class:`~repro.table.count_table.DenseLayer`
 or :class:`~repro.table.count_table.SuccinctLayer` (the paper's
 per-vertex CSR records, O(stored pairs) resident; tables *seal* to it
 via :meth:`~repro.table.count_table.CountTable.seal`).
-:class:`~repro.table.hash_table.HashCountTable` is the CC baseline,
-:mod:`repro.table.flush` adds greedy flushing to disk with memory-mapped
-reads (§3.1 "Greedy flushing" and §3.3 "Memory-mapped reads"), and
-:mod:`repro.table.layer_store` unifies where finished layers live
-(resident, spilled + memory-mapped, or sharded by vertex range) behind
-one ``LayerStore`` interface — a context manager whose ``close``
-releases on-disk scratch state and whose ``export_artifact`` hands the
-finished table to :mod:`repro.artifacts` for durable build-once /
-sample-many reuse.
+:class:`~repro.table.hash_table.HashCountTable` is the CC baseline.
+:mod:`repro.table.layer_store` holds
+:class:`~repro.table.layer_store.ShardedStore`, the vertex-range shard
+files of the out-of-core build — greedy flushing to disk and
+memory-mapped reads (§3.1 "Greedy flushing" and §3.3 "Memory-mapped
+reads") — and :mod:`repro.table.flush` the scratch-file cleanup it
+shares with the artifact cache.  Finished tables persist through
+:mod:`repro.artifacts` for build-once / sample-many reuse.
 """
 
 from repro.table.count_table import (
@@ -34,7 +33,6 @@ from repro.table.count_table import (
     SuccinctLayer,
 )
 from repro.table.hash_table import HashCountTable
-from repro.table.flush import SpillStore
 
 __all__ = [
     "LAYOUTS",
@@ -44,5 +42,4 @@ __all__ = [
     "LayerView",
     "SuccinctLayer",
     "HashCountTable",
-    "SpillStore",
 ]

@@ -781,14 +781,10 @@ class CountTable:
         return layer
 
     def set_layer(self, layer: LayerView) -> None:
-        """Install a pre-built layer (used by the spill store reload)."""
+        """Install a pre-built layer; raises if its size is present."""
         if layer.size in self._layers:
             raise TableError(f"layer {layer.size} already present")
         self._layers[layer.size] = layer
-
-    def drop_layer(self, size: int) -> None:
-        """Release a layer (greedy flushing evicts after spilling)."""
-        self._layers.pop(size, None)
 
     def seal(
         self,

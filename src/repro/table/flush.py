@@ -1,49 +1,31 @@
-"""Greedy flushing and memory-mapped reads (§3.1 and §3.3).
+"""Scratch-file lifecycle helpers shared by the disk-backed subsystems.
 
-The paper's build-up never keeps the whole count table in memory: as soon
-as a record is complete it is appended to disk *unsorted*, the in-memory
-buffer is released, and a second I/O pass sorts the records by key.  Later
-phases access the on-disk tables through memory-mapped I/O, delegating
-caching to the operating system.
+The paper's build-up flushes finished count tables to disk and reads
+them back memory-mapped (§3.1 and §3.3); here that is the sharded build
+(:mod:`repro.colorcoding.sharded`), whose
+:class:`~repro.table.layer_store.ShardedStore` commits every block
+through a ``.tmp-<pid>`` write and an atomic rename.  The artifact cache
+(:mod:`repro.artifacts.cache`) admits artifacts the same way.  This
+module holds what both need to clean up after themselves:
 
-:class:`SpillStore` reproduces that lifecycle for the columnar layers:
-
-1. :meth:`spill_layer` writes a layer's keys and counts in arrival
-   (unsorted) order — the greedy flush;
-2. :meth:`sort_pass` rewrites every spilled layer sorted by packed key —
-   the second I/O pass;
-3. :meth:`load_layer` reopens a layer with ``numpy.memmap``-backed counts,
-   so reads page data in lazily exactly like motivo's ``mmap`` tables.
-
-Lifecycle.  A store owns scratch state on disk; :meth:`close` releases
-it — removing the spill directory outright when the store created it,
-or just the files it wrote into a pre-existing directory — and the
-store doubles as a context manager (``with SpillStore(dir) as store:``).
-Long-running ensemble builds close each coloring's store once sampling
-finishes so per-coloring spill files do not accumulate.  Closing
-invalidates memory-mapped layers loaded from the store.
+* :func:`tmp_owner_alive` and :func:`reap_stale_tmp` tell a crashed
+  writer's ``.tmp-<pid>`` leftovers from live in-flight writes and
+  remove the former;
+* :func:`remove_scratch` tears a scratch directory down by ownership —
+  the whole directory when the store created it, only the managed files
+  in a pre-existing one.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
-
-from repro.errors import TableError
-from repro.table.count_table import LAYOUTS, Layer, LayerView, SuccinctLayer
 
 __all__ = [
-    "SpillStore",
     "remove_scratch",
     "tmp_owner_alive",
     "reap_stale_tmp",
 ]
-
-Key = Tuple[int, int]
 
 
 def tmp_owner_alive(name: str) -> bool:
@@ -99,16 +81,14 @@ def reap_stale_tmp(directory: str) -> int:
     return reaped
 
 
-def remove_scratch(directory, owns_directory: bool, paths) -> None:
-    """Ownership-aware scratch teardown shared by the disk-backed stores.
+def remove_scratch(directory: str, owns_directory: bool, paths) -> None:
+    """Ownership-aware teardown of a store's scratch directory.
 
     Removes the whole ``directory`` when the store created it (the
     temporary-directory case); in a pre-existing directory only the
     managed ``paths`` are unlinked — foreign files are never touched.
     Missing files and directories are ignored (idempotent, race-safe).
     """
-    if directory is None:
-        return
     if owns_directory:
         shutil.rmtree(directory, ignore_errors=True)
         return
@@ -119,153 +99,3 @@ def remove_scratch(directory, owns_directory: bool, paths) -> None:
             os.remove(path)
         except OSError:
             pass
-
-
-class SpillStore:
-    """On-disk layer storage rooted at a spill directory."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        self._owns_directory = not os.path.isdir(directory)
-        os.makedirs(directory, exist_ok=True)
-        self._sorted: Dict[int, bool] = {}
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Write path
-    # ------------------------------------------------------------------
-
-    def spill_layer(
-        self, size: int, keys: Sequence[Key], counts: np.ndarray
-    ) -> None:
-        """Greedy flush: append the layer to disk in arrival order."""
-        if counts.ndim != 2 or counts.shape[0] != len(keys):
-            raise TableError("keys and counts matrix do not line up")
-        key_array = np.asarray(
-            [[treelet, mask] for treelet, mask in keys], dtype=np.int64
-        ).reshape(len(keys), 2)
-        np.save(self._key_path(size), key_array)
-        np.save(self._count_path(size), np.ascontiguousarray(counts))
-        self._sorted[size] = False
-        self._write_manifest()
-
-    def sort_pass(self) -> int:
-        """Second I/O pass: rewrite every unsorted layer ordered by key.
-
-        Returns the number of layers rewritten.  The paper reports this
-        pass takes under 10% of the total build time; the benchmark for
-        Figure 3 measures it separately.
-        """
-        rewritten = 0
-        for size in list(self.spilled_sizes()):
-            if self._sorted.get(size):
-                continue
-            key_array = np.load(self._key_path(size))
-            counts = np.load(self._count_path(size))
-            order = np.lexsort((key_array[:, 1], key_array[:, 0]))
-            np.save(self._key_path(size), key_array[order])
-            np.save(self._count_path(size), counts[order])
-            self._sorted[size] = True
-            rewritten += 1
-        self._write_manifest()
-        return rewritten
-
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-
-    def load_layer(
-        self, size: int, mmap: bool = True, layout: str = "dense"
-    ) -> LayerView:
-        """Reopen a spilled layer; counts are memory-mapped by default.
-
-        ``layout="succinct"`` converts straight to the CSR records while
-        reading *through* the memory map — the nonzero pairs are the
-        only arrays ever allocated, so reopening a spilled build into
-        the succinct layout never holds a second dense matrix.
-        """
-        if layout not in LAYOUTS:
-            raise TableError(
-                f"unknown table layout {layout!r}; choose from {LAYOUTS}"
-            )
-        key_path = self._key_path(size)
-        if not os.path.exists(key_path):
-            raise TableError(f"no spilled layer of size {size} in {self.directory}")
-        key_array = np.load(key_path)
-        counts = np.load(
-            self._count_path(size), mmap_mode="r" if mmap else None
-        )
-        keys: List[Key] = [
-            (int(treelet), int(mask)) for treelet, mask in key_array
-        ]
-        layer = Layer(size, keys, counts)
-        if layout == "succinct":
-            return SuccinctLayer.from_dense(layer)
-        return layer
-
-    def spilled_sizes(self) -> "list[int]":
-        """Treelet sizes currently on disk, ascending."""
-        sizes = []
-        for name in os.listdir(self.directory):
-            if name.startswith("layer_") and name.endswith(".keys.npy"):
-                sizes.append(int(name[len("layer_"):-len(".keys.npy")]))
-        return sorted(sizes)
-
-    def bytes_on_disk(self) -> int:
-        """Total bytes of all spilled arrays (external-memory accounting)."""
-        total = 0
-        for name in os.listdir(self.directory):
-            total += os.path.getsize(os.path.join(self.directory, name))
-        return total
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the on-disk scratch state.
-
-        Removes the whole spill directory when this store created it
-        (the temporary-directory case: engine-namespaced per-coloring
-        spills, tmp dirs); in a pre-existing directory only the layer
-        files and manifest this store manages are deleted.  Idempotent.
-        Layers previously loaded with ``mmap=True`` must not be read
-        afterwards — their backing files are gone.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        paths = [os.path.join(self.directory, "manifest.json")]
-        if os.path.isdir(self.directory):
-            for size in self.spilled_sizes():
-                paths += [self._key_path(size), self._count_path(size)]
-        remove_scratch(self.directory, self._owns_directory, paths)
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._closed
-
-    def __enter__(self) -> "SpillStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _key_path(self, size: int) -> str:
-        return os.path.join(self.directory, f"layer_{size}.keys.npy")
-
-    def _count_path(self, size: int) -> str:
-        return os.path.join(self.directory, f"layer_{size}.counts.npy")
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "sorted": {str(size): flag for size, flag in self._sorted.items()}
-        }
-        path = os.path.join(self.directory, "manifest.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)

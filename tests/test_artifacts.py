@@ -1,11 +1,11 @@
 """Tests for the persistent table-artifact subsystem.
 
 Covers the round-trip contract (bit-identical estimates from a reloaded
-artifact vs. a fresh build, across every LayerStore backend and both
-codecs), the typed error paths (corrupted manifest, graph-fingerprint
-mismatch, format-version skew), the blob codecs, the content-addressed
-cache, ensemble bundles, store lifecycle, and the CLI build/sample
-commands.
+artifact vs. a fresh build, from the in-memory and the sharded build
+and in both codecs), the typed error paths (corrupted manifest,
+graph-fingerprint mismatch, format-version skew), the blob codecs, the
+content-addressed cache, ensemble bundles, store lifecycle, and the CLI
+build/sample commands.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.artifacts.codec import (
 )
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.sharded import build_table_sharded
 from repro.colorcoding.urn import TreeletUrn
 from repro.engine import PipelineEngine
 from repro.errors import ArtifactError, TableError
@@ -41,12 +42,7 @@ from repro.graph.generators import erdos_renyi
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
-from repro.table.flush import SpillStore
-from repro.table.layer_store import (
-    InMemoryStore,
-    ShardedStore,
-    SpillLayerStore,
-)
+from repro.table.layer_store import ShardedStore
 
 
 @pytest.fixture
@@ -110,30 +106,28 @@ class TestCodecs:
 
 
 # ----------------------------------------------------------------------
-# Table round-trips across storage backends and codecs
+# Table round-trips across builds and codecs
 # ----------------------------------------------------------------------
 
 
-def _store_for(name, tmp_path):
-    if name == "memory":
-        return InMemoryStore()
-    if name == "spill":
-        return SpillLayerStore(SpillStore(str(tmp_path / "spill")))
-    return ShardedStore(3, directory=str(tmp_path / "shards"))
+def _build_with(backend, host, coloring, tmp_path):
+    if backend == "memory":
+        return build_table(host, coloring)
+    store = ShardedStore(3, str(tmp_path / "shards"))
+    return build_table_sharded(host, coloring, store=store)
 
 
 class TestTableRoundTrip:
-    @pytest.mark.parametrize("backend", ["memory", "spill", "sharded"])
+    @pytest.mark.parametrize("backend", ["memory", "sharded"])
     @pytest.mark.parametrize("codec", ["dense", "succinct"])
     def test_reloaded_estimates_bit_identical(
         self, host, tmp_path, backend, codec
     ):
-        """The acceptance contract, per backend × codec: a table built
-        through any LayerStore, saved, and reopened produces the exact
+        """The acceptance contract, per build × codec: a table built in
+        memory or shard by shard, saved, and reopened produces the exact
         floats a fresh in-memory urn produces."""
         coloring = ColoringScheme.uniform(host.num_vertices, 4, rng=17)
-        store = _store_for(backend, tmp_path)
-        table = build_table(host, coloring, store=store)
+        table = _build_with(backend, host, coloring, tmp_path)
         fresh = naive_estimate(
             TreeletUrn(host, table, coloring),
             GraphletClassifier(host, 4),
@@ -191,14 +185,11 @@ class TestTableRoundTrip:
 
     def test_from_artifact_without_build_params(self, host, tmp_path):
         """The manifest's top-level k is authoritative: artifacts saved
-        without build params (e.g. via LayerStore.export_artifact) must
-        not fall back to MotivoConfig defaults."""
+        without build params (a direct save_table call) must not fall
+        back to MotivoConfig defaults."""
         coloring = ColoringScheme.uniform(host.num_vertices, 4, rng=17)
-        store = InMemoryStore()
-        table = build_table(host, coloring, store=store)
-        store.export_artifact(
-            table, str(tmp_path / "a"), coloring=coloring, graph=host
-        )
+        table = build_table(host, coloring)
+        save_table(str(tmp_path / "a"), table, coloring, host)
         warm = MotivoCounter.from_artifact(host, str(tmp_path / "a"))
         assert warm.config.k == 4
         assert warm.sample_naive(100).total > 0
@@ -724,20 +715,16 @@ class TestEnsembleArtifacts:
 
 
 class TestStoreLifecycle:
-    def test_spill_store_context_manager_removes_created_dir(self, tmp_path):
-        target = tmp_path / "fresh"
-        with SpillStore(str(target)) as store:
-            store.spill_layer(1, [(0, 1)], np.ones((1, 4)))
-            assert target.is_dir()
-        assert not target.exists()
-        assert store.closed
-
-    def test_spill_store_preexisting_dir_keeps_foreign_files(self, tmp_path):
+    def test_sharded_store_preexisting_dir_keeps_foreign_files(
+        self, host, tmp_path
+    ):
         target = tmp_path / "existing"
         target.mkdir()
         (target / "keep.txt").write_text("mine")
-        store = SpillStore(str(target))
-        store.spill_layer(1, [(0, 1)], np.ones((1, 4)))
+        coloring = ColoringScheme.uniform(host.num_vertices, 4, rng=1)
+        store = ShardedStore(2, str(target))
+        build_table_sharded(host, coloring, store=store)
+        assert any(p.name.startswith("layer_") for p in target.iterdir())
         store.close()
         store.close()  # idempotent
         assert sorted(p.name for p in target.iterdir()) == ["keep.txt"]
@@ -745,19 +732,20 @@ class TestStoreLifecycle:
     def test_sharded_store_close(self, host, tmp_path):
         target = tmp_path / "shards"
         coloring = ColoringScheme.uniform(host.num_vertices, 4, rng=1)
-        with ShardedStore(2, directory=str(target)) as store:
-            build_table(host, coloring, store=store)
+        with ShardedStore(2, str(target)) as store:
+            build_table_sharded(host, coloring, store=store)
             assert any(target.iterdir())
         assert not target.exists()
 
-    def test_counter_close_releases_spill(self, host, tmp_path):
-        spill = tmp_path / "s"
-        with MotivoCounter(
-            host, MotivoConfig(k=4, seed=4, spill_dir=str(spill))
-        ) as counter:
+    def test_counter_close_releases_shards(self, host, tmp_path):
+        shards = tmp_path / "s"
+        config = MotivoConfig(
+            k=4, seed=4, num_shards=2, shard_dir=str(shards)
+        )
+        with MotivoCounter(host, config) as counter:
             counter.build()
             counter.sample_naive(100)
-        assert not spill.exists()
+        assert not shards.exists()
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,7 @@ The strongest invariants in the library live here:
   entry on random graphs (several k, several colorings);
 * the total treelet count equals the independent Kirchhoff-sum identity
   Σ_S σ(G[S]) over colorful subsets;
-* 0-rooting keeps exactly the color-0 rows of the k-layer;
-* spilled (greedy-flush + memmap) builds equal in-memory builds.
+* 0-rooting keeps exactly the color-0 rows of the k-layer.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.table.flush import SpillStore
 from repro.treelets.encoding import getsize
 from repro.util.instrument import Instrumentation
 
@@ -186,21 +184,6 @@ class TestZeroRooting:
             a, b = rooted.layer(h), unrooted.layer(h)
             assert a.keys == b.keys
             assert np.allclose(a.counts, b.counts)
-
-
-class TestSpill:
-    def test_spilled_build_equals_in_memory(self, tmp_path):
-        graph = erdos_renyi(20, 45, rng=13)
-        coloring = ColoringScheme.uniform(20, 4, rng=14)
-        plain = build_table(graph, coloring)
-        store = SpillStore(str(tmp_path / "spill"))
-        spilled = build_table(graph, coloring, spill=store)
-        for h in range(1, 5):
-            a, b = plain.layer(h), spilled.layer(h)
-            assert a.keys == b.keys
-            assert np.allclose(a.counts, np.asarray(b.counts))
-        # Counts are memory-mapped after the sort pass.
-        assert isinstance(spilled.layer(4).counts, np.memmap)
 
 
 class TestValidation:

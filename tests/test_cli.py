@@ -90,15 +90,6 @@ class TestCount:
             "--biased-lambda", "0.1", "--no-zero-rooting",
         ]) == 0
 
-    def test_spill_dir(self, tmp_path, capsys):
-        spill = tmp_path / "spill"
-        assert main([
-            "count", "lollipop", "--k", "4",
-            "--samples", "100", "--seed", "4",
-            "--spill-dir", str(spill),
-        ]) == 0
-        assert (spill / "layer_4.counts.npy").exists()
-
 
 class TestSuggestLambda:
     def test_prints_lambda(self, capsys):

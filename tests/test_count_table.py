@@ -268,11 +268,9 @@ class TestCountTable:
         assert table.paper_equivalent_bytes() == pairs * 176 // 8
         assert table.actual_bytes() > 0
 
-    def test_drop_and_set_layer(self):
-        table = make_table()
-        layer = table.layer(2)
-        table.drop_layer(2)
-        assert not table.has_layer(2)
+    def test_set_layer(self):
+        layer = make_table().layer(2)
+        table = CountTable(k=3, num_vertices=4, zero_rooted=False)
         table.set_layer(layer)
         assert table.has_layer(2)
         with pytest.raises(TableError):

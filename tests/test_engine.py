@@ -3,7 +3,7 @@
 The contract under test is strong: the build-up must equal the exact
 big-int CC hash-table build (``build_hash_table``, the build's oracle)
 key for key and entry for entry on every configuration (sizes,
-0-rooting, spill, degenerate colorings), and the ensemble engine must
+0-rooting, degenerate colorings), and the ensemble engine must
 give identical results for a fixed seed no matter how many worker
 processes it fans out over.
 """
@@ -20,7 +20,6 @@ from repro.colorcoding.coloring import ColoringScheme
 from repro.engine import EnsembleResult, PipelineEngine, derive_child_seeds
 from repro.graph.generators import erdos_renyi
 from repro.motivo import MotivoConfig, MotivoCounter
-from repro.table.flush import SpillStore
 from repro.util.instrument import Instrumentation
 
 
@@ -55,14 +54,6 @@ class TestKernelEquivalence:
         coloring = ColoringScheme.uniform(40, k, rng=k + 50)
         table = build_table(graph, coloring, zero_rooting=zero_rooting)
         assert_matches_oracle(table, graph, coloring, zero_rooting)
-
-    def test_with_spill(self, tmp_path):
-        graph = erdos_renyi(30, 90, rng=2)
-        coloring = ColoringScheme.uniform(30, 4, rng=3)
-        store = SpillStore(str(tmp_path / "spill"))
-        table = build_table(graph, coloring, spill=store)
-        assert isinstance(table.layer(4).counts, np.memmap)
-        assert_matches_oracle(table, graph, coloring)
 
     def test_missing_color_falls_back(self):
         """A color absent from the graph forces the resolving path."""
@@ -158,44 +149,61 @@ class TestPipelineEngine:
         with pytest.raises(SamplingError):
             engine.run_naive(10, seeds=[1])
 
-    def test_parallel_spill_dirs_are_namespaced(self, graph, tmp_path):
-        """Concurrent workers must not flush layers into the same files."""
+    def test_parallel_shard_dirs_are_namespaced(self, tmp_path, monkeypatch):
+        """Concurrent members must not write shard blocks into the same
+        files: each coloring shards under its own subdirectory."""
         import os
 
-        config = MotivoConfig(k=4, seed=21, spill_dir=str(tmp_path / "s"))
-        parallel = PipelineEngine(
-            graph, config, colorings=3, jobs=2, cleanup_spill=False
-        )
-        serial_config = MotivoConfig(
-            k=4, seed=21, spill_dir=str(tmp_path / "s2")
-        )
-        serial = PipelineEngine(
-            graph, serial_config, colorings=3, jobs=1, cleanup_spill=False
-        )
-        result_parallel = parallel.run_naive(200)
-        result_serial = serial.run_naive(200)
-        assert result_parallel.estimates.counts == result_serial.estimates.counts
-        subdirs = sorted(os.listdir(tmp_path / "s"))
-        assert len(subdirs) == 3
-        assert all(name.startswith("coloring-") for name in subdirs)
+        import repro.motivo
+        from repro.table.layer_store import ShardedStore
 
-    def test_spill_dirs_cleaned_up_by_default(self, graph, tmp_path):
-        """Ensemble members close their stores: no leaked spill files."""
+        graph = erdos_renyi(3000, 9000, rng=5)
+
+        def run(jobs):
+            config = MotivoConfig(
+                k=5, seed=21, num_shards=4,
+                shard_dir=str(tmp_path / f"jobs{jobs}"),
+            )
+            engine = PipelineEngine(graph, config, colorings=4, jobs=jobs)
+            return engine.run_naive(4000)
+
+        parallel = run(2)
+        opened = []
+
+        class RecordingStore(ShardedStore):
+            def __init__(self, num_shards, directory, **kwargs):
+                opened.append(directory)
+                super().__init__(num_shards, directory, **kwargs)
+
+        monkeypatch.setattr(repro.motivo, "ShardedStore", RecordingStore)
+        serial = run(1)
+        assert parallel.estimates.counts == serial.estimates.counts
+        assert parallel.estimates.hits == serial.estimates.hits
+        assert opened == [
+            os.path.join(str(tmp_path / "jobs1"), f"coloring-{seed}")
+            for seed in serial.seeds
+        ]
+
+    def test_shard_dirs_cleaned_up_by_default(self, graph, tmp_path):
+        """Ensemble members close their stores: no leaked shard files."""
         import os
 
-        config = MotivoConfig(k=4, seed=21, spill_dir=str(tmp_path / "s"))
-        cleaned = PipelineEngine(graph, config, colorings=3, jobs=1)
-        kept_config = MotivoConfig(
-            k=4, seed=21, spill_dir=str(tmp_path / "s2")
+        config = MotivoConfig(
+            k=4, seed=21, num_shards=2, shard_dir=str(tmp_path / "s")
         )
-        kept = PipelineEngine(
-            graph, kept_config, colorings=3, jobs=1, cleanup_spill=False
-        )
-        result = cleaned.run_naive(200)
-        reference = kept.run_naive(200)
-        # Cleanup must not change the estimates, only the leftovers.
+        result = PipelineEngine(graph, config, colorings=3).run_naive(200)
+        reference = PipelineEngine(
+            graph, MotivoConfig(k=4, seed=21), colorings=3
+        ).run_naive(200)
+        # Sharding and cleanup change the leftovers, never the estimates.
         assert result.estimates.counts == reference.estimates.counts
-        assert sorted(os.listdir(tmp_path / "s")) == []
+        leftovers = [
+            name
+            for _root, _dirs, files in os.walk(tmp_path / "s")
+            for name in files
+            if name.startswith("layer_")
+        ]
+        assert leftovers == []
 
     def test_explicit_seeds_respected(self, graph):
         config = MotivoConfig(k=4, seed=None)

@@ -1,13 +1,10 @@
-"""Tests for the CC hash table baseline and the greedy-flush spill store."""
+"""Tests for the CC hash table baseline."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import TableError
-from repro.table.count_table import Layer
-from repro.table.flush import SpillStore
 from repro.table.hash_table import HashCountTable
 from repro.treelets.pointer_tree import PointerTreeFactory
 
@@ -75,79 +72,3 @@ class TestHashCountTable:
 
         converted = t.to_encoding_dict()
         assert converted == {(merge(SINGLETON, SINGLETON), 0b011): {2: 6}}
-
-
-class TestSpillStore:
-    def make_layer_data(self):
-        keys = [(0, 0b100), (0, 0b001), (0, 0b010)]  # deliberately unsorted
-        counts = np.array(
-            [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]], dtype=np.float64
-        )
-        return keys, counts
-
-    def test_spill_and_load(self, tmp_path):
-        store = SpillStore(str(tmp_path / "spill"))
-        keys, counts = self.make_layer_data()
-        store.spill_layer(1, keys, counts)
-        layer = store.load_layer(1, mmap=False)
-        assert isinstance(layer, Layer)
-        # Layer sorts on construction; data follows its key.
-        assert layer.keys == sorted(keys)
-        assert layer.counts_for(0, 0b001).tolist() == [0.0, 2.0]
-        assert layer.counts_for(0, 0b100).tolist() == [1.0, 0.0]
-
-    def test_sort_pass_rewrites_sorted(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        keys, counts = self.make_layer_data()
-        store.spill_layer(1, keys, counts)
-        raw_before = np.load(store._key_path(1))
-        assert raw_before[:, 1].tolist() == [0b100, 0b001, 0b010]
-        assert store.sort_pass() == 1
-        raw_after = np.load(store._key_path(1))
-        assert raw_after[:, 1].tolist() == [0b001, 0b010, 0b100]
-        # Second pass is a no-op.
-        assert store.sort_pass() == 0
-
-    def test_mmap_load(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        keys, counts = self.make_layer_data()
-        store.spill_layer(2, keys, counts)
-        store.sort_pass()
-        layer = store.load_layer(2, mmap=True)
-        # After the sort pass the on-disk order is the key order, so the
-        # reopened Layer keeps the memory-mapped array (§3.3 mmap reads).
-        assert isinstance(layer.counts, np.memmap)
-        assert float(layer.totals().sum()) == counts.sum()
-
-    def test_unsorted_mmap_load_copies(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        keys, counts = self.make_layer_data()
-        store.spill_layer(2, keys, counts)
-        layer = store.load_layer(2, mmap=True)
-        # Unsorted on disk: the Layer must reorder (and therefore copy).
-        assert layer.keys == sorted(keys)
-
-    def test_missing_layer(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        with pytest.raises(TableError):
-            store.load_layer(3)
-
-    def test_mismatched_shapes(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        with pytest.raises(TableError):
-            store.spill_layer(1, [(0, 1)], np.zeros((2, 2)))
-
-    def test_spilled_sizes_and_bytes(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        keys, counts = self.make_layer_data()
-        store.spill_layer(1, keys, counts)
-        store.spill_layer(3, keys, counts)
-        assert store.spilled_sizes() == [1, 3]
-        assert store.bytes_on_disk() > 0
-
-    def test_empty_layer(self, tmp_path):
-        store = SpillStore(str(tmp_path))
-        store.spill_layer(1, [], np.zeros((0, 4)))
-        layer = store.load_layer(1, mmap=False)
-        assert layer.num_keys == 0
-        assert layer.num_vertices == 4

@@ -8,8 +8,8 @@ and the master RNG stream.  Every assertion here is exact
 
 The harness churns random graphs with random mixed insert/delete
 batches and checks the maintained state against fresh rebuilds across
-layouts (dense, succinct), layer stores (in-memory, spilled, sharded)
-and both sampling methods, plus the sampling-plane cache retention
+layouts (dense, succinct), builds (in-memory, sharded) and both
+sampling methods, plus the sampling-plane cache retention
 paths (kept gathered store with live dirty lanes; threshold flush), the
 empty-urn lifecycle, delta artifacts and compaction, and the facade /
 serve / CLI wiring.
@@ -267,17 +267,13 @@ class TestCounterUpdateAcrossStores:
         return {
             "dense": MotivoConfig(k=4, seed=21),
             "succinct": MotivoConfig(k=4, seed=21, table_layout="succinct"),
-            "spill": MotivoConfig(
-                k=4, seed=21, spill_dir=str(tmp_path / "spill")
-            ),
             "sharded": MotivoConfig(
                 k=4, seed=21, num_shards=3,
                 shard_dir=str(tmp_path / "shards"),
             ),
         }
 
-    @pytest.mark.parametrize("store", ["dense", "succinct", "spill",
-                                       "sharded"])
+    @pytest.mark.parametrize("store", ["dense", "succinct", "sharded"])
     def test_update_equals_fresh_build_and_samples(self, store, tmp_path):
         graph = erdos_renyi(40, 100, rng=6)
         config = self._configs(tmp_path)[store]

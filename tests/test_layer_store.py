@@ -1,8 +1,6 @@
-"""Tests for the LayerStore backends and the combination plans."""
+"""Tests for the sharded layer store and the combination plans."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -16,14 +14,9 @@ from repro.colorcoding.plans import (
     full_universe_keys,
     level_plans,
 )
+from repro.colorcoding.sharded import build_table_sharded
 from repro.graph.generators import erdos_renyi
-from repro.table.flush import SpillStore
-from repro.table.layer_store import (
-    InMemoryStore,
-    ShardedStore,
-    SpillLayerStore,
-    resolve_store,
-)
+from repro.table.layer_store import ShardedStore
 from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
 from repro.util.bitops import popcount
@@ -36,82 +29,33 @@ def workload():
     return graph, coloring
 
 
-class TestResolveStore:
-    def test_default_is_in_memory(self):
-        assert isinstance(resolve_store(None, None), InMemoryStore)
-
-    def test_spill_shorthand(self, tmp_path):
-        spill = SpillStore(str(tmp_path))
-        store = resolve_store(None, spill)
-        assert isinstance(store, SpillLayerStore)
-        assert store.spill is spill
-
-    def test_both_rejected(self, tmp_path):
-        with pytest.raises(TableError):
-            resolve_store(InMemoryStore(), SpillStore(str(tmp_path)))
-
-
 class TestBackendsAgree:
     def test_all_backends_same_table(self, tmp_path, workload):
         graph, coloring = workload
-        reference = build_table(graph, coloring, store=InMemoryStore())
-        spilled = build_table(
-            graph, coloring,
-            store=SpillLayerStore(SpillStore(str(tmp_path / "spill"))),
-        )
-        sharded = build_table(
-            graph, coloring,
-            store=ShardedStore(3, directory=str(tmp_path / "shards")),
-        )
-        for h in range(1, 5):
-            for other in (spilled, sharded):
-                assert reference.layer(h).keys == other.layer(h).keys
+        reference = build_table(graph, coloring)
+        with ShardedStore(3, str(tmp_path / "shards")) as store:
+            sharded = build_table_sharded(graph, coloring, store=store)
+            for h in range(1, 5):
+                assert reference.layer(h).keys == sharded.layer(h).keys
                 assert np.array_equal(
-                    reference.layer(h).counts, np.asarray(other.layer(h).counts)
+                    reference.layer(h).counts,
+                    np.asarray(sharded.layer(h).counts),
                 )
-
-    def test_spill_store_not_resident(self, tmp_path):
-        assert SpillLayerStore(SpillStore(str(tmp_path))).resident is False
-        assert InMemoryStore().resident is True
-        assert ShardedStore(2).resident is True
 
 
 class TestShardedStore:
-    def test_shard_files_and_roundtrip(self, tmp_path, workload):
-        graph, coloring = workload
-        store = ShardedStore(4, directory=str(tmp_path))
-        table = build_table(graph, coloring, store=store)
-        assert store.sizes() == [1, 2, 3, 4]
-        for size in store.sizes():
-            layer = table.layer(size)
-            rebuilt = []
-            for shard in range(4):
-                keys, (lo, hi), counts = store.load_shard(size, shard)
-                assert keys == layer.keys
-                assert counts.shape == (layer.num_keys, hi - lo)
-                rebuilt.append(np.asarray(counts))
-            assert np.array_equal(np.hstack(rebuilt), layer.counts)
-        assert store.bytes_on_disk() > 0
-
-    def test_bounds_cover_all_vertices(self):
-        store = ShardedStore(3)
+    def test_bounds_cover_all_vertices(self, tmp_path):
+        store = ShardedStore(3, str(tmp_path))
         bounds = store.shard_bounds(10)
         assert bounds[0] == 0 and bounds[-1] == 10
         assert all(bounds[i] <= bounds[i + 1] for i in range(3))
 
-    def test_memory_only_shards_reject_load(self, workload):
-        graph, coloring = workload
-        store = ShardedStore(2)
-        build_table(graph, coloring, store=store)
-        with pytest.raises(TableError):
-            store.load_shard(2, 0)
-
     def test_validation(self, tmp_path):
         with pytest.raises(TableError):
-            ShardedStore(0)
-        store = ShardedStore(2, directory=str(tmp_path))
+            ShardedStore(0, str(tmp_path))
+        store = ShardedStore(2, str(tmp_path))
         with pytest.raises(TableError):
-            store.load_shard(3, 0)
+            store.layer_keys(3)
 
 
 class TestPlans:
@@ -179,18 +123,3 @@ class TestPlans:
     def test_plans_cached_per_registry(self, registry):
         assert level_plans(registry) is level_plans(registry)
         assert compile_plans(registry) is compile_plans(registry)
-
-
-class TestSpillFinalize:
-    def test_sort_pass_runs_through_store(self, tmp_path, workload):
-        graph, coloring = workload
-        spill = SpillStore(str(tmp_path / "s"))
-        from repro.util.instrument import Instrumentation
-
-        instrumentation = Instrumentation()
-        table = build_table(
-            graph, coloring, spill=spill, instrumentation=instrumentation
-        )
-        assert "sort_pass" in instrumentation.timings
-        assert isinstance(table.layer(4).counts, np.memmap)
-        assert os.path.exists(os.path.join(str(tmp_path / "s"), "manifest.json"))

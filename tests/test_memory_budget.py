@@ -174,14 +174,7 @@ class TestFacadeBudget:
         with pytest.raises(MemoryBudgetError):
             counter.build()
 
-    def test_sharded_config_validation(self, tmp_path):
+    def test_sharded_config_validation(self):
         graph = erdos_renyi(30, 90, rng=10)
-        with pytest.raises(BuildError):
-            MotivoCounter(
-                graph,
-                MotivoConfig(
-                    k=4, num_shards=2, spill_dir=str(tmp_path / "spill")
-                ),
-            ).build()
         with pytest.raises(BuildError):
             MotivoCounter(graph, MotivoConfig(k=4, num_shards=0)).build()

@@ -53,16 +53,6 @@ class TestLifecycle:
 
 
 class TestConfigurationPlumb:
-    def test_spill_dir_used(self, tmp_path):
-        spill = str(tmp_path / "layers")
-        counter = MotivoCounter(
-            erdos_renyi(20, 50, rng=6),
-            MotivoConfig(k=4, seed=7, spill_dir=spill),
-        )
-        counter.build()
-        assert os.path.exists(os.path.join(spill, "layer_4.counts.npy"))
-        assert counter.sample_naive(100).total > 0
-
     def test_sigma_cache_dir_used(self, tmp_path):
         cache_dir = str(tmp_path / "sigma")
         counter = MotivoCounter(

@@ -1,6 +1,6 @@
 """Cross-cutting tests of pipeline option combinations.
 
-The option matrix (biased coloring × zero-rooting × spilling × buffering)
+The option matrix (biased coloring × zero-rooting × sharding × buffering)
 must compose: every combination should yield a working urn whose samples
 are valid colorful treelet copies, and statistically equivalent estimates
 where the options are estimator-neutral.
@@ -18,7 +18,6 @@ from repro.graph.generators import erdos_renyi
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
-from repro.table.flush import SpillStore
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +38,17 @@ class TestOptionMatrix:
         assert estimates.total > 0
         assert sum(estimates.frequencies().values()) == pytest.approx(1.0)
 
-    def test_spilled_urn_samples_from_memmap(self, host, tmp_path):
+    def test_sharded_urn_samples_from_memmap(self, host, tmp_path):
         """Sampling must work end to end over memory-mapped layers."""
-        config = MotivoConfig(k=4, seed=102, spill_dir=str(tmp_path / "s"))
-        counter = MotivoCounter(host, config)
-        counter.build()
-        assert isinstance(
-            counter.urn.table.layer(4).counts, np.memmap
+        config = MotivoConfig(
+            k=4, seed=102, num_shards=2, shard_dir=str(tmp_path / "s")
         )
-        estimates = counter.sample_naive(300)
+        with MotivoCounter(host, config) as counter:
+            counter.build()
+            assert isinstance(
+                counter.urn.table.layer(4).counts, np.memmap
+            )
+            estimates = counter.sample_naive(300)
         assert estimates.total > 0
 
     def test_zero_rooting_estimator_neutral(self, host):

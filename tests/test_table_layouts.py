@@ -2,8 +2,8 @@
 
 The `LayerView` contract promises that the dense matrices and the
 succinct CSR records answer every table operation **bit-identically** —
-across every `LayerStore` backend and across artifact reload in either
-codec.  These tests are that promise, enforced with exact equality
+from the in-memory and the sharded build and across artifact reload in
+either codec.  These tests are that promise, enforced with exact equality
 (never ``approx``): records, `occ`, key sampling, and both estimators.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.errors import TableError
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.sharded import build_table_sharded
 from repro.colorcoding.urn import TreeletUrn
 from repro.graph.generators import erdos_renyi
 from repro.motivo import MotivoConfig, MotivoCounter
@@ -22,17 +23,12 @@ from repro.sampling.ags import ags_estimate
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
 from repro.table.count_table import DenseLayer, SuccinctLayer
-from repro.table.flush import SpillStore
-from repro.table.layer_store import (
-    InMemoryStore,
-    ShardedStore,
-    SpillLayerStore,
-)
+from repro.table.layer_store import ShardedStore
 from repro.treelets.registry import TreeletRegistry
 
 K = 4
 N = 80
-STORES = ("memory", "spill", "sharded")
+STORES = ("memory", "sharded")
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +46,13 @@ def reference(workload):
     return build_table(graph, coloring, registry=registry)
 
 
-def _make_store(kind: str, tmp_path):
+def _build(kind: str, tmp_path, graph, coloring, registry, layout):
     if kind == "memory":
-        return InMemoryStore()
-    if kind == "spill":
-        return SpillLayerStore(SpillStore(str(tmp_path / "spill")))
-    return ShardedStore(3, directory=str(tmp_path / "shards"))
+        return build_table(graph, coloring, registry=registry, layout=layout)
+    return build_table_sharded(
+        graph, coloring, registry=registry,
+        store=ShardedStore(3, str(tmp_path / "shards")), layout=layout,
+    )
 
 
 def _assert_tables_equivalent(reference, table, graph, coloring, registry):
@@ -126,10 +123,7 @@ class TestLayoutMatrix:
         self, tmp_path, workload, reference, kind, layout
     ):
         graph, coloring, registry = workload
-        table = build_table(
-            graph, coloring, registry=registry,
-            store=_make_store(kind, tmp_path), layout=layout,
-        )
+        table = _build(kind, tmp_path, graph, coloring, registry, layout)
         assert table.layout() == layout
         if layout == "succinct":
             assert all(
