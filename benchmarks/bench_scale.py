@@ -8,7 +8,9 @@ scales:
   bit-identical to the in-memory one (table digests and estimate digests
   from separate processes), that the tracked working-set peak respects
   the byte budget, and that the sharded build's measured RSS stays below
-  the in-memory build's.
+  the in-memory build's.  Both runs also record the fingerprints of the
+  streamed CSR and of ``load_edge_list`` on the same file, which CI
+  asserts are equal.
 * full (default) — a generator-synthesized power-law graph with 2M
   edges, streamed from a SNAP-style text file into an external CSR,
   built under a budget the in-memory working set exceeds.  Results land
@@ -101,6 +103,7 @@ def _prepare(args) -> dict:
     from support.graphgen import synthesize_snap_file
 
     from repro.colorcoding.sharded import _plan_bytes, plan_shards
+    from repro.graph.io import load_edge_list
     from repro.graph.stream import build_csr_external, open_external
     from repro.treelets.registry import TreeletRegistry
 
@@ -111,6 +114,10 @@ def _prepare(args) -> dict:
     build_csr_external(edge_file, csr_dir)
     parse_seconds = time.perf_counter() - start
     graph = open_external(csr_dir)
+    # The streamed CSR must be the in-memory loader's graph, bit for bit.
+    start = time.perf_counter()
+    in_memory = load_edge_list(edge_file)
+    load_seconds = time.perf_counter() - start
     registry = TreeletRegistry(args.k)
     whole_working_set = _plan_bytes(graph, registry, 1)
     budget = whole_working_set // BUDGET_DIVISOR
@@ -122,6 +129,11 @@ def _prepare(args) -> dict:
         "shards": plan_shards(graph, registry, budget),
         "n": graph.num_vertices,
         "m": graph.num_edges,
+        "fingerprints": {
+            "external": graph.fingerprint(),
+            "in_memory": in_memory.fingerprint(),
+        },
+        "load_seconds": load_seconds,
     }
 
 
@@ -298,6 +310,8 @@ def run_scale(params, quick: bool) -> dict:
         "shards": plan["shards"],
         "tracked_peak_bytes": sharded["tracked_peak_bytes"],
         "external_csr_seconds": plan["parse_seconds"],
+        "in_memory_load_seconds": plan["load_seconds"],
+        "graph_fingerprints": plan["fingerprints"],
         "build_rss_floor_kb": floor,
         "process_rss_floor_kb": end_floor,
         "build_delta_kb": {

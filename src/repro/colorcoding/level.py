@@ -59,7 +59,7 @@ Bit-identity.  Every builder gets exactly the bytes of the others:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -86,6 +86,7 @@ __all__ = [
     "execute_level",
     "ResidentSums",
     "HaloSums",
+    "HaloLayout",
     "LiveColumns",
     "column_block",
     "row_edges",
@@ -660,6 +661,92 @@ class LiveColumns:
         return column_block(self.table.layer(size), verts, key_rows)
 
 
+class HaloLayout:
+    """The edges of a row set against their sorted halo, split by shard.
+
+    ``halo`` holds the sorted neighbor columns the ``rows`` reference,
+    and ``pieces`` one ``(shard, lo, hi, indptr, indices, data)`` CSR
+    block per source shard the halo reaches: the rows against halo
+    columns ``lo:hi``, indices relative to ``lo`` (int32 when every
+    index fits, as SciPy would store them).  A layout depends only on
+    the adjacency, the rows and the shard bounds, so the sharded build
+    computes each shard's once per build and keeps it on disk
+    (:meth:`save`/:meth:`load`).
+    """
+
+    def __init__(self, halo: np.ndarray, rows: int, pieces: list):
+        self.halo = halo
+        self.rows = rows
+        self.pieces = pieces
+
+    @classmethod
+    def build(
+        cls, adjacency, rows: np.ndarray, bounds: np.ndarray
+    ) -> "HaloLayout":
+        """The layout of ``rows`` (ascending) over source shards
+        ``bounds``."""
+        local_ptr, positions = row_edges(adjacency.indptr, rows)
+        halo, halo_cols = np.unique(
+            adjacency.indices[positions], return_inverse=True
+        )
+        index = (
+            np.int32 if max(positions.size, halo.size) < 2**31 else np.int64
+        )
+        halo_cols = halo_cols.reshape(-1).astype(index)
+        data = adjacency.data[positions]
+        del positions
+        cuts = np.searchsorted(halo, bounds)
+        pieces = []
+        for shard in range(cuts.size - 1):
+            lo, hi = int(cuts[shard]), int(cuts[shard + 1])
+            if lo == hi:
+                continue
+            selected = np.flatnonzero((halo_cols >= lo) & (halo_cols < hi))
+            pieces.append((
+                shard, lo, hi,
+                np.searchsorted(selected, local_ptr).astype(index),
+                halo_cols[selected] - index(lo),
+                data[selected],
+            ))
+        return cls(halo.astype(np.int64), int(rows.size), pieces)
+
+    def save(self, path: str) -> None:
+        """Write the layout as one flat binary file."""
+        index = self.pieces[0][3].dtype if self.pieces else np.dtype(np.int64)
+        head = [self.halo.size, self.rows, len(self.pieces), index.itemsize]
+        for shard, lo, hi, _indptr, indices, _data in self.pieces:
+            head += [shard, lo, hi, indices.size]
+        with open(path, "wb") as handle:
+            handle.write(np.asarray(head, dtype=np.int64).data)
+            handle.write(self.halo.data)
+            for _shard, _lo, _hi, indptr, indices, data in self.pieces:
+                for array in (indptr, indices, data):
+                    handle.write(np.ascontiguousarray(array).data)
+
+    @classmethod
+    def load(cls, path: str) -> "HaloLayout":
+        """Read back a layout :meth:`save` wrote."""
+        with open(path, "rb") as handle:
+            halo_size, rows, count, itemsize = np.fromfile(
+                handle, dtype=np.int64, count=4
+            ).tolist()
+            head = np.fromfile(
+                handle, dtype=np.int64, count=4 * count
+            ).reshape(count, 4).tolist()
+            index = np.int32 if itemsize == 4 else np.int64
+            halo = np.fromfile(handle, dtype=np.int64, count=halo_size)
+            pieces = [
+                (
+                    shard, lo, hi,
+                    np.fromfile(handle, dtype=index, count=rows + 1),
+                    np.fromfile(handle, dtype=index, count=nnz),
+                    np.fromfile(handle, dtype=np.float64, count=nnz),
+                )
+                for shard, lo, hi, nnz in head
+            ]
+        return cls(halo, rows, pieces)
+
+
 class HaloSums:
     """Neighbor sums of a row set, gathered from the halo of each layer.
 
@@ -675,7 +762,10 @@ class HaloSums:
     every transient charged to ``budget``.  ``sources`` supplies the
     source layers' key counts; ``cached`` optionally holds full
     row-major sums (a :class:`ResidentSums` cache) to slice instead of
-    multiplying.
+    multiplying.  ``layout`` optionally supplies the rows'
+    :class:`HaloLayout` (a zero-argument callable, called when a sum
+    first needs it); by default the first sum builds it, and every
+    layer's SpMM shares it.
     """
 
     def __init__(
@@ -687,6 +777,7 @@ class HaloSums:
         budget: MemoryBudget,
         instrumentation: Instrumentation,
         cached: Optional[Dict[int, np.ndarray]] = None,
+        layout: Optional[Callable[[], HaloLayout]] = None,
     ):
         self.adjacency = adjacency
         self.rows = np.asarray(rows, dtype=np.int64)
@@ -695,7 +786,8 @@ class HaloSums:
         self.budget = budget
         self.instrumentation = instrumentation
         self._cached = cached if cached is not None else {}
-        self._layout: Optional[tuple] = None
+        self._layout_source = layout
+        self._layout: Optional[HaloLayout] = None
 
     def restrict(self, local: np.ndarray) -> "HaloSums":
         """The same sums over the column subset ``local``."""
@@ -729,42 +821,15 @@ class HaloSums:
         self.instrumentation.count("spmm_ops")
         return self._halo_spmm(size, key_rows)
 
-    def _halo(self) -> tuple:
-        """The rows' edges against the sorted halo, split by source
-        shard; built once and shared by every layer's SpMM."""
+    def _halo(self) -> HaloLayout:
         if self._layout is None:
-            adjacency = self.adjacency
-            local_ptr, positions = row_edges(adjacency.indptr, self.rows)
-            halo, halo_cols = np.unique(
-                adjacency.indices[positions], return_inverse=True
+            source = self._layout_source
+            self._layout = (
+                source() if source is not None
+                else HaloLayout.build(
+                    self.adjacency, self.rows, self.columns.bounds
+                )
             )
-            halo_cols = halo_cols.reshape(-1)
-            data = adjacency.data[positions]
-            cuts = np.searchsorted(halo, self.columns.bounds)
-            pieces = []
-            for shard in range(cuts.size - 1):
-                lo, hi = int(cuts[shard]), int(cuts[shard + 1])
-                if lo == hi:
-                    continue
-                selected = np.flatnonzero(
-                    (halo_cols >= lo) & (halo_cols < hi)
-                )
-                piece = sparse.csr_matrix(
-                    (
-                        data[selected],
-                        halo_cols[selected] - lo,
-                        np.searchsorted(selected, local_ptr),
-                    ),
-                    shape=(self.rows.size, hi - lo),
-                )
-                pieces.append((shard, lo, hi, piece))
-            whole = None
-            if _scipy_sparsetools is None:  # pragma: no cover
-                whole = sparse.csr_matrix(
-                    (data, halo_cols, local_ptr),
-                    shape=(self.rows.size, halo.size),
-                )
-            self._layout = (halo, pieces, whole)
         return self._layout
 
     def _halo_spmm(
@@ -778,15 +843,16 @@ class HaloSums:
         budget = self.budget
         budget.allocate(f"layer-{size} neighbor sums", width * num_vecs * 8)
         result = np.zeros((width, num_vecs), dtype=np.float64)
-        halo, pieces, whole = self._halo()
+        layout = self._halo()
+        halo = layout.halo
         bounds = self.columns.bounds
         gathered = None
-        if whole is not None:  # pragma: no cover - scipy without _sparsetools
+        if _scipy_sparsetools is None:  # pragma: no cover
             budget.allocate(
                 f"layer-{size} whole halo", halo.size * num_vecs * 8
             )
             gathered = np.empty((halo.size, num_vecs), dtype=np.float64)
-        for shard, lo, hi, piece in pieces:
+        for shard, lo, hi, indptr, indices, data in layout.pieces:
             shard_width = int(bounds[shard + 1] - bounds[shard])
             transient = (num_keys * shard_width + (hi - lo) * num_vecs) * 8
             with budget.hold(f"layer-{size} halo shard", transient):
@@ -797,11 +863,23 @@ class HaloSums:
                     gathered[lo:hi] = operand
                     continue
                 _scipy_sparsetools.csr_matvecs(
-                    width, hi - lo, num_vecs,
-                    piece.indptr, piece.indices, piece.data,
+                    width, hi - lo, num_vecs, indptr, indices, data,
                     operand.ravel(), result.ravel(),
                 )
-        if gathered is not None:  # pragma: no cover
-            result[:] = whole.dot(gathered)
+        if gathered is not None:  # pragma: no cover - no _sparsetools
+            if layout.pieces:
+                # The pieces side by side are the rows against the whole
+                # sorted halo, each row's entries still in neighbor order.
+                whole = sparse.hstack(
+                    [
+                        sparse.csr_matrix(
+                            (data, indices, indptr), shape=(width, hi - lo)
+                        )
+                        for _shard, lo, hi, indptr, indices, data
+                        in layout.pieces
+                    ],
+                    format="csr",
+                )
+                result[:] = whole.dot(gathered)
             budget.release(gathered.nbytes)
         return result

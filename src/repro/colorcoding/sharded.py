@@ -29,10 +29,13 @@ working set fits under the budget (raising
 significant allocation at run time — source blocks, halo gathers,
 neighbor-sum matrices, output blocks, compaction and assembly buffers —
 is tracked against a :class:`MemoryBudget`, which fails loud rather than
-overshooting.  Reads are buffered (``seek`` + ``fromfile``), never
+overshooting.  Reads are buffered (``fromfile`` at an offset), never
 memory-mapped, so pages do not linger in the resident set; only the
 *finished* dense table reopens memory-mapped, paging lazily under
-sampling.
+sampling.  Each shard's :class:`~repro.colorcoding.level.HaloLayout`
+is built by the first task that needs it and kept on disk beside the
+shard files, so later levels read it instead of rebuilding it; a task
+takes its own shard's source columns from the block it already holds.
 
 Fan-out.  Within a level the shard tasks are independent; ``jobs > 1``
 runs them on the shared process-pool executor policy
@@ -43,13 +46,19 @@ order, so parallel and serial builds are byte-identical.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.level import HaloSums, MemoryBudget, execute_level
+from repro.colorcoding.level import (
+    HaloLayout,
+    HaloSums,
+    MemoryBudget,
+    execute_level,
+)
 from repro.colorcoding.plans import (
     compile_plans,
     full_universe_keys,
@@ -83,8 +92,9 @@ _EDGE_BYTES = 32
 # ----------------------------------------------------------------------
 
 
-def _level_cost_per_column(registry: TreeletRegistry, h: int) -> int:
-    """Working-set bytes per output column at level ``h``, upper bound.
+def _cost_per_column(registry: TreeletRegistry) -> int:
+    """Working-set bytes per output column of the costliest level, an
+    upper bound.
 
     Counts the float64 rows simultaneously resident while one shard of
     level ``h`` executes: the output block and its compaction copy
@@ -98,28 +108,34 @@ def _level_cost_per_column(registry: TreeletRegistry, h: int) -> int:
         s: len(full_universe_keys(registry, s))
         for s in range(1, registry.k + 1)
     }
-    sources = level_source_sizes(registry, h)
-    widest = max(universe[s] for s in sources)
-    return 8 * (
-        2 * universe[h]
-        + sum(2 * universe[s] + 1 for s in sources)
-        + 2 * widest
-    )
+
+    def level_cost(h: int) -> int:
+        sources = level_source_sizes(registry, h)
+        widest = max(universe[s] for s in sources)
+        return 8 * (
+            2 * universe[h]
+            + sum(2 * universe[s] + 1 for s in sources)
+            + 2 * widest
+        )
+
+    return max(level_cost(h) for h in range(2, registry.k + 1))
 
 
 def _plan_bytes(
-    graph: Graph, registry: TreeletRegistry, num_shards: int
+    graph: Graph,
+    registry: TreeletRegistry,
+    num_shards: int,
+    per_column: Optional[int] = None,
 ) -> int:
-    """Modeled peak working set of a ``num_shards``-way sharded build."""
+    """Modeled peak working set of a ``num_shards``-way sharded build
+    (``per_column`` is :func:`_cost_per_column`, when known)."""
     n = graph.num_vertices
     bounds = np.linspace(0, n, num_shards + 1).astype(np.int64)
     width = int(np.max(np.diff(bounds))) if n else 0
     indptr = np.asarray(graph.indptr, dtype=np.int64)
     edges = int(np.max(indptr[bounds[1:]] - indptr[bounds[:-1]])) if n else 0
-    per_column = max(
-        _level_cost_per_column(registry, h)
-        for h in range(2, registry.k + 1)
-    )
+    if per_column is None:
+        per_column = _cost_per_column(registry)
     return per_column * width + _EDGE_BYTES * edges
 
 
@@ -142,15 +158,17 @@ def plan_shards(
     if memory_budget <= 0:
         raise MemoryBudgetError("memory budget must be positive")
     n = graph.num_vertices
+    per_column = _cost_per_column(registry)
     num_shards = 1
     while True:
-        if _plan_bytes(graph, registry, num_shards) <= memory_budget:
+        needed = _plan_bytes(graph, registry, num_shards, per_column)
+        if needed <= memory_budget:
             return num_shards
         if num_shards >= max(1, n):
             raise MemoryBudgetError(
                 f"no shard count fits a {memory_budget}-byte budget for "
                 f"k={registry.k} on {n} vertices (even one-vertex shards "
-                f"need {_plan_bytes(graph, registry, num_shards)} bytes)"
+                f"need {needed} bytes)"
             )
         num_shards = min(num_shards * 2, max(1, n))
 
@@ -177,8 +195,8 @@ class _BuildContext:
 
     The parent builds one for the serial path; pooled workers build their
     own from the initializer payload.  The store instance is only used
-    for path construction and tmp/commit — workers never mutate the
-    parent's registration state.
+    for reads, path construction and tmp/commit — workers never mutate
+    the parent's registration state.
     """
 
     def __init__(
@@ -199,6 +217,43 @@ class _BuildContext:
         self.registry = TreeletRegistry(k)
         self.adjacency = graph.adjacency_csr()
         self.bounds = store.shard_bounds(graph.num_vertices)
+        self._keys: Dict[int, List[Key]] = {}
+
+    def keys(self, size: int) -> List[Key]:
+        """A finished source layer's keys, reopened once from the store's
+        shared key file (a layer is read only after its level)."""
+        if size not in self._keys:
+            key_array = np.load(self.store._key_path(size))
+            self._keys[size] = [(int(t), int(mask)) for t, mask in key_array]
+        return self._keys[size]
+
+    def layout(self, shard: int) -> HaloLayout:
+        """Shard ``shard``'s halo layout: built and written by the first
+        task that needs it, read back by the later ones."""
+        path = self.store.layout_path(shard)
+        if os.path.exists(path):
+            return HaloLayout.load(path)
+        lo, hi = int(self.bounds[shard]), int(self.bounds[shard + 1])
+        layout = HaloLayout.build(
+            self.adjacency, np.arange(lo, hi, dtype=np.int64), self.bounds
+        )
+        tmp = f"{path}.tmp-{os.getpid()}"
+        layout.save(tmp)
+        os.replace(tmp, path)
+        return layout
+
+
+class _ShardColumns:
+    """The :class:`~repro.colorcoding.level.HaloSums` column source of
+    one shard task: committed source shards are read buffered, gathered
+    and dropped; the task's own shard comes from the block it already
+    holds."""
+
+    def __init__(self, ctx: _BuildContext, shard: int, sources: CountTable):
+        self.store = ctx.store
+        self.bounds = ctx.bounds
+        self.shard = shard
+        self.sources = sources
 
     def read(
         self,
@@ -207,15 +262,15 @@ class _BuildContext:
         verts: np.ndarray,
         key_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Layer ``size`` at vertices ``verts`` of one committed shard
-        (the :class:`~repro.colorcoding.level.HaloSums` column source):
-        the shard block is read buffered, gathered, and dropped."""
         with _trace_span("sharded.halo", layer=size, source_shard=shard):
-            block = np.load(self.store._shard_path(size, shard))
+            if shard == self.shard:
+                block = self.sources.layer(size).counts
+            else:
+                block = self.store.read_shard(size, shard)
             local = verts - int(self.bounds[shard])
-            if key_rows is None:
-                return block[:, local]
-            return block[np.ix_(key_rows, local)]
+            if key_rows is not None:
+                block = block[key_rows]
+            return block[:, local]
 
 
 _SHARD_STATE: "dict[str, _BuildContext]" = {}
@@ -241,12 +296,6 @@ def _run_shard_task(task: _ShardTask):
     return _execute_shard(_SHARD_STATE["ctx"], task)
 
 
-def _disk_keys(ctx: _BuildContext, size: int) -> List[Key]:
-    """A source layer's keys, reopened from the store's shared key file."""
-    key_array = np.load(ctx.store._key_path(size))
-    return [(int(t), int(mask)) for t, mask in key_array]
-
-
 def _execute_shard(ctx: _BuildContext, task: _ShardTask):
     """Compute, commit, and summarize one (level, shard) block.
 
@@ -260,13 +309,15 @@ def _execute_shard(ctx: _BuildContext, task: _ShardTask):
     width = hi - lo
     sources = CountTable(ctx.k, width, False)
     for size in level_source_sizes(ctx.registry, task.h):
-        keys = _disk_keys(ctx, size)
+        keys = ctx.keys(size)
         budget.allocate(f"layer-{size} shard block", len(keys) * width * 8)
-        block = np.load(ctx.store._shard_path(size, task.shard))
-        sources.set_layer(Layer(size, keys, block))
+        sources.set_layer(
+            Layer(size, keys, ctx.store.read_shard(size, task.shard))
+        )
     sums = HaloSums(
-        ctx.adjacency, np.arange(lo, hi, dtype=np.int64), sources, ctx,
-        budget, instrumentation,
+        ctx.adjacency, np.arange(lo, hi, dtype=np.int64), sources,
+        _ShardColumns(ctx, task.shard, sources), budget, instrumentation,
+        layout=lambda: ctx.layout(task.shard),
     )
     out = execute_level(
         task.h, ctx.registry, ctx.zero_rooting,
@@ -341,6 +392,10 @@ def build_table_sharded(
     )
     instrumentation = instrumentation or Instrumentation()
     store.reap_stale_tmp()
+    # Halo layouts are per build: never trust one a former build left.
+    for shard in range(store.num_shards):
+        if os.path.exists(store.layout_path(shard)):
+            os.remove(store.layout_path(shard))
 
     n = graph.num_vertices
     colors = coloring.colors

@@ -26,6 +26,18 @@ _DELETE_OPS = {"-", "remove", "delete", "del", -1}
 _INT64 = np.iinfo(np.int64)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort: the same ascending array, and
+    several times faster on int64 ids than NumPy's hashing path."""
+    ordered = np.sort(values, axis=None)
+    if ordered.size:
+        keep = np.empty(ordered.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+        ordered = ordered[keep]
+    return ordered
+
+
 def exact_int(value) -> Optional[int]:
     """``value`` as an ``int`` when it is an integer (bools excluded).
 
@@ -153,7 +165,7 @@ class Graph:  # repro: pool-transport
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         if lo.size:
             packed = lo * np.int64(n) + hi
-            packed = np.unique(packed)
+            packed = sorted_unique(packed)
             lo = packed // n
             hi = packed % n
         # Symmetrize and build CSR via counting sort.

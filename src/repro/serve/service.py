@@ -106,10 +106,22 @@ from repro.telemetry.tracing import activate
 from repro.util.instrument import Instrumentation
 from repro.util.rng import ensure_rng
 
-__all__ = ["SamplingService", "TableHandle", "CountResult", "session_seed"]
+__all__ = [
+    "SamplingService",
+    "TableHandle",
+    "CountResult",
+    "session_seed",
+    "MAX_SAMPLES",
+]
 
 #: Estimators a request may name.
 ESTIMATORS = ("naive", "ags")
+
+#: The most samples one count request may ask for.  A request runs to
+#: completion once admitted, so an unbounded ``samples`` would hold its
+#: session (and a worker thread) for as long as the client likes; this
+#: is 500 times the largest request the documentation shows.
+MAX_SAMPLES = 10_000_000
 
 #: Seconds a /healthz disk-usage figure may be served from cache (the
 #: underlying measurement walks the whole cache root).
@@ -944,6 +956,10 @@ class SamplingService:
             )
         if samples < 1:
             raise ServeError("samples must be positive")
+        if samples > MAX_SAMPLES:
+            raise ServeError(
+                f"samples must be at most {MAX_SAMPLES}, got {samples}"
+            )
         started = time.perf_counter()
         key = self._resolve_key(artifact)
         handle = self._checkout(key)

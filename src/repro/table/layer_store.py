@@ -35,29 +35,24 @@ from repro.table.flush import remove_scratch, reap_stale_tmp
 
 __all__ = [
     "ShardedStore",
-    "read_npy_rows",
 ]
 
 Key = Tuple[int, int]
 
 #: Every file name a :class:`ShardedStore` may create in its directory —
-#: committed shard blocks, shared key files, assembled full-width layers —
-#: with or without an in-flight ``.tmp-<pid>`` suffix.  ``close`` sweeps by
+#: committed shard blocks, shared key files, assembled full-width layers,
+#: the build's per-shard halo layouts — with or without an in-flight
+#: ``.tmp-<pid>`` suffix.  ``close`` sweeps by
 #: this pattern rather than by the layers it happens to have registered, so
 #: scratch written by crashed shard workers is removed too.
 _SHARD_SCRATCH_RE = re.compile(
-    r"^layer_\d+\.(keys|shard\d+|full)\.npy(\.tmp-\d+)?$"
+    r"^(layer_\d+\.(keys|shard\d+|full)\.npy|halo\.shard\d+\.bin)"
+    r"(\.tmp-\d+)?$"
 )
 
 
-def read_npy_rows(path: str, row_lo: int, row_hi: int) -> np.ndarray:
-    """Read rows ``[row_lo, row_hi)`` of a 2-D C-order ``.npy`` file.
-
-    Buffered (``seek`` + ``fromfile``) rather than memory-mapped on
-    purpose: mapped pages count toward resident set size until the kernel
-    reclaims them, so the budgeted sharded build reads exactly the rows it
-    is charged for and nothing sticks to RSS afterwards.
-    """
+def _npy_extent(path: str) -> Tuple[int, Tuple[int, int], np.dtype]:
+    """``(data offset, shape, dtype)`` of a 2-D C-order ``.npy`` file."""
     with open(path, "rb") as handle:
         version = np.lib.format.read_magic(handle)
         read_header = (
@@ -68,14 +63,7 @@ def read_npy_rows(path: str, row_lo: int, row_hi: int) -> np.ndarray:
         shape, fortran, dtype = read_header(handle)
         if len(shape) != 2 or fortran:
             raise TableError(f"{path} is not a C-order 2-D array")
-        rows, cols = shape
-        row_lo = max(0, min(int(row_lo), rows))
-        row_hi = max(row_lo, min(int(row_hi), rows))
-        handle.seek(row_lo * cols * dtype.itemsize, os.SEEK_CUR)
-        block = np.fromfile(
-            handle, dtype=dtype, count=(row_hi - row_lo) * cols
-        )
-    return block.reshape(row_hi - row_lo, cols)
+        return handle.tell(), shape, dtype
 
 
 class ShardedStore:
@@ -114,6 +102,8 @@ class ShardedStore:
         os.makedirs(directory, exist_ok=True)
         #: size → (keys, shard boundary offsets over the vertex axis)
         self._layers: Dict[int, Tuple[List[Key], np.ndarray]] = {}
+        #: committed block path → its parsed ``.npy`` extent
+        self._extents: Dict[str, Tuple[int, Tuple[int, int], np.dtype]] = {}
         self._closed = False
 
     def shard_bounds(self, num_vertices: int) -> np.ndarray:
@@ -140,7 +130,42 @@ class ShardedStore:
         """Atomically publish a fully-written shard block."""
         final = self._shard_path(size, shard)
         os.replace(tmp_path, final)
+        self._extents.pop(final, None)
         return final
+
+    def read_shard(
+        self, size: int, shard: int, row_lo: int = 0,
+        row_hi: Optional[int] = None,
+    ) -> np.ndarray:
+        """Rows ``[row_lo, row_hi)`` (all by default) of a committed
+        shard block.
+
+        Buffered (``fromfile`` at an offset) rather than memory-mapped on
+        purpose: mapped pages count toward resident set size until the
+        kernel reclaims them, so the budgeted sharded build reads exactly
+        the rows it is charged for and nothing sticks to RSS afterwards.
+        Each file's ``.npy`` header is parsed once and remembered until
+        this store commits the block again; a committed block changes
+        only through this store's :meth:`commit_shard`, and pooled shard
+        workers read only layers finished before their level started.
+        """
+        path = self._shard_path(size, shard)
+        extent = self._extents.get(path)
+        if extent is None:
+            extent = self._extents[path] = _npy_extent(path)
+        offset, (rows, cols), dtype = extent
+        row_hi = rows if row_hi is None else row_hi
+        row_lo = max(0, min(int(row_lo), rows))
+        row_hi = max(row_lo, min(int(row_hi), rows))
+        block = np.fromfile(
+            path, dtype=dtype, count=(row_hi - row_lo) * cols,
+            offset=offset + row_lo * cols * dtype.itemsize,
+        )
+        return block.reshape(row_hi - row_lo, cols)
+
+    def layout_path(self, shard: int) -> str:
+        """Where the sharded build keeps shard ``shard``'s halo layout."""
+        return os.path.join(self.directory, f"halo.shard{shard}.bin")
 
     def register_layer(
         self, size: int, keys: Sequence[Key], bounds: np.ndarray
@@ -176,7 +201,7 @@ class ShardedStore:
         """
         keep_order = np.asarray(keep_order, dtype=np.int64)
         for shard in range(self.num_shards):
-            block = np.load(self._shard_path(size, shard))
+            block = self.read_shard(size, shard)
             tmp = self.shard_tmp_path(size, shard)
             # Write through a handle: ``np.save`` would append ``.npy``
             # to the suffix-less tmp path.
@@ -213,12 +238,10 @@ class ShardedStore:
             for lo in range(0, num_keys, row_block):
                 hi = min(num_keys, lo + row_block)
                 pieces = [
-                    read_npy_rows(self._shard_path(size, s), lo, hi)
+                    self.read_shard(size, s, lo, hi)
                     for s in range(self.num_shards)
                 ]
-                handle.write(
-                    np.ascontiguousarray(np.hstack(pieces)).tobytes()
-                )
+                handle.write(np.ascontiguousarray(np.hstack(pieces)).data)
         os.replace(tmp, out_path)
         return out_path
 
@@ -237,7 +260,7 @@ class ShardedStore:
         row_pieces: List[np.ndarray] = []
         value_pieces: List[np.ndarray] = []
         for shard in range(self.num_shards):
-            block = np.load(self._shard_path(size, shard))
+            block = self.read_shard(size, shard)
             verts_local, rows = np.nonzero(block.T)
             vert_pieces.append(verts_local + int(bounds[shard]))
             row_pieces.append(rows)

@@ -50,6 +50,21 @@ class TestShardedStore:
         assert bounds[0] == 0 and bounds[-1] == 10
         assert all(bounds[i] <= bounds[i + 1] for i in range(3))
 
+    def test_read_shard_follows_recommits(self, tmp_path):
+        # Headers are parsed once per committed file; a recommit with a
+        # new shape (what compaction does) must be read afresh.
+        with ShardedStore(1, str(tmp_path / "store")) as store:
+            for rows in (5, 2):
+                block = np.arange(rows * 3, dtype=np.float64).reshape(rows, 3)
+                tmp = store.shard_tmp_path(4, 0)
+                with open(tmp, "wb") as handle:
+                    np.lib.format.write_array(handle, block)
+                store.commit_shard(4, 0, tmp)
+                assert np.array_equal(store.read_shard(4, 0), block)
+                assert np.array_equal(
+                    store.read_shard(4, 0, 1, 9), block[1:]
+                )
+
     def test_validation(self, tmp_path):
         with pytest.raises(TableError):
             ShardedStore(0, str(tmp_path))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -821,6 +822,24 @@ class TestHTTP:
         assert self._status(server, path, body) == 400
         with urllib.request.urlopen(self._url(server, "/healthz")):
             pass  # server still alive
+
+    def test_huge_samples_answer_400_promptly(self, server):
+        # An admitted request runs to completion: 2**70 samples would
+        # hold the session for ever, so the service refuses it up front.
+        from repro.serve.service import MAX_SAMPLES
+
+        started = time.perf_counter()
+        body = b'{"samples": %d, "session": "big"}' % 2**70
+        assert self._status(server, "/count", body) == 400
+        assert self._status(
+            server, "/count", b'{"samples": %d}' % (MAX_SAMPLES + 1)
+        ) == 400
+        assert time.perf_counter() - started < 10.0
+        # The cap refuses nothing a client could wait out: the session
+        # the refused request named still answers normally.
+        assert self._post(
+            server, "/count", {"samples": 50, "session": "big"}
+        )["samples"] == 50
 
     def test_metrics_endpoint_serves_prometheus_text(self, server):
         self._post(server, "/count", {"samples": 200, "session": "m",

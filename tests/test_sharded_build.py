@@ -135,6 +135,64 @@ class TestShardedBitIdentity:
             store_b.close()
 
 
+class TestHaloLayoutsOncePerBuild:
+    def test_each_shard_layout_built_once(self, tmp_path, monkeypatch):
+        from repro.colorcoding import level
+
+        graph = erdos_renyi(60, 220, rng=9)
+        coloring = ColoringScheme.uniform(60, 5, rng=10)
+        reference = build_table(graph, coloring)
+        built = []
+        original = level.HaloLayout.build.__func__
+
+        def counting(cls, adjacency, rows, bounds):
+            built.append((int(rows[0]), int(rows.size)) if rows.size else None)
+            return original(cls, adjacency, rows, bounds)
+
+        monkeypatch.setattr(
+            level.HaloLayout, "build", classmethod(counting)
+        )
+        table, store = _sharded(graph, coloring, tmp_path, "once", 4)
+        try:
+            _assert_layers_equal(reference, table, 5)
+            bounds = store.shard_bounds(60)
+            whole = [
+                (int(lo), int(hi - lo)) for lo, hi in zip(bounds, bounds[1:])
+            ]
+            # Four levels run on whole shards, yet each shard's layout is
+            # built once; the zero-rooted top level adds one layout per
+            # shard over its color-0 rows.
+            assert sorted(b for b in built if b in whole) == whole
+            assert len(built) == 2 * len(whole)
+        finally:
+            store.close()
+
+    def test_stale_layout_files_are_not_trusted(self, tmp_path):
+        # A former build over another graph left its layouts in the
+        # directory; the next build must not read them.
+        directory = str(tmp_path / "reused")
+        graph_a = erdos_renyi(40, 120, rng=3)
+        graph_b = erdos_renyi(40, 150, rng=4)
+        coloring = ColoringScheme.uniform(40, 4, rng=5)
+        with ShardedStore(3, directory) as store:
+            build_table_sharded(graph_a, coloring, store=store)
+            leftovers = {
+                shard: open(store.layout_path(shard), "rb").read()
+                for shard in range(3)
+            }
+        os.makedirs(directory, exist_ok=True)
+        for shard, raw in leftovers.items():
+            stale = os.path.join(directory, f"halo.shard{shard}.bin")
+            with open(stale, "wb") as handle:
+                handle.write(raw)
+        with ShardedStore(3, directory) as store:
+            table = build_table_sharded(graph_b, coloring, store=store)
+            _assert_layers_equal(build_table(graph_b, coloring), table, 4)
+        assert not any(
+            name.startswith("halo.") for name in os.listdir(directory)
+        )
+
+
 class TestShardedDegenerateInputs:
     def test_all_vertices_color_zero(self, tmp_path):
         graph = erdos_renyi(30, 90, rng=2)

@@ -133,13 +133,17 @@ def _row_scale(p):
     )
     sharded = _get(p, "build_delta_kb", "sharded", default=0) / 1024
     inmem = _get(p, "build_delta_kb", "inmem", default=0) / 1024
+    seconds = _get(p, "build_seconds", default={})
     return (
         "out-of-core build",
         workload,
         f"build RSS delta {_fmt(sharded, '{:,.0f}')}MB sharded vs "
         f"{_fmt(inmem, '{:,.0f}')}MB in-memory under a "
         f"{_fmt(_get(p, 'budget_bytes', default=0) / 1e6, '{:,.0f}')}MB "
-        f"budget ({_fmt(_get(p, 'shards'), '{}')} shards)",
+        f"budget ({_fmt(_get(p, 'shards'), '{}')} shards); build "
+        f"{_fmt(_get(seconds, 'sharded'), '{:.2f}')}s sharded vs "
+        f"{_fmt(_get(seconds, 'inmem'), '{:.2f}')}s in-memory, external "
+        f"CSR {_fmt(_get(p, 'external_csr_seconds'), '{:.2f}')}s",
         _get(p, "bit_identical"),
     )
 
