@@ -3,9 +3,13 @@
 The paper's third table reports motivo sampling 10x-100x faster than CC.
 Motivo's edge comes from the engineering of §3: alias-method O(1) root
 selection, cumulative records with binary search, neighbor buffering and
-the σ cache.  The comparison sampler here re-creates CC's behaviour on
-top of the same count table: linear-scan root selection over the root
-weight vector (no alias table) and no neighbor buffering.  Measured as
+the σ cache.  The motivo column is this repo's sampler,
+``TreeletUrn.sample_batch`` (cold urn, plan compilation included), whose
+gathered running sums play the part of neighbor buffering.  The
+comparison sampler re-creates CC's behaviour on top of the same count
+table: linear-scan root selection over the root weight vector (no alias
+table), a record walk for the treelet draw, and the per-sample
+recursion with a neighbor sweep per child draw.  Measured as
 samples/second on the same urn contents.
 """
 
@@ -14,7 +18,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
@@ -40,7 +43,8 @@ class CCStyleSampler:
     * root selection walks the weight distribution (no alias table);
     * the treelet draw walks the vertex's record accumulating counts (CC
       has no cumulative η records to binary-search);
-    * no neighbor buffering in the recursion.
+    * the copy comes from the per-sample recursion, one neighbor sweep
+      per child draw (no buffering).
     """
 
     def __init__(self, urn: TreeletUrn):
@@ -71,17 +75,12 @@ def _measure(dataset: str, k: int):
     graph = load_dataset(dataset)
     coloring = ColoringScheme.uniform(graph.num_vertices, k, rng=31)
     table = build_table(graph, coloring)
-    motivo_urn = TreeletUrn(
-        graph, table, coloring, buffer_threshold=100, buffer_size=100
-    )
-    cc_sampler = CCStyleSampler(
-        TreeletUrn(graph, table, coloring, buffer_threshold=10**9)
-    )
+    motivo_urn = TreeletUrn(graph, table, coloring)
+    cc_sampler = CCStyleSampler(TreeletUrn(graph, table, coloring))
 
     rng = np.random.default_rng(1)
     start = time.perf_counter()
-    for _ in range(SAMPLES):
-        motivo_urn.sample(rng)
+    motivo_urn.sample_batch(SAMPLES, rng)
     motivo_rate = SAMPLES / (time.perf_counter() - start)
 
     rng = np.random.default_rng(2)
@@ -129,6 +128,6 @@ def test_table_sampling_speed(benchmark):
     graph = load_dataset("facebook")
     coloring = ColoringScheme.uniform(graph.num_vertices, 5, rng=31)
     table = build_table(graph, coloring)
-    urn = TreeletUrn(graph, table, coloring, buffer_threshold=100)
+    urn = TreeletUrn(graph, table, coloring)
     rng = np.random.default_rng(3)
-    benchmark(lambda: urn.sample(rng))
+    benchmark(lambda: urn.sample_batch(SAMPLES, rng))

@@ -15,7 +15,6 @@ budget, verifying (a) p shrinks polynomially with the clique size and
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
@@ -53,12 +52,10 @@ def _measure(clique_size: int):
     r_path = urn.shape_total(shape)
     exact_p = colorful.get(path_bits, 0) * sigma / r_path
 
-    rng = np.random.default_rng(17)
-    hits = 0
-    for _ in range(BUDGET):
-        vertices, _, _ = urn.sample_shape(shape, rng)
-        if classifier.classify(vertices) == path_bits:
-            hits += 1
+    vertices, _, _ = urn.sample_shape_batch(
+        shape, BUDGET, np.random.default_rng(17)
+    )
+    hits = int((classifier.classify_batch(vertices) == path_bits).sum())
     return exact_p, hits
 
 
@@ -107,4 +104,4 @@ def test_theorem5_lollipop(benchmark):
     urn = TreeletUrn(graph, table, coloring)
     shape = _path_shape()
     rng = np.random.default_rng(19)
-    benchmark(lambda: urn.sample_shape(shape, rng))
+    benchmark(lambda: urn.sample_shape_batch(shape, BUDGET, rng))

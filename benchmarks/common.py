@@ -92,7 +92,6 @@ def pipeline(
     seed: int = 1,
     zero_rooting: bool = True,
     biased_lambda: Optional[float] = None,
-    buffer_threshold: int = 10_000,
 ) -> MotivoCounter:
     """A built MotivoCounter, cached across benchmark tests."""
     graph = load_dataset(dataset)
@@ -103,7 +102,6 @@ def pipeline(
             seed=seed,
             zero_rooting=zero_rooting,
             biased_lambda=biased_lambda,
-            buffer_threshold=buffer_threshold,
         ),
     )
     counter.build()

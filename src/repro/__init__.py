@@ -5,9 +5,11 @@ color coding: a build-up phase computes, for every vertex, succinct counts
 of colorful rooted treelets; a sampling phase draws uniform treelet copies
 from that "urn" and converts hit rates into count estimates.  The paper's
 contributions — succinct treelet encodings, the compact count table with
-greedy flushing, 0-rooting, neighbor buffering, biased coloring, and the
-adaptive graphlet sampling (AGS) strategy — are all implemented here in
-pure Python/NumPy.
+greedy flushing, 0-rooting, biased coloring, and the adaptive graphlet
+sampling (AGS) strategy — are all implemented here in pure Python/NumPy.
+Neighbor buffering's aim, child draws that do not sweep a hub's
+neighbors each time, is met by the batched sampler, which builds each
+neighbor running sum once and bisects it per draw.
 
 Public entry points
 -------------------

@@ -8,7 +8,7 @@ cache root reuses the same artifact instead of rebuilding.
 The key hashes exactly the inputs that determine the table's bytes —
 graph fingerprint, ``k``, master seed, zero-rooting, biased-coloring λ —
 plus the storage codec.  Parameters that *don't* change the table
-(in-memory table layout, batch size, buffer tuning) are deliberately
+(in-memory table layout, batch size, descent-cache budget) are deliberately
 excluded: the dense/succinct layouts hold the same counts, so a table
 built under one configuration serves requests for any other.  Builds
 with ``seed=None`` are not content-addressable (two such builds differ)

@@ -746,7 +746,12 @@ def open_table(
     if codec not in CODECS:
         raise ArtifactError(f"manifest names unknown codec {codec!r}")
     if layout is None:
-        recorded = manifest.get("build", {}).get("table_layout")
+        # The build section is validated by its reader
+        # (repro.motivo.read_build_params); here it only hints a layout.
+        build = manifest.get("build")
+        recorded = (
+            build.get("table_layout") if isinstance(build, dict) else None
+        )
         if recorded in LAYOUTS:
             layout = recorded
         else:

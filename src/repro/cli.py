@@ -135,6 +135,19 @@ def _parse_bytes(text: str) -> int:
     return value
 
 
+def _batch_size(text: str) -> int:
+    """Parse ``--batch-size``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -181,9 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the coloring ensemble (default serial)",
     )
     count.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        help="samples per vectorized sampling chunk; <=1 disables "
-             f"batching (default {DEFAULT_BATCH_SIZE})",
+        "--batch-size", type=_batch_size, default=DEFAULT_BATCH_SIZE,
+        help="samples per vectorized sampling chunk, at least 1; naive "
+             "estimates do not depend on it, AGS checks coverage once "
+             f"per chunk (default {DEFAULT_BATCH_SIZE})",
     )
     count.add_argument(
         "--table-layout", choices=["dense", "succinct"], default="dense",
@@ -343,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes when sampling an ensemble artifact",
     )
     sample.add_argument(
-        "--batch-size", type=int, default=None,
-        help="samples per vectorized sampling chunk; <=1 disables "
-             "batching (default: the value recorded at build time, "
-             f"which keeps sample bit-identical to count; else "
-             f"{DEFAULT_BATCH_SIZE})",
+        "--batch-size", type=_batch_size, default=None,
+        help="samples per vectorized sampling chunk, at least 1 "
+             "(default: the value recorded at build time, which keeps "
+             "AGS bit-identical to count; naive estimates do not depend "
+             "on it)",
     )
     sample.add_argument(
         "--table-layout", choices=["dense", "succinct"], default=None,
@@ -752,7 +766,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
         counter.configure_telemetry(_telemetry_config(args))
         # from_artifact restored the recorded batch_size; only an
-        # explicit flag overrides it (chunking changes the draw stream).
+        # explicit flag overrides it (AGS checks coverage per chunk).
         if args.batch_size is not None:
             counter.config.batch_size = args.batch_size
         if mode == "ags":

@@ -22,11 +22,11 @@
     exact-integer) the reference implementation for tests.
 ``urn``
     The sampling-phase interface over the finished table: uniform colorful
-    treelet samples (``sample()`` / ``sample_batch(n)``) and per-shape
-    samples (``sample_shape`` / ``sample_shape_batch``, the AGS
-    primitive), with alias-method root selection, neighbor buffering on
-    the scalar path, and a vectorized plan-replay descent on the batched
-    path.
+    treelet samples (``sample_batch(n)``) and per-shape samples
+    (``sample_shape_batch``, the AGS primitive), with alias-method root
+    selection and a vectorized plan-replay descent; ``method="loop"``
+    replays the per-sample recursion over the same uniforms as the
+    descent's oracle.
 ``descent``
     The sampling engine's compiler: decomposition trees flattened into
     descent plans that the batched path replays over whole sample

@@ -3,21 +3,21 @@
 The build-up phase leaves an abstract "urn" of colorful k-treelet copies.
 This module draws from it:
 
-``sample()``
-    A colorful k-treelet copy uniformly at random: pick the root ``v`` with
-    probability ∝ occ(v) (alias method, §3.3), pick ``(T, C)`` from ``v``'s
-    record (binary search on cumulative counts), then materialize a copy by
-    recursive decomposition (§2.2).
-``sample_shape(T)``
-    The AGS primitive: a uniform copy of one *free* treelet shape ``T``.
+``sample_batch(n)``
+    ``n`` colorful k-treelet copies uniformly at random: each root ``v``
+    is picked with probability ∝ occ(v) (alias method, §3.3), ``(T, C)``
+    from ``v``'s record (binary search on cumulative counts), and a copy
+    is materialized by recursive decomposition (§2.2).
+``sample_shape_batch(T, n)``
+    The AGS primitive: uniform copies of one *free* treelet shape ``T``.
     Root selection uses a per-shape alias table — the rebuild cost the
     paper notes when AGS switches shapes.  Each urn builds it once per
     shape, on the shape's first draw, and keeps it; an update successor
     (:meth:`TreeletUrn.successor`) starts without any and builds its own.
-``sample_batch(n)`` / ``sample_shape_batch(T, n)``
-    The same two draws, vectorized across ``n`` samples: one
-    ``searchsorted`` sweep per decision level instead of a Python
-    recursion per sample.  See *Batched sampling* below.
+
+Both draws run vectorized across the batch — one ``searchsorted`` sweep
+per decision level instead of a Python recursion per sample.  See
+*Batched sampling* below.
 
 Batched sampling.  The copy-materialization recursion has a shape that is
 fully determined by the rooted treelet ``T`` (only the chosen color masks
@@ -31,7 +31,7 @@ with ``w = 3 + 2(k-1)`` —
 slot  meaning
 ====  =================================================================
 0, 1  alias-table column and coin for the root draw
-2     key draw (``sample(v)``) or rooted-variant pick (shape sampling)
+2     key draw (the paper's ``sample(v)``) or rooted-variant pick
 3+2r  color-split choice of the internal node with pre-order rank ``r``
 4+2r  child-endpoint choice of that node
 ====  =================================================================
@@ -47,7 +47,7 @@ assert.  The binding magnitude for that guarantee is the *gathered*
 running sum: the batched path accumulates one cumsum over all adjacency
 lists per ``(T'', C'')`` key, i.e. ``Σ_u deg(u)·c(T''_{C''}, u)`` — a
 degree-weighted total up to Δ times larger than any per-vertex neighbor
-sum the scalar path ever forms.  While that stays below 2^53 the two
+sum the loop path ever forms.  While that stays below 2^53 the two
 paths cannot diverge; beyond it both keep working but may round
 differently.  No surrogate workload comes near the bound.
 
@@ -84,9 +84,12 @@ index instead of direct indexing.
 
 Neighbor buffering (§3.2): materializing a copy repeatedly draws a child
 endpoint ``u ~ v`` with probability ∝ c(T''_{C''}, u), which costs a Θ(d_v)
-sweep.  For vertices with ``d_v`` above a threshold the urn draws 100
-children per sweep and caches the spares, increasing sampling rates by
-10-40× on hub-dominated graphs (Figure 5).
+sweep.  The paper draws 100 children per sweep for hub vertices and
+caches the spares (10-40× on hub-dominated graphs, Figure 5).  The
+gathered-cumulative store amortizes the sweep for every vertex instead:
+each key's running sums are built once, and every later child draw is a
+bisection over ``v``'s segment (``bench_fig5_buffering.py`` compares it
+with the unbuffered ``method="loop"`` sweep).
 """
 
 from __future__ import annotations
@@ -108,10 +111,7 @@ from repro.util.bitops import iter_subsets_of_size
 from repro.util.instrument import Instrumentation
 from repro.util.rng import RngLike, ensure_rng
 
-__all__ = ["TreeletUrn", "TreeletCopy", "BatchSamples"]
-
-#: A materialized treelet occurrence: vertices in DFS order of the shape.
-TreeletCopy = Tuple[int, ...]
+__all__ = ["TreeletUrn", "BatchSamples"]
 
 #: Batched draw result: ``(vertices (n, k), treelets (n,), masks (n,))``.
 BatchSamples = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -159,13 +159,6 @@ class TreeletUrn:
         The host graph, its build-up output, and the coloring used.
     registry:
         Treelet registry for ``k``.
-    buffer_threshold:
-        Degree above which neighbor buffering kicks in (paper: 10^4; the
-        surrogate graphs are smaller, so benchmarks lower it).  Scalar
-        ``sample()`` path only — the batched path amortizes sweeps via
-        its gathered-cumulative cache instead.
-    buffer_size:
-        How many children to draw per sweep when buffering (paper: 100).
     program:
         A pre-compiled :class:`DescentProgram` for this table (from a
         plan-carrying artifact).  ``None`` compiles lazily on the first
@@ -182,8 +175,6 @@ class TreeletUrn:
         table: CountTable,
         coloring: ColoringScheme,
         registry: Optional[TreeletRegistry] = None,
-        buffer_threshold: int = 10_000,
-        buffer_size: int = 100,
         instrumentation: Optional[Instrumentation] = None,
         program: Optional[DescentProgram] = None,
         descent_cache_bytes: Optional[int] = None,
@@ -193,8 +184,6 @@ class TreeletUrn:
         self.coloring = coloring
         self.k = table.k
         self.registry = registry or TreeletRegistry(self.k)
-        self.buffer_threshold = buffer_threshold
-        self.buffer_size = buffer_size
         self.instrumentation = instrumentation or Instrumentation()
 
         weights = table.root_weights()
@@ -213,9 +202,6 @@ class TreeletUrn:
         self._shape_weights: Dict[int, np.ndarray] = {}
         self._shape_alias: Dict[int, AliasSampler] = {}
         self._shape_totals: Dict[int, float] = {}
-
-        # Neighbor buffers: (v, treelet, mask) -> list of pre-drawn children.
-        self._buffers: Dict[Tuple[int, int, int], List[int]] = {}
 
         # Batched-path state: the compiled descent program (plans, split
         # groups and gathered keys fused into flat arrays; handed in
@@ -254,7 +240,7 @@ class TreeletUrn:
         The incremental maintainer's sampling-side step: after an
         edge-update batch the table's counts (and the graph's adjacency)
         have moved, so every weight-derived structure — root alias,
-        totals, shape aliases, neighbor buffers — is built afresh by the
+        totals, shape aliases — is built afresh by the
         constructor, and draws from the successor are bit-identical to a
         from-scratch urn's.  The compiled descent program carries over
         whenever it still validates against the new table (key sets
@@ -279,8 +265,6 @@ class TreeletUrn:
             table,
             self.coloring,
             registry=self.registry,
-            buffer_threshold=self.buffer_threshold,
-            buffer_size=self.buffer_size,
             instrumentation=self.instrumentation,
             program=program,
             descent_cache_bytes=self.descent_cache_bytes,
@@ -426,57 +410,6 @@ class TreeletUrn:
         return alias
 
     # ------------------------------------------------------------------
-    # Scalar sampling primitives
-    # ------------------------------------------------------------------
-
-    def sample(self, rng: RngLike = None) -> Tuple[TreeletCopy, int, int]:
-        """Draw one colorful k-treelet copy uniformly at random.
-
-        Returns ``(vertices, rooted_treelet, color_mask)``.
-        """
-        rng = ensure_rng(rng)
-        root = self._root_alias.sample(rng)
-        treelet, mask = self.table.sample_key(root, rng)
-        vertices = self._sample_copy(treelet, mask, root, rng)
-        return tuple(vertices), treelet, mask
-
-    def sample_shape(self, shape: int, rng: RngLike = None) -> Tuple[TreeletCopy, int, int]:
-        """AGS's ``sample(T)``: a uniform copy of one free k-treelet shape."""
-        rng = ensure_rng(rng)
-        alias = self._shape_alias_for(shape)
-        root = alias.sample(rng)
-        treelet = self._pick_rooted_variant(shape, root, rng)
-        vertices = self._sample_copy(treelet, self._full_mask, root, rng)
-        return tuple(vertices), treelet, self._full_mask
-
-    def _pick_rooted_variant(self, shape: int, root: int, rng) -> int:
-        variants = self.registry.rooted_variants(shape)
-        if len(variants) == 1:
-            return variants[0]
-        return self._pick_rooted_variant_at(shape, root, rng.random())
-
-    def _pick_rooted_variant_at(self, shape: int, root: int, u: float) -> int:
-        """Variant pick driven by a caller-supplied uniform in ``[0, 1)``."""
-        variants = self.registry.rooted_variants(shape)
-        if len(variants) == 1:
-            return variants[0]
-        layer = self.table.layer(self.k)
-        weights = []
-        for rooted in variants:
-            row = layer.row_of(rooted, self._full_mask)
-            weights.append(0.0 if row is None else layer.value_at(row, root))
-        total = sum(weights)
-        if total <= 0:
-            raise SamplingError(f"vertex {root} roots no copies of shape {shape}")
-        r = u * total
-        running = 0.0
-        for rooted, weight in zip(variants, weights):
-            running += weight
-            if r <= running:
-                return rooted
-        return variants[-1]
-
-    # ------------------------------------------------------------------
     # Batched sampling
     # ------------------------------------------------------------------
 
@@ -501,17 +434,18 @@ class TreeletUrn:
         """Draw ``n`` uniform colorful k-treelet copies at once.
 
         Returns ``(vertices, treelets, masks)``: an ``(n, k)`` int64
-        matrix of copies (each row in the same DFS order :meth:`sample`
-        produces), the rooted treelet and the color mask per sample.
+        matrix of copies (each row in the DFS order of its rooted
+        treelet), the rooted treelet and the color mask per sample.
 
         ``method="batched"`` (default) runs the vectorized descent;
         ``method="loop"`` runs the per-sample recursion over the same
-        uniform matrix — the reference path the benchmarks time against.
-        For a fixed seed the two return bit-identical arrays (see the
-        module docstring for why).  Note the batch consumes the generator
-        differently from ``n`` scalar :meth:`sample` calls: one
-        ``rng.random((n, 3 + 2(k-1)))`` block, so results are reproducible
-        per ``(seed, n)``, not interchangeable with the scalar stream.
+        uniform matrix — the descent's oracle, and the reference path
+        the benchmarks time against.  For a fixed seed the two return
+        bit-identical arrays (see the module docstring for why).  The
+        batch consumes the generator as one ``rng.random((n, 3 +
+        2(k-1)))`` block, filled row after row, so ``n`` draws split
+        over several calls read the same stream and return the same
+        rows as one call.
 
         ``uniforms`` supplies that block pre-drawn (shape ``(n,
         draw_width)``); ``rng`` is then untouched.  Every decision in the
@@ -585,9 +519,7 @@ class TreeletUrn:
             row = uniforms[i]
             root = int(self._root_alias.pick_from_uniforms(row[0], row[1]))
             treelet, mask = self.table.sample_key_at(root, float(row[2]))
-            copy = self._sample_copy(
-                treelet, mask, root, _UniformRow(row, 3), use_buffers=False
-            )
+            copy = self._sample_copy(treelet, mask, root, _UniformRow(row, 3))
             vertices[i] = copy
             treelets[i] = treelet
             masks[i] = mask
@@ -604,13 +536,35 @@ class TreeletUrn:
             root = int(alias.pick_from_uniforms(row[0], row[1]))
             treelet = self._pick_rooted_variant_at(shape, root, float(row[2]))
             copy = self._sample_copy(
-                treelet, self._full_mask, root, _UniformRow(row, 3),
-                use_buffers=False,
+                treelet, self._full_mask, root, _UniformRow(row, 3)
             )
             vertices[i] = copy
             treelets[i] = treelet
         masks = np.full(n, self._full_mask, dtype=np.int64)
         return vertices, treelets, masks
+
+    def _pick_rooted_variant_at(self, shape: int, root: int, u: float) -> int:
+        """The rooted variant of ``shape`` at ``root``, picked with
+        probability ∝ its count there by a uniform ``u`` in ``[0, 1)``
+        (the loop path's slot-2 decision)."""
+        variants = self.registry.rooted_variants(shape)
+        if len(variants) == 1:
+            return variants[0]
+        layer = self.table.layer(self.k)
+        weights = []
+        for rooted in variants:
+            row = layer.row_of(rooted, self._full_mask)
+            weights.append(0.0 if row is None else layer.value_at(row, root))
+        total = sum(weights)
+        if total <= 0:
+            raise SamplingError(f"vertex {root} roots no copies of shape {shape}")
+        r = u * total
+        running = 0.0
+        for rooted, weight in zip(variants, weights):
+            running += weight
+            if r <= running:
+                return rooted
+        return variants[-1]
 
     # -- vectorized path -------------------------------------------------
 
@@ -737,7 +691,7 @@ class TreeletUrn:
 
         For any vertex ``v`` the slice ``[indptr[v]+1 : indptr[v+1]+1]``
         minus the entry at ``indptr[v]`` is exactly the per-neighbor
-        running sum the scalar path computes with
+        running sum the loop path computes with
         ``cumsum(counts[neighbors])``, and the difference of the slice
         endpoints is the neighbor total.
 
@@ -1037,7 +991,7 @@ class TreeletUrn:
 
         For each live lane the per-candidate gathered values are
         recomputed directly from the *current* graph and table — the
-        same ``cumsum(counts[neighbors])`` the scalar path evaluates —
+        same ``cumsum(counts[neighbors])`` the loop path evaluates —
         so decisions on these lanes match a freshly built urn exactly.
         Returns ``(lcum, neighbors, degrees)``: an ``(Lmax, live, dmax)``
         int64 running-sum tensor (padded lanes repeat the final total,
@@ -1085,7 +1039,7 @@ class TreeletUrn:
     # ------------------------------------------------------------------
 
     def _sample_copy(
-        self, treelet: int, mask: int, v: int, draws, use_buffers: bool = True
+        self, treelet: int, mask: int, v: int, draws
     ) -> List[int]:
         """Materialize one uniform copy of ``T_C`` rooted at ``v``.
 
@@ -1094,10 +1048,10 @@ class TreeletUrn:
         then recurse on both parts.  Disjoint colors guarantee the parts
         are vertex-disjoint, so the union is a valid copy.
 
-        ``draws`` is anything with a ``random()`` method — a NumPy
-        generator on the scalar path, a :class:`_UniformRow` on the
-        batch-reference path (which also disables neighbor buffering,
-        since buffered draws consume variates out of discipline).
+        ``draws`` is anything with a ``random()`` method — a
+        :class:`_UniformRow` on the ``method="loop"`` path.  Each child
+        endpoint costs one Θ(d_v) sweep over ``v``'s neighbors, counted as
+        ``neighbor_sweeps``.
         """
         if treelet == 0:  # SINGLETON
             return [v]
@@ -1143,47 +1097,11 @@ class TreeletUrn:
                 break
         sub_mask, prime_mask, neighbor_counts, neighbor_total = chosen
 
-        u = self._draw_child(
-            v, t_second, sub_mask, neighbors, neighbor_counts,
-            neighbor_total, draws, use_buffers,
-        )
-        left = self._sample_copy(t_prime, prime_mask, v, draws, use_buffers)
-        right = self._sample_copy(t_second, sub_mask, u, draws, use_buffers)
-        return left + right
-
-    def _draw_child(
-        self,
-        v: int,
-        t_second: int,
-        sub_mask: int,
-        neighbors: np.ndarray,
-        neighbor_counts: np.ndarray,
-        neighbor_total: float,
-        draws,
-        use_buffers: bool = True,
-    ) -> int:
-        """Draw ``u ~ v`` with probability ∝ c(T''_{C''}, u).
-
-        Applies neighbor buffering (§3.2) for high-degree vertices: drawing
-        ``buffer_size`` children costs the same single sweep as drawing
-        one, so subsequent requests are served from the cache.  Buffering
-        requires a real generator (``choice``), so the batch-reference
-        path turns it off.
-        """
-        if use_buffers and neighbors.size >= self.buffer_threshold:
-            key = (v, t_second, sub_mask)
-            buffer = self._buffers.get(key)
-            if buffer:
-                return buffer.pop()
-            self.instrumentation.count("neighbor_sweeps")
-            probabilities = neighbor_counts / neighbor_total
-            drawn = draws.choice(neighbors, size=self.buffer_size, p=probabilities)
-            buffer = [int(u) for u in drawn]
-            self._buffers[key] = buffer
-            return buffer.pop()
         self.instrumentation.count("neighbor_sweeps")
         r = draws.random() * neighbor_total
-        running = np.cumsum(neighbor_counts)
-        position = int(np.searchsorted(running, r, side="right"))
-        position = min(position, neighbors.size - 1)
-        return int(neighbors[position])
+        neighbor_running = np.cumsum(neighbor_counts)
+        position = int(np.searchsorted(neighbor_running, r, side="right"))
+        u = int(neighbors[min(position, neighbors.size - 1)])
+        left = self._sample_copy(t_prime, prime_mask, v, draws)
+        right = self._sample_copy(t_second, sub_mask, u, draws)
+        return left + right

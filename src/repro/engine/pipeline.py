@@ -203,7 +203,7 @@ def _execute_run(
 
     if spec.load_dir is not None:
         # The member artifact's manifest is authoritative: it records the
-        # full build config (child seed, buffers, batch size) alongside
+        # full build config (child seed, batch size) alongside
         # the post-build RNG state, which is what makes artifact-backed
         # sampling bit-identical to the live ensemble.  An explicit
         # table_layout overrides only the in-memory representation —
@@ -321,8 +321,9 @@ class PipelineEngine:
         member's build/sampling parameters then come from the bundle's
         manifests, making the result bit-identical to the live ensemble
         that built it.  ``batch_size`` explicitly overrides the sampling
-        chunk size per member (chunking changes the draw stream, so the
-        bit-identity guarantee only holds without an override);
+        chunk size per member (naive estimates do not depend on it; AGS
+        checks coverage once per chunk, so its bit-identity guarantee
+        only holds without an override);
         ``table_layout`` overrides each reopened member's in-memory
         layout (representation only — estimates are identical, so this
         never threatens the guarantee).

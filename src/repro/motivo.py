@@ -56,6 +56,7 @@ from repro.sampling.ags import AGSResult, ags_estimate
 from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import DEFAULT_BATCH_SIZE, naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
+from repro.table.count_table import LAYOUTS
 from repro.table.layer_store import ShardedStore
 from repro.telemetry import TelemetryConfig, build_tracer
 from repro.telemetry.tracing import activate
@@ -67,16 +68,17 @@ if TYPE_CHECKING:
     from repro.artifacts.table_artifact import TableArtifact
     from repro.table.count_table import CountTable
 
-__all__ = ["MotivoConfig", "MotivoCounter"]
+__all__ = ["MotivoConfig", "MotivoCounter", "read_build_params"]
 
 #: Everything :func:`repro.graph.graph.normalize_updates` accepts:
 #: a normalized ``(N, 3)`` int array or ``(op, u, v)`` triples.
 UpdateBatch = Union[np.ndarray, Iterable[Tuple[object, int, int]]]
 
 #: MotivoConfig fields recorded in (and restored from) artifact manifests.
+#: Fields older manifests record beyond these (``kernel``,
+#: ``buffer_threshold``, ``buffer_size``) are ignored on reopen.
 _BUILD_FIELDS = (
-    "k", "seed", "zero_rooting", "biased_lambda",
-    "buffer_threshold", "buffer_size", "batch_size",
+    "k", "seed", "zero_rooting", "biased_lambda", "batch_size",
     "table_layout", "descent_cache_bytes",
 )
 
@@ -97,14 +99,13 @@ class MotivoConfig:
     biased_lambda:
         When set, use the §3.4 biased coloring with this λ instead of the
         uniform coloring.
-    buffer_threshold / buffer_size:
-        Neighbor-buffering parameters (§3.2; paper: 10^4 and 100).
     sigma_cache_dir:
         When set, σ_ij tables are cached on disk (§3.3).
     batch_size:
         Samples per vectorized sampling chunk (naive chunks, AGS adaptive
-        chunk cap).  ``<= 1`` falls back to the original per-sample draw
-        loop; the two regimes consume the generator differently, so
+        chunk cap); at least 1, or sampling raises
+        :class:`~repro.errors.SamplingError`.  Naive estimates do not
+        depend on it; AGS checks coverage once per chunk, so its
         estimates are reproducible per ``(seed, batch_size)``.
     table_layout:
         In-memory count-table layout: ``"dense"`` (the build-up's
@@ -185,8 +186,6 @@ class MotivoConfig:
     seed: Optional[int] = None
     zero_rooting: bool = True
     biased_lambda: Optional[float] = None
-    buffer_threshold: int = 10_000
-    buffer_size: int = 100
     sigma_cache_dir: Optional[str] = None
     batch_size: int = DEFAULT_BATCH_SIZE
     table_layout: str = "dense"
@@ -204,6 +203,51 @@ class MotivoConfig:
     def build_params(self) -> dict:
         """The table-relevant fields, as recorded in artifact manifests."""
         return {name: getattr(self, name) for name in _BUILD_FIELDS}
+
+
+def read_build_params(build: object, k: int) -> MotivoConfig:
+    """The config a manifest's ``build`` section records, validated.
+
+    The one reader of that section for every surface that reopens an
+    artifact (:meth:`MotivoCounter.from_artifact` and the serving
+    layer), so both sample under the same parameters.  ``k`` is the
+    manifest's top-level size, which is authoritative.  Fields missing
+    from ``build`` take the :class:`MotivoConfig` defaults, and fields
+    it no longer knows are ignored.  A recorded ``batch_size <= 1``
+    (it once selected a per-sample draw loop) opens as 1, chunks of
+    one.  Raises :class:`~repro.errors.ArtifactError` when ``build`` is
+    not an object, ``batch_size`` or ``descent_cache_bytes`` is not an
+    integer, ``seed`` is neither null nor a non-negative integer, or
+    ``table_layout`` names no layout.
+    """
+    if not isinstance(build, dict):
+        raise ArtifactError(
+            "manifest build section must be an object, got "
+            f"{type(build).__name__}"
+        )
+    known = {name: build[name] for name in _BUILD_FIELDS if name in build}
+    for name in ("batch_size", "descent_cache_bytes"):
+        value = known.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ArtifactError(
+                f"manifest build.{name} must be an integer, got {value!r}"
+            )
+    seed = known.get("seed")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+    ):
+        raise ArtifactError(
+            f"manifest build.seed must be a non-negative integer, got {seed!r}"
+        )
+    if known.get("table_layout", "dense") not in LAYOUTS:
+        raise ArtifactError(
+            f"manifest build.table_layout must be one of {LAYOUTS}, got "
+            f"{known['table_layout']!r}"
+        )
+    if "batch_size" in known:
+        known["batch_size"] = max(known["batch_size"], 1)
+    known["k"] = k
+    return MotivoConfig(**known)
 
 
 class MotivoCounter:
@@ -409,8 +453,6 @@ class MotivoCounter:
                 table,
                 self.coloring,
                 registry=self.registry,
-                buffer_threshold=config.buffer_threshold,
-                buffer_size=config.buffer_size,
                 instrumentation=self.instrumentation,
                 program=program,
                 descent_cache_bytes=config.descent_cache_bytes,
@@ -685,30 +727,24 @@ class MotivoCounter:
         artifact = open_table(
             directory, graph, mmap=mmap, verify=verify, layout=table_layout
         )
-        stored = artifact.build
+        recorded = read_build_params(
+            artifact.manifest.get("build", {}), artifact.k
+        )
         if config is None:
-            known = {
-                name: stored[name] for name in _BUILD_FIELDS if name in stored
-            }
-            # The manifest's top-level k is authoritative: artifacts saved
-            # without build params (e.g. by a direct save_table call)
-            # must not fall back to the MotivoConfig default.
-            known["k"] = artifact.k
-            config = MotivoConfig(**known)
+            config = recorded
         else:
             if config.k != artifact.k:
                 raise ArtifactError(
                     f"artifact holds a k={artifact.k} table, config wants "
                     f"k={config.k}"
                 )
-            stored_seed = stored.get("seed")
             if (
                 config.seed is not None
-                and stored_seed is not None
-                and config.seed != stored_seed
+                and recorded.seed is not None
+                and config.seed != recorded.seed
             ):
                 raise ArtifactError(
-                    f"artifact was built under seed {stored_seed}, config "
+                    f"artifact was built under seed {recorded.seed}, config "
                     f"wants {config.seed}"
                 )
         counter = cls(graph, config)

@@ -1,7 +1,8 @@
 """AGS — adaptive graphlet sampling (paper §4).
 
-The urn supports ``sample(T)`` for every free k-treelet shape ``T``.  AGS
-exploits it to "delete" already-covered graphlets: once a graphlet ``H_i``
+The urn supports the paper's ``sample(T)`` for every free k-treelet
+shape ``T`` (:meth:`~repro.colorcoding.urn.TreeletUrn.sample_shape_batch`).
+AGS exploits it to "delete" already-covered graphlets: once a graphlet ``H_i``
 has appeared in ``c̄`` samples, the algorithm switches to the treelet shape
 ``T_{j*}`` minimizing the probability that the next sample spans a covered
 graphlet,
@@ -22,9 +23,9 @@ time get their tables from one batched build-up run
 (:func:`~repro.graphlets.spanning.spanning_tree_shape_counts_batch`,
 traced as ``ags.sigma``).
 
-Chunked draws.  With the batched sampling engine, draws run in *adaptive
-chunks* between set-cover checks: a chunk of up to ``batch_size`` copies
-of the current shape is drawn with one
+Chunked draws.  Draws run in *adaptive chunks* between set-cover
+checks: a chunk of up to ``batch_size`` copies of the current shape is
+drawn with one
 :meth:`~repro.colorcoding.urn.TreeletUrn.sample_shape_batch` call, hits
 are tallied, and only then is coverage re-evaluated (one shape switch per
 chunk at most).  Chunks start small and double while no graphlet gets
@@ -34,9 +35,10 @@ full batch width.  Every sample is attributed to the shape it was
 actually drawn with, so the importance weights ``w_i`` (and hence the
 estimator) remain exact under chunking; the only deviation from the
 paper's pseudocode is that a switch can lag the covering sample by at
-most one chunk.  ``batch_size <= 1`` reproduces the original per-sample
-loop draw for draw.  (The estimator math is derived in
-``docs/estimators.md``.)
+most one chunk; ``batch_size=1`` checks coverage after every sample, as
+the pseudocode does.  The chunk cadence decides when switches happen,
+so runs are deterministic per ``(seed, batch_size)``.  (The estimator
+math is derived in ``docs/estimators.md``.)
 
 This yields multiplicative (1±ε) guarantees for *all* graphlets at once
 (Theorem 4) at O(k²) times the clairvoyant-optimal sample count
@@ -105,7 +107,7 @@ def ags_estimate(
     Parameters
     ----------
     urn, classifier:
-        Sampling engine (must support ``sample_shape``) and classifier.
+        Sampling engine and classifier.
     budget:
         Total number of ``sample(T)`` calls.  The paper's pseudocode stops
         when *every* graphlet is covered; real graphs contain graphlets
@@ -117,20 +119,23 @@ def ags_estimate(
     sigma_cache:
         Optional disk-backed σ_ij cache shared across runs.
     batch_size:
-        Upper bound on the adaptive chunk size (see the module docstring);
-        ``<= 1`` keeps the original per-sample loop.  Runs are
-        deterministic per ``(seed, batch_size)``.
+        Upper bound on the adaptive chunk size, at least 1 (see the
+        module docstring).  Runs are deterministic per ``(seed,
+        batch_size)``.
     draw_shape:
         Optional chunk-draw hook replacing ``urn.sample_shape_batch(
         shape, size, rng)`` — the serving layer routes chunks through
         its request coalescer here.  A hook that consumes the generator
         exactly like ``sample_shape_batch`` keeps the run bit-identical.
-        Batched path only (ignored when ``batch_size <= 1``).
     """
     if budget < 1:
         raise SamplingError("need a positive sampling budget")
     if cover_threshold < 1:
         raise SamplingError("cover threshold must be positive")
+    if batch_size < 1:
+        raise SamplingError(
+            f"batch_size must be at least 1, got {batch_size}"
+        )
     rng = ensure_rng(rng)
     registry = urn.registry
     k = urn.k
@@ -181,21 +186,15 @@ def ags_estimate(
     drawn = 0
     chunk = _MIN_CHUNK
     while drawn < budget:
-        if batch_size <= 1:
-            usage[current] += 1
-            vertices, _treelet, _mask = urn.sample_shape(current, rng)
-            codes = [classifier.classify(vertices)]
-            drawn += 1
-        else:
-            size = min(chunk, batch_size, budget - drawn)
-            usage[current] += size
-            matrix, _treelets, _masks = (
-                urn.sample_shape_batch(current, size, rng)
-                if draw_shape is None
-                else draw_shape(current, size, rng)
-            )
-            codes = classifier.classify_batch(matrix).tolist()
-            drawn += size
+        size = min(chunk, batch_size, budget - drawn)
+        usage[current] += size
+        matrix, _treelets, _masks = (
+            urn.sample_shape_batch(current, size, rng)
+            if draw_shape is None
+            else draw_shape(current, size, rng)
+        )
+        codes = classifier.classify_batch(matrix).tolist()
+        drawn += size
         unseen = sorted({bits for bits in codes if bits not in sigma_tables})
         if unseen:
             with _trace_span("ags.sigma", graphlets=len(unseen)):

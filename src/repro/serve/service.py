@@ -94,7 +94,8 @@ from repro.sampling.ags import ags_estimate
 from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
-from repro.colorcoding.urn import DEFAULT_DESCENT_CACHE_BYTES, TreeletUrn
+from repro.colorcoding.urn import TreeletUrn
+from repro.motivo import read_build_params
 from repro.table.count_table import CountTable
 from repro.telemetry import (
     MetricsRegistry,
@@ -461,47 +462,26 @@ class TableHandle:
         rng,
         cover_threshold: int,
     ) -> Tuple[GraphletEstimates, Dict[str, object]]:
-        """One request's estimate against this handle.
-
-        Draws route through the coalescer; a recorded ``batch_size <=
-        1`` (the scalar reference path, which mutates the urn's
-        neighbor buffers) falls back to running the whole estimate
-        under the draw lock instead.
-        """
+        """One request's estimate against this handle; every draw routes
+        through the coalescer."""
         if estimator == "naive":
             if self.urn is None:
                 return self._empty(samples, "naive"), {}
-            if self.batch_size <= 1:
-                with self._draw_lock:
-                    estimates = naive_estimate(
-                        self.urn, self.classifier, samples, rng,
-                        batch_size=self.batch_size,
-                    )
-            else:
-                estimates = naive_estimate(
-                    self.urn, self.classifier, samples, rng,
-                    batch_size=self.batch_size, draw=self.draw,
-                )
+            estimates = naive_estimate(
+                self.urn, self.classifier, samples, rng,
+                batch_size=self.batch_size, draw=self.draw,
+            )
             return estimates, {}
         if estimator == "ags":
             if self.urn is None:
                 return self._empty(samples, "ags"), {}
-            if self.batch_size <= 1:
-                with self._draw_lock:
-                    result = ags_estimate(
-                        self.urn, self.classifier, samples,
-                        cover_threshold=cover_threshold, rng=rng,
-                        sigma_cache=self.sigma_cache,
-                        batch_size=self.batch_size,
-                    )
-            else:
-                result = ags_estimate(
-                    self.urn, self.classifier, samples,
-                    cover_threshold=cover_threshold, rng=rng,
-                    sigma_cache=self.sigma_cache,
-                    batch_size=self.batch_size,
-                    draw_shape=self.draw_shape,
-                )
+            result = ags_estimate(
+                self.urn, self.classifier, samples,
+                cover_threshold=cover_threshold, rng=rng,
+                sigma_cache=self.sigma_cache,
+                batch_size=self.batch_size,
+                draw_shape=self.draw_shape,
+            )
             extras = {
                 "covered": len(result.covered),
                 "switches": result.switches,
@@ -705,19 +685,14 @@ class SamplingService:
             ) from None
         graph = self._resolve_graph(manifest)
         artifact = open_table(directory, graph)
-        build = artifact.build
         k = artifact.k
-        batch_size = int(build.get("batch_size", 0) or 0)
-        if batch_size == 0:
-            from repro.sampling.naive import DEFAULT_BATCH_SIZE
-
-            batch_size = DEFAULT_BATCH_SIZE
+        recorded = read_build_params(artifact.manifest.get("build", {}), k)
         # A plan-carrying artifact hands its compiled descent program
         # straight to the urn — a warm open never pays the plan compile
         # again (the zero-recompilation contract).
         urn = self._make_urn(
-            graph, artifact.table, artifact.coloring, build,
-            artifact.descent_program,
+            graph, artifact.table, artifact.coloring,
+            recorded.descent_cache_bytes, artifact.descent_program,
         )
         handle = TableHandle(
             key=key,
@@ -728,7 +703,7 @@ class SamplingService:
             urn=urn,
             classifier=GraphletClassifier(graph, k),
             k=k,
-            batch_size=batch_size,
+            batch_size=recorded.batch_size,
             manifest=manifest,
             registry=self.registry,
         )
@@ -740,10 +715,10 @@ class SamplingService:
         graph: Graph,
         table: CountTable,
         coloring: ColoringScheme,
-        build: dict,
+        descent_cache_bytes: int,
         program=None,
     ) -> Optional[TreeletUrn]:
-        """A fresh urn under the artifact's recorded build parameters.
+        """A fresh urn with the artifact's recorded descent-cache budget.
 
         ``None`` for an empty table (e.g. saved by a direct
         ``save_table`` call, or emptied by an update), which serves zero
@@ -754,13 +729,8 @@ class SamplingService:
                 graph,
                 table,
                 coloring,
-                buffer_threshold=int(build.get("buffer_threshold", 10_000)),
-                buffer_size=int(build.get("buffer_size", 100)),
                 program=program,
-                descent_cache_bytes=int(
-                    build.get("descent_cache_bytes", 0)
-                    or DEFAULT_DESCENT_CACHE_BYTES
-                ),
+                descent_cache_bytes=descent_cache_bytes,
                 instrumentation=Instrumentation(registry=self.registry),
             )
         except SamplingError:
@@ -1125,9 +1095,11 @@ class SamplingService:
             return stats, None
         graph, table = result.graph, result.table
         if handle.urn is None:
+            recorded = read_build_params(
+                handle.manifest.get("build", {}), handle.k
+            )
             urn = self._make_urn(
-                graph, table, handle.coloring,
-                handle.manifest.get("build", {}),
+                graph, table, handle.coloring, recorded.descent_cache_bytes
             )
         else:
             try:

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.errors import TableError
 from repro.treelets.encoding import getsize
-from repro.util.rng import RngLike, ensure_rng
 
 __all__ = [
     "LayerView",
@@ -882,19 +881,12 @@ class CountTable:
             for row, eta in zip(rows, running)
         ]
 
-    def sample_key(self, v: int, rng: RngLike = None) -> Key:
-        """``sample(v)``: draw ``(T, C)`` with probability ∝ c(T_C, v).
-
-        Implemented exactly as in the paper: draw ``R`` uniform in
-        ``(0, η_v]`` and binary-search the cumulative record.
-        """
-        rng = ensure_rng(rng)
-        return self.sample_key_at(v, rng.random())
-
     def sample_key_at(self, v: int, u: float) -> Key:
-        """``sample(v)`` driven by a caller-supplied uniform in ``[0, 1)``.
+        """The paper's ``sample(v)``: draw ``(T, C)`` with probability ∝
+        c(T_C, v) by inverting ``v``'s cumulative record at ``u · η_v``
+        for a caller-supplied uniform ``u`` in ``[0, 1)``.
 
-        Splitting the variate from the draw makes the key choice a pure
+        Taking the variate from the caller makes the key choice a pure
         function of ``u``, which is what lets the batched sampling engine
         and its per-sample reference path agree bit for bit when both read
         the same uniform matrix.
@@ -906,12 +898,12 @@ class CountTable:
         """Vectorized :meth:`sample_key_at`: one size-k key row per root.
 
         For each ``(roots[i], us[i])`` pair, returns the row index into
-        the size-k layer that the scalar path would pick.  Each layout
+        the size-k layer that :meth:`sample_key_at` would pick.  Each layout
         inverts its own cumulative structure — the dense layer
         column-compares the full cumulative matrix, the succinct layer
         runs a ragged ``searchsorted`` over its record slices — and the
         comparisons involve only integer-valued floats, so the layouts
-        (and the scalar path) cannot disagree.
+        (and the per-sample path) cannot disagree.
         """
         layer = self.layer(self.k)
         if layer.num_keys == 0:

@@ -173,14 +173,16 @@ class TestTableRoundTrip:
         )
 
     def test_build_params_restored(self, host, tmp_path):
-        config = MotivoConfig(k=4, seed=5, buffer_threshold=123, batch_size=64)
+        config = MotivoConfig(
+            k=4, seed=5, descent_cache_bytes=123_456, batch_size=64
+        )
         counter = MotivoCounter(host, config)
         counter.build()
         counter.save_artifact(str(tmp_path / "a"))
         warm = MotivoCounter.from_artifact(host, str(tmp_path / "a"))
         assert warm.config.k == 4
         assert warm.config.seed == 5
-        assert warm.config.buffer_threshold == 123
+        assert warm.config.descent_cache_bytes == 123_456
         assert warm.config.batch_size == 64
 
     def test_from_artifact_without_build_params(self, host, tmp_path):
@@ -599,26 +601,26 @@ class TestEnsembleArtifacts:
         self, host, tmp_path
     ):
         """Member manifests are authoritative: sampling a bundle built
-        with non-default buffer/batch params is bit-identical to the
-        live ensemble even when the sampling engine's own config says
-        otherwise (library-path counterpart of the CLI test)."""
-        built_config = MotivoConfig(
-            k=4, seed=11, buffer_threshold=2, buffer_size=7, batch_size=1
-        )
-        live = PipelineEngine(host, built_config, colorings=2).run_naive(150)
+        with a non-default batch size is bit-identical to the live
+        ensemble even when the sampling engine's own config says
+        otherwise (library-path counterpart of the CLI test).  AGS,
+        because its coverage checks follow the chunk size."""
+        built_config = MotivoConfig(k=4, seed=11, batch_size=7)
+        live = PipelineEngine(host, built_config, colorings=2).run_ags(150, 20)
         PipelineEngine(host, built_config, colorings=2).build_artifact(
             str(tmp_path / "ens")
         )
         defaults_engine = PipelineEngine(
             host, MotivoConfig(k=4), colorings=2
         )
-        warm = defaults_engine.run_naive(150, artifact=str(tmp_path / "ens"))
+        warm = defaults_engine.run_ags(150, 20, artifact=str(tmp_path / "ens"))
         assert warm.estimates.counts == live.estimates.counts
-        # an explicit batch_size override is allowed to change the stream
-        other = defaults_engine.run_naive(
-            150, artifact=str(tmp_path / "ens"), batch_size=4096
+        # an explicit batch_size override is allowed to change the result
+        other = defaults_engine.run_ags(
+            150, 20, artifact=str(tmp_path / "ens"), batch_size=4096
         )
         assert other.estimates.samples == warm.estimates.samples
+        assert other.estimates.counts != warm.estimates.counts
 
     def test_bundle_by_path_and_parallel_jobs(self, host, tmp_path):
         config = MotivoConfig(k=4, seed=11)
@@ -659,26 +661,24 @@ class TestEnsembleArtifacts:
     def test_cli_sample_restores_nondefault_sampling_params(
         self, host, tmp_path
     ):
-        """Bit-identity survives non-default buffer/batch build params:
-        the CLI must restore them from the bundle manifest, since both
-        change how sampling consumes the RNG stream."""
+        """Bit-identity survives a non-default batch size: the CLI must
+        restore it from the bundle manifest, since AGS checks coverage
+        once per chunk."""
         from repro.cli import main
         from repro.graph.io import save_edge_list
         from repro.sampling.estimates import GraphletEstimates
 
         graph_path = str(tmp_path / "g.txt")
         save_edge_list(host, graph_path)
-        config = MotivoConfig(
-            k=4, seed=11, buffer_threshold=2, buffer_size=7, batch_size=1
-        )
-        live = PipelineEngine(host, config, colorings=2).run_naive(150)
+        config = MotivoConfig(k=4, seed=11, batch_size=7)
+        live = PipelineEngine(host, config, colorings=2).run_ags(150, 20)
         PipelineEngine(host, config, colorings=2).build_artifact(
             str(tmp_path / "ens"), source=graph_path
         )
         out = tmp_path / "warm.json"
         assert main([
-            "sample", str(tmp_path / "ens"), "--samples", "150",
-            "--output", str(out),
+            "sample", str(tmp_path / "ens"), "--samples", "150", "--ags",
+            "--cover-threshold", "20", "--output", str(out),
         ]) == 0
         warm = GraphletEstimates.from_json(out.read_text())
         assert warm.counts == live.estimates.counts

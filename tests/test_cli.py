@@ -23,6 +23,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "nope", "out.txt"])
 
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_count_rejects_batch_size_below_one(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(
+                ["count", "facebook", "--batch-size", value]
+            )
+        assert info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_sample_rejects_batch_size_below_one(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(
+                ["sample", "some-artifact", "--batch-size", value]
+            )
+        assert info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_batch_size_of_one_is_accepted(self):
+        args = build_parser().parse_args(
+            ["count", "facebook", "--batch-size", "1"]
+        )
+        assert args.batch_size == 1
+
 
 class TestGenerate:
     def test_writes_edge_list(self, tmp_path, capsys):

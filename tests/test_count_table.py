@@ -247,7 +247,11 @@ class TestCountTable:
 
     def test_sample_key_distribution(self, rng):
         table = make_table()
-        draws = [table.sample_key(0, rng) for _ in range(4000)]
+        layer = table.layer(table.k)
+        rows = table.sample_key_rows_batch(
+            np.zeros(4000, dtype=np.int64), rng.random(4000)
+        )
+        draws = [layer.keys[row] for row in rows.tolist()]
         path_fraction = sum(1 for key in draws if key[0] == PATH3) / 4000
         # c(PATH3, v0) = 3 of total 4.
         assert path_fraction == pytest.approx(0.75, abs=0.03)
@@ -259,7 +263,9 @@ class TestCountTable:
         with pytest.raises(TableError):
             fresh = make_table()
             fresh.layer(3).counts[:, :] = 0.0
-            fresh.sample_key(0, rng)
+            fresh.sample_key_rows_batch(
+                np.zeros(1, dtype=np.int64), rng.random(1)
+            )
 
     def test_accounting(self):
         table = make_table()

@@ -110,8 +110,7 @@ class TestUrnValidityUnderBias:
         table = build_table(host, coloring)
         urn = TreeletUrn(host, table, coloring)
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            vertices, _t, _m = urn.sample(rng)
+        for vertices in urn.sample_batch(200, rng)[0].tolist():
             colors = {int(coloring.colors[v]) for v in vertices}
             assert len(colors) == 4
 
@@ -125,5 +124,5 @@ class TestUrnValidityUnderBias:
         for shape in urn.registry.free_shapes:
             if urn.shape_total(shape) <= 0:
                 continue
-            vertices, treelet, _ = urn.sample_shape(shape, rng)
-            assert canonical_free(treelet) == shape
+            _, treelets, _ = urn.sample_shape_batch(shape, 1, rng)
+            assert canonical_free(int(treelets[0])) == shape

@@ -129,7 +129,7 @@ class TestSampledCopiesAreConsistent:
         suppress_health_check=[HealthCheck.data_too_large],
     )
     def test_shape_samples_span_compatible_graphlets(self, data, seed):
-        """A copy drawn via sample_shape(T) must land on a graphlet whose
+        """A copy drawn via sample(T) must land on a graphlet whose
         σ table actually contains T — the core AGS soundness property."""
         graph, coloring = data
         k = 4
@@ -145,8 +145,8 @@ class TestSampledCopiesAreConsistent:
         for shape in urn.registry.free_shapes:
             if urn.shape_total(shape) <= 0:
                 continue
-            for _ in range(5):
-                vertices, treelet, _ = urn.sample_shape(shape, rng)
+            matrix, treelets, _ = urn.sample_shape_batch(shape, 5, rng)
+            for vertices, treelet in zip(matrix.tolist(), treelets.tolist()):
                 assert canonical_free(treelet) == shape
                 bits = classifier.classify(vertices)
                 sigma = spanning_tree_shape_counts(bits, k)

@@ -213,22 +213,22 @@ class TestRewiredEstimators:
         assert a == b
         assert sum(a.values()) == 700
 
-    def test_naive_batch_and_scalar_paths_agree_statistically(self):
-        """Different streams, same estimator: totals must be close."""
+    def test_naive_estimate_is_independent_of_batch_size(self):
+        """Chunks read consecutive rows of one uniform stream, so the
+        chunk size never changes a naive estimate — chunks of one
+        included."""
         urn = make_urn(erdos_renyi(40, 120, rng=9), 3, seed=32)
         classifier = GraphletClassifier(urn.graph, 3)
-        batched = naive_estimate(
-            urn, classifier, 20_000, np.random.default_rng(1)
-        )
-        scalar = naive_estimate(
-            urn, classifier, 20_000, np.random.default_rng(2), batch_size=1
-        )
-        for bits in set(batched.counts) | set(scalar.counts):
-            big = max(batched.counts.get(bits, 0), scalar.counts.get(bits, 0))
-            if big > 200:  # enough mass for a tight comparison
-                assert batched.counts.get(bits, 0) == pytest.approx(
-                    scalar.counts.get(bits, 0), rel=0.3
-                )
+        runs = [
+            naive_estimate(
+                urn, classifier, 2000, np.random.default_rng(1),
+                batch_size=batch_size,
+            )
+            for batch_size in (1, 7, 4096)
+        ]
+        assert runs[0].counts
+        assert runs[0].counts == runs[1].counts == runs[2].counts
+        assert runs[0].hits == runs[1].hits == runs[2].hits
 
     def test_ags_chunked_determinism(self):
         urn = make_urn(erdos_renyi(50, 160, rng=10), 4, seed=41)
@@ -252,6 +252,7 @@ class TestRewiredEstimators:
         assert sum(first.shape_usage.values()) == 1500
 
     def test_ags_scalar_fallback_still_switches(self):
+        """``batch_size=1`` checks coverage after every sample."""
         urn = make_urn(erdos_renyi(50, 160, rng=10), 4, seed=41)
         classifier = GraphletClassifier(urn.graph, 4)
         result = ags_estimate(
@@ -264,6 +265,53 @@ class TestRewiredEstimators:
         )
         assert sum(result.shape_usage.values()) == 800
         assert result.covered  # small graph: something gets covered
+
+    def test_naive_refuses_batch_size_below_one(self):
+        urn = make_urn(erdos_renyi(40, 120, rng=9), 3, seed=32)
+        classifier = GraphletClassifier(urn.graph, 3)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        for bad in (0, -5):
+            with pytest.raises(SamplingError, match="batch_size"):
+                naive_hit_counts(urn, classifier, 100, rng, batch_size=bad)
+        assert rng.bit_generator.state == before  # nothing was drawn
+        assert urn.instrumentation["batched_samples"] == 0
+
+    def test_ags_refuses_batch_size_below_one(self):
+        urn = make_urn(erdos_renyi(40, 120, rng=9), 3, seed=32)
+        classifier = GraphletClassifier(urn.graph, 3)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError, match="batch_size"):
+            ags_estimate(urn, classifier, 100, rng=rng, batch_size=0)
+        assert rng.bit_generator.state == before
+        assert urn.instrumentation["batched_shape_samples"] == 0
+
+    def test_facade_refuses_batch_size_below_one(self):
+        from repro.motivo import MotivoConfig, MotivoCounter
+
+        counter = MotivoCounter(
+            erdos_renyi(40, 120, rng=12), MotivoConfig(k=4, seed=5)
+        )
+        counter.build()
+        counter.config.batch_size = 0
+        with pytest.raises(SamplingError, match="batch_size"):
+            counter.sample_naive(100)
+        with pytest.raises(SamplingError, match="batch_size"):
+            counter.sample_ags(100)
+
+    def test_engine_override_refuses_batch_size_below_one(self):
+        from repro.engine import PipelineEngine
+        from repro.motivo import MotivoConfig
+
+        engine = PipelineEngine(
+            erdos_renyi(40, 120, rng=12), MotivoConfig(k=4, seed=5),
+            colorings=2,
+        )
+        with pytest.raises(SamplingError, match="batch_size"):
+            engine.run_naive(100, batch_size=0)
+        with pytest.raises(SamplingError, match="batch_size"):
+            engine.run_ags(100, batch_size=-1)
 
     def test_facade_threads_batch_size(self):
         from repro.motivo import MotivoConfig, MotivoCounter

@@ -419,12 +419,98 @@ class TestEmptyUrnMatrix:
         assert result.estimates.counts == {}
 
 
-def _served_artifact(tmp_path, host, codec):
-    """(cache root, artifact directory) of one k=4 build of ``host``."""
+def _edit_build(slot, build) -> None:
+    """Update a saved manifest's ``build`` section with a dict's fields,
+    or replace the section with any other value."""
+    path = f"{slot}/manifest.json"
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    if isinstance(build, dict):
+        manifest["build"].update(build)
+    else:
+        manifest["build"] = build
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+class TestRecordedBuildParams:
+    """The facade and the service read a manifest's ``build`` section
+    through one validated reader, so they sample under the same
+    parameters and refuse the same hostile values."""
+
+    @pytest.mark.parametrize("batch_size", [0, 1, 64])
+    def test_served_count_equals_from_artifact(
+        self, host, tmp_path, batch_size
+    ):
+        root, slot = _served_artifact(
+            tmp_path, host, "dense", batch_size=batch_size
+        )
+        assert load_manifest(slot)["build"]["batch_size"] == batch_size
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            naive = service.count(samples=300, session="n", seed=5)
+            ags = service.count(
+                estimator="ags", samples=300, session="g", seed=6,
+                cover_threshold=20,
+            )
+        counter = MotivoCounter.from_artifact(host, slot, reseed=5)
+        assert counter.config.batch_size == max(batch_size, 1)
+        assert _same(naive.estimates, counter.sample_naive(300))
+        counter = MotivoCounter.from_artifact(host, slot, reseed=6)
+        assert _same(ags.estimates, counter.sample_ags(300, 20).estimates)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(None, id="build-null"),
+            pytest.param([64], id="build-list"),
+            pytest.param({"batch_size": "x"}, id="batch-size-str"),
+            pytest.param({"batch_size": 1.5}, id="batch-size-float"),
+            pytest.param({"batch_size": True}, id="batch-size-bool"),
+            pytest.param({"descent_cache_bytes": "x"}, id="cache-bytes-str"),
+            pytest.param({"descent_cache_bytes": None}, id="cache-bytes-null"),
+            pytest.param({"table_layout": "sparse"}, id="layout-unknown"),
+            pytest.param({"table_layout": 1}, id="layout-int"),
+            pytest.param({"seed": "x"}, id="seed-str"),
+            pytest.param({"seed": -1}, id="seed-negative"),
+        ],
+    )
+    def test_hostile_build_section_is_a_typed_error(
+        self, host, tmp_path, build
+    ):
+        root, slot = _served_artifact(tmp_path, host, "dense")
+        _edit_build(slot, build)
+        with pytest.raises(ReproError):
+            MotivoCounter.from_artifact(host, slot)
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            with pytest.raises(ReproError):
+                service.count(samples=50, session="h", seed=1)
+
+    def test_legacy_buffer_fields_are_ignored(self, host, tmp_path):
+        """Manifests that record the retired ``buffer_threshold`` /
+        ``buffer_size`` fields still open, and sample as without them."""
+        root, slot = _served_artifact(tmp_path, host, "dense")
+        reference = MotivoCounter.from_artifact(host, slot, reseed=3)
+        expected = reference.sample_naive(200)
+        _edit_build(slot, {"buffer_threshold": 100, "buffer_size": 7})
+        counter = MotivoCounter.from_artifact(host, slot, reseed=3)
+        assert _same(counter.sample_naive(200), expected)
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            served = service.count(samples=200, session="l", seed=3)
+        assert _same(served.estimates, expected)
+
+
+def _served_artifact(tmp_path, host, codec, **fields):
+    """(cache root, artifact directory) of one k=4 build of ``host``;
+    ``fields`` are further :class:`MotivoConfig` build fields."""
     root = str(tmp_path / f"cache-{codec}")
     counter = MotivoCounter(
         host,
-        MotivoConfig(k=4, seed=11, artifact_dir=root, artifact_codec=codec),
+        MotivoConfig(
+            k=4, seed=11, artifact_dir=root, artifact_codec=codec, **fields
+        ),
     )
     counter.build()
     counter.close()

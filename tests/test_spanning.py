@@ -212,14 +212,6 @@ class TestFixedSeedDigests:
         assert _estimate_digest(result.estimates) == ags
         assert result.switches == switches
 
-    def test_per_sample_ags(self):
-        config = MotivoConfig(k=5, seed=778, batch_size=1)
-        counter = MotivoCounter(load_dataset("facebook"), config)
-        counter.build()
-        result = counter.sample_ags(600, cover_threshold=40)
-        assert _estimate_digest(result.estimates) == "f50550048ab69827"
-        assert result.switches == 3
-
 
 class TestSigmaCache:
     def test_memory_round_trip(self):

@@ -1,4 +1,4 @@
-"""Tests for the treelet urn: uniformity, shape restriction, buffering."""
+"""Tests for the treelet urn: uniformity, shape restriction, row reuse."""
 
 from __future__ import annotations
 
@@ -59,8 +59,7 @@ class TestSampleValidity:
         coloring = ColoringScheme.uniform(25, k, rng=6)
         table = build_table(graph, coloring)
         urn = TreeletUrn(graph, table, coloring)
-        for _ in range(300):
-            vertices, treelet, mask = urn.sample(rng)
+        for vertices in urn.sample_batch(300, rng)[0].tolist():
             assert len(vertices) == k
             assert len(set(vertices)) == k
             colors = {int(coloring.colors[v]) for v in vertices}
@@ -74,8 +73,7 @@ class TestSampleValidity:
         coloring = ColoringScheme.uniform(25, 4, rng=8)
         table = build_table(graph, coloring, zero_rooting=True)
         urn = TreeletUrn(graph, table, coloring)
-        for _ in range(100):
-            vertices, _, _ = urn.sample(rng)
+        for vertices in urn.sample_batch(100, rng)[0].tolist():
             assert int(coloring.colors[vertices[0]]) == 0
 
 
@@ -92,8 +90,8 @@ class TestUniformity:
 
         draws = Counter()
         trials = 8000
-        for _ in range(trials):
-            vertices, treelet, _ = urn.sample(rng)
+        matrix, treelets, _ = urn.sample_batch(trials, rng)
+        for vertices, treelet in zip(matrix.tolist(), treelets.tolist()):
             # Identify the copy by its edge set.
             edges = _copy_edges(urn, vertices, treelet)
             draws[edges] += 1
@@ -122,8 +120,8 @@ class TestShapeSampling:
         for shape in urn.registry.free_shapes:
             if urn.shape_total(shape) <= 0:
                 continue
-            for _ in range(50):
-                vertices, treelet, _ = urn.sample_shape(shape, rng)
+            matrix, treelets, _ = urn.sample_shape_batch(shape, 50, rng)
+            for vertices, treelet in zip(matrix.tolist(), treelets.tolist()):
                 assert canonical_free(treelet) == shape
                 assert len(set(vertices)) == k
 
@@ -140,65 +138,33 @@ class TestShapeSampling:
         assert urn.shape_total(path_shape) == 0
         assert urn.shape_total(star_shape) > 0
         with pytest.raises(SamplingError):
-            urn.sample_shape(path_shape, rng)
+            urn.sample_shape_batch(path_shape, 1, rng)
 
     def test_alias_rebuild_counted(self, rng):
         urn = make_urn(erdos_renyi(20, 50, rng=12), 4, seed=13)
         shape = max(
             urn.registry.free_shapes, key=lambda s: urn.shape_total(s)
         )
-        urn.sample_shape(shape, rng)
-        urn.sample_shape(shape, rng)
+        urn.sample_shape_batch(shape, 1, rng)
+        urn.sample_shape_batch(shape, 1, rng)
         assert urn.instrumentation["shape_alias_rebuilds"] == 1
 
 
-class TestNeighborBuffering:
-    def test_buffered_sampling_statistically_equivalent(self):
-        """Hub graph: estimates with and without buffering must agree."""
-        graph = star_graph(40)  # center 0 has degree 40
-        k = 3
-        coloring = ColoringScheme.uniform(41, k, rng=20)
-        table = build_table(graph, coloring)
-        plain = TreeletUrn(
-            graph, table, coloring, buffer_threshold=10**9
-        )
-        buffered = TreeletUrn(
-            graph, table, coloring, buffer_threshold=10, buffer_size=25
-        )
-        rng_a = np.random.default_rng(1)
-        rng_b = np.random.default_rng(2)
-        counts_a = Counter(
-            plain.sample(rng_a)[0] for _ in range(4000)
-        )
-        counts_b = Counter(
-            buffered.sample(rng_b)[0] for _ in range(4000)
-        )
-        # Same support and similar frequencies.
-        assert set(counts_a) == set(counts_b)
-        for key in counts_a:
-            assert abs(counts_a[key] - counts_b[key]) < 220
+class TestGatheredRowReuse:
+    """§3.2 neighbor buffering amortizes a hub's Θ(d_v) child sweep; the
+    batched descent amortizes it for every vertex by building each
+    gathered running-sum row once, however many samples run."""
 
-    def test_buffering_reduces_sweeps(self):
+    @pytest.mark.parametrize("batch", [500, 5000])
+    def test_each_gathered_row_is_built_at_most_once(self, batch):
         graph = star_graph(60)
         k = 3
         coloring = ColoringScheme.uniform(61, k, rng=21)
         table = build_table(graph, coloring)
-        inst_plain = Instrumentation()
-        inst_buffered = Instrumentation()
-        plain = TreeletUrn(
-            graph, table, coloring,
-            buffer_threshold=10**9, instrumentation=inst_plain,
-        )
-        buffered = TreeletUrn(
-            graph, table, coloring,
-            buffer_threshold=10, buffer_size=100,
-            instrumentation=inst_buffered,
-        )
+        inst = Instrumentation()
+        urn = TreeletUrn(graph, table, coloring, instrumentation=inst)
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            plain.sample(rng)
-            buffered.sample(rng)
-        assert (
-            inst_buffered["neighbor_sweeps"]
-            < inst_plain["neighbor_sweeps"] / 5
-        )
+        for _ in range(2):
+            urn.sample_batch(batch, rng)
+        keys = urn.descent_program().num_gathered_keys
+        assert inst["gathered_cumulative_builds"] == keys == 3
