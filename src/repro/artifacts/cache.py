@@ -31,6 +31,7 @@ from typing import List, Optional
 from repro.artifacts.table_artifact import TableArtifact, load_manifest
 from repro.errors import ArtifactError
 from repro.graph.graph import Graph
+from repro.table.flush import reap_stale_tmp
 
 __all__ = ["ArtifactCache", "CacheEntry"]
 
@@ -153,48 +154,20 @@ class ArtifactCache:
     # Management
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _tmp_owner_alive(name: str) -> bool:
-        """Whether the writer of a ``<key>.tmp-<pid>`` dir still runs.
-
-        Delegates to the shared :func:`repro.table.flush.tmp_owner_alive`
-        pid-liveness check, so the cache and the sharded build stores
-        agree on exactly when an in-flight write counts as abandoned.
-        """
-        from repro.table.flush import tmp_owner_alive
-
-        return tmp_owner_alive(name)
-
     def reap_stale_tmp(self) -> int:
         """Remove crash-leftover write dirs whose owning pid is dead.
 
         ``<key>.tmp-<pid>`` directories belong to in-flight writers;
         once the writer pid is gone they can only be leftovers of a
         crashed build (a successful :meth:`admit` renames them away).
-        Same-pid and live-writer dirs are never touched.  Returns how
-        many directories were removed; called automatically by
+        Same-pid and live-writer dirs are never touched: the shared
+        :func:`repro.table.flush.reap_stale_tmp` applies the one
+        pid-liveness rule the sharded build stores apply too.  Returns
+        how many directories were removed; called automatically by
         :meth:`entries`, so any listing keeps the cache tidy across
         pids — not just the pid that crashed.
         """
-        reaped = 0
-        for name in os.listdir(self.root):
-            if ".tmp-" not in name:
-                continue
-            if self._tmp_owner_alive(name):
-                continue
-            path = os.path.join(self.root, name)
-            if os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-            else:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-            # Count only what is actually gone, so a path rmtree could
-            # not remove is not re-reported as reaped on every listing.
-            if not os.path.exists(path):
-                reaped += 1
-        return reaped
+        return reap_stale_tmp(self.root)
 
     def entries(self) -> List[CacheEntry]:
         """Every complete artifact in the cache, newest first.

@@ -92,11 +92,6 @@ class EnsembleArtifact:
             if member is not None:
                 TableArtifact(member, load_manifest(member)).verify()
 
-    @property
-    def build(self) -> dict:
-        """The build-parameter section of the manifest."""
-        return dict(self.manifest.get("build", {}))
-
 
 def save_ensemble(
     directory: str,

@@ -215,8 +215,18 @@ class TableArtifact:
 
     @property
     def build(self) -> dict:
-        """The build-parameter section of the manifest."""
-        return dict(self.manifest.get("build", {}))
+        """The build-parameter section of the manifest.
+
+        Raises :class:`~repro.errors.ArtifactError` when the manifest
+        records it as anything but an object.
+        """
+        build = self.manifest.get("build", {})
+        if not isinstance(build, dict):
+            raise ArtifactError(
+                f"artifact manifest in {self.directory} records build "
+                f"{build!r}, not an object"
+            )
+        return dict(build)
 
     @property
     def source(self) -> Optional[str]:

@@ -27,8 +27,8 @@ hold exactly the bytes a full run puts there (see that module).  Counts
 are nonnegative, so the fresh build's keep test ("row sum > 0")
 decomposes exactly into *any nonzero outside the frontier* (old data,
 unchanged by induction) OR *any nonzero inside* (the recomputed block)
-— the keep sets agree, and with them the layer key lists, the mode
-decisions of every later level, and the sealed CSR records.
+— the keep sets agree, and with them the layer key lists, the rows
+every later level reads from them, and the sealed CSR records.
 
 Untouched columns are untouched bytes: dense layers copy the surviving
 rows and patch only the frontier columns; sealed

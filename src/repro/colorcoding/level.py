@@ -27,20 +27,24 @@ provider:
     source shard (from the store's files under a :class:`MemoryBudget`,
     or from the live layers of a table through :class:`LiveColumns`).
 
-Mode.  A level runs *full* off the compiled plans when every source
-layer realizes its whole key universe, *zero-rooted* when it is also the
-size-``k`` level of a 0-rooted build (§3.2: only color-0 columns are
-computed, SpMMs included), and falls back to resolving plan keys against
-the partial layers otherwise.  :func:`execute_level` makes that decision
-in one place, from key counts alone, so every builder agrees on it.
+Mode.  Every level runs off the compiled plans
+(:mod:`repro.colorcoding.plans`), *zero-rooted* when it is the size-``k``
+level of a 0-rooted build (§3.2: only color-0 columns are computed, SpMMs
+included).  A source layer that holds only part of its key universe — a
+color missing from the graph, an edgeless graph, an update that kills
+keys — runs through the same kernels: :func:`execute_level` maps the
+layer's universe rows onto the rows it holds once per level, and a pair
+with an absent key reads the zero sentinel row of the neighbor sums.  That
+is the zero term Equation (1) gives an absent ``(T, C)`` pair, added as
+an exact ``+0.0`` in its place of the sequential sub-mask sum.
 
 Bit-identity.  Every builder gets exactly the bytes of the others:
 
 * Every per-column operation — plan contractions, selection lookups, β
-  division after accumulation, the zero-rooting mask — is elementwise
-  over the vertex axis, so a column subset computes exactly the bytes
-  the full run puts there.  Pairs accumulate in plan enumeration order
-  (:mod:`repro.colorcoding.plans`).
+  division after accumulation, the zero-rooted level's color-0
+  restriction — is elementwise over the vertex axis, so a column subset
+  computes exactly the bytes the full run puts there.  Pairs accumulate
+  in plan enumeration order (:mod:`repro.colorcoding.plans`).
 * The neighbor sums are the one cross-column step.  ``csr_matvecs`` adds
   row by row, neighbor by neighbor: restricting an SpMM to a row subset
   replays those rows' axpy sequences unchanged, and remapping columns
@@ -51,24 +55,24 @@ Bit-identity.  Every builder gets exactly the bytes of the others:
   re-association.  Without scipy's private ``_sparsetools`` entry point
   the halo is gathered whole and multiplied once instead (same bits,
   more transient memory).
-* Rows come back in the level's sorted key universe in every mode, so
-  the callers' keep tests (``Σ_v out[key, v] > 0``, association-
-  invariant for nonnegative floats) decide the same key sets.
+* Rows come back in the level's sorted key universe, so the callers'
+  keep tests (``Σ_v out[key, v] > 0``, association-invariant for
+  nonnegative floats) decide the same key sets.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.colorcoding.plans import (
+    CompiledGroup,
     CompiledLevel,
-    LevelPlan,
     compile_plans,
-    level_plans,
+    full_universe_keys,
     level_source_sizes,
 )
 from repro.errors import MemoryBudgetError
@@ -93,10 +97,6 @@ __all__ = [
 ]
 
 Key = Tuple[int, int]
-
-#: Pair-chunk target for the resolving path's gather buffers, in rows.
-#: Chunks are segment-aligned so chunking never changes summation order.
-_CHUNK_PAIRS = 64
 
 #: Float budget for the compiled path's contraction gathers; slot blocks
 #: are sized so each ``block × L × n`` gather stays at most this many
@@ -178,45 +178,83 @@ def execute_level(
     holds every source layer restricted to those columns (layer ``s``
     has ``num_keys × len(colors)`` counts), and ``sums`` provides their
     neighbor sums at the same columns and carries the budget and
-    instrumentation the step charges (``merge_ops``,
-    ``fallback_levels``; the providers count ``spmm_ops``).
+    instrumentation the step charges (``merge_ops``; the providers count
+    ``spmm_ops``).
 
     Returns the ``len(keys) × len(colors)`` count block whose rows follow
-    ``compile_plans(registry)[h].keys``, the level's sorted key universe,
-    whatever the mode.  Nothing is dropped: keep decisions belong to the
-    caller.
+    ``compile_plans(registry)[h].keys``, the level's sorted key universe.
+    Nothing is dropped: keep decisions belong to the caller.
     """
-    compiled = compile_plans(registry)
-    clevel = compiled[h]
-    full = all(
-        sources.layer(size).num_keys
-        == (registry.k if size == 1 else len(compiled[size].keys))
+    clevel = compile_plans(registry)[h]
+    held = {
+        size: _held_rows(registry, sources.layer(size))
         for size in level_source_sizes(registry, h)
-    )
-    if full and zero_rooting and h == registry.k:
-        return _exec_zero_rooted(clevel, colors, sources, sums)
-    # Selection-only sizes may come back column-major (full mode only:
-    # the resolving path gathers rows).
+    }
+    if zero_rooting and h == registry.k:
+        return _exec_zero_rooted(clevel, colors, sources, sums, held)
     select_only = {
-        g.h_second: full and g.select_lut is not None for g in clevel.groups
+        g.h_second: g.select_lut is not None for g in clevel.groups
     }
     second = {
         size: sums.sums(size, select_only[size])
         for size in sorted(select_only)
     }
     sums.budget.allocate("out block", len(clevel.keys) * colors.size * 8)
-    if full:
-        return _exec_compiled(
-            clevel, colors, sources, second, sums.instrumentation
-        )
-    sums.instrumentation.count("fallback_levels")
-    out = _exec_resolved(
-        level_plans(registry)[h], clevel, sources, second, colors.size,
-        sums.instrumentation,
+    return _exec_compiled(
+        clevel, colors, sources, second, held, sums.instrumentation
     )
-    if zero_rooting and h == registry.k:
-        out *= (colors == 0).astype(np.float64)
-    return out
+
+
+def _held_rows(
+    registry: TreeletRegistry, layer: LayerView
+) -> Optional[np.ndarray]:
+    """Universe row → the row ``layer`` holds, ``None`` for a full layer.
+
+    A key the layer does not hold, and the universe's sentinel row past
+    the end, map to ``layer.num_keys`` — the zero sentinel row of the
+    layer's neighbor sums.
+    """
+    universe = (
+        compile_plans(registry)[layer.size].keys if layer.size > 1
+        else full_universe_keys(registry, 1)
+    )
+    if layer.num_keys == len(universe):
+        return None
+    rows = np.full(len(universe) + 1, layer.num_keys, dtype=np.int64)
+    for i, key in enumerate(universe):
+        rows[i] = layer.key_rows.get(key, layer.num_keys)
+    return rows
+
+
+def _pair_rows(
+    group: CompiledGroup,
+    sources: CountTable,
+    held: Dict[int, Optional[np.ndarray]],
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A contraction group's ``(prime_rows, second_rows)`` in the rows
+    the source layers hold; ``None`` when the prime layer holds no keys.
+
+    A pair whose prime or second key is absent reads row 0 of the prime
+    layer against the zero sentinel row of the neighbor sums: an exact
+    ``+0.0`` term in its place of the sequential sub-mask sum.
+    """
+    prime_map, second_map = held[group.h_prime], held[group.h_second]
+    if prime_map is None and second_map is None:
+        return group.prime_rows, group.second_rows
+    second_rows = (
+        group.second_rows if second_map is None
+        else second_map[group.second_rows]
+    )
+    if prime_map is None:
+        return group.prime_rows, second_rows
+    prime_keys = sources.layer(group.h_prime).num_keys
+    if prime_keys == 0:
+        return None
+    prime_rows = prime_map[group.prime_rows]
+    missing = prime_rows == prime_keys
+    prime_rows[missing] = 0
+    sentinel = sources.layer(group.h_second).num_keys
+    return prime_rows, np.where(missing, sentinel, second_rows)
 
 
 def _exec_compiled(
@@ -224,22 +262,33 @@ def _exec_compiled(
     colors: np.ndarray,
     sources: CountTable,
     second: Dict[int, Tuple[np.ndarray, bool]],
+    held: Dict[int, Optional[np.ndarray]],
     instrumentation: Instrumentation,
 ) -> np.ndarray:
-    """Run one level off the precompiled full-universe row indices."""
+    """Run one level off the compiled row indices."""
     out = np.empty((len(clevel.keys), colors.size), dtype=np.float64)
     for group in clevel.groups:
         instrumentation.count("merge_ops", group.prime_rows.size)
         neighbor_counts, column_major = second[group.h_second]
         if group.select_lut is not None:
+            # Colors the graph lacks never index the lookup, so only the
+            # second layer's held rows matter.
+            second_map = held[group.h_second]
+            lut = (
+                group.select_lut if second_map is None
+                else second_map[group.select_lut]
+            )
             out[group.out_rows] = _select(
-                group.select_lut, neighbor_counts, colors, column_major
+                lut, neighbor_counts, colors, column_major
             )
-        else:
-            out[group.out_rows] = _pair_contract(
-                sources.layer(group.h_prime).counts, neighbor_counts,
-                group.prime_rows, group.second_rows,
-            )
+            continue
+        rows = _pair_rows(group, sources, held)
+        if rows is None:
+            out[group.out_rows] = 0.0
+            continue
+        out[group.out_rows] = _pair_contract(
+            sources.layer(group.h_prime).counts, neighbor_counts, *rows
+        )
     divisors = clevel.betas > 1.0
     if divisors.any():
         out[divisors] /= clevel.betas[divisors, None]
@@ -251,6 +300,7 @@ def _exec_zero_rooted(
     colors: np.ndarray,
     sources: CountTable,
     sums: "ResidentSums | HaloSums",
+    held: Dict[int, Optional[np.ndarray]],
 ) -> np.ndarray:
     """The size-``k`` level under 0-rooting, on the color-0 columns only.
 
@@ -274,6 +324,11 @@ def _exec_zero_rooted(
         instrumentation.count("merge_ops", group.prime_rows.size)
         if group.color_slots is not None:  # a selection group
             slots, key_rows = group.color_slots[0]
+            second_map = held[group.h_second]
+            if second_map is not None:
+                key_rows = second_map[key_rows]
+                present = key_rows < sources.layer(group.h_second).num_keys
+                slots, key_rows = slots[present], key_rows[present]
             if slots.size:
                 values = zero.select_sums(group.h_second, key_rows)
                 _place(
@@ -282,15 +337,16 @@ def _exec_zero_rooted(
                 )
                 budget.release(values.nbytes)
             continue
+        rows = _pair_rows(group, sources, held)
+        if rows is None:
+            continue
         counts = sources.layer(group.h_prime).counts
         budget.allocate(
             "zero-rooted prime columns", counts.shape[0] * zero_local.size * 8
         )
         prime = np.ascontiguousarray(counts[:, zero_local])
         neighbor_counts, _ = zero.sums(group.h_second)
-        acc = _pair_contract(
-            prime, neighbor_counts, group.prime_rows, group.second_rows
-        )
+        acc = _pair_contract(prime, neighbor_counts, *rows)
         _place(out, clevel.betas, group.out_rows, zero_local, acc)
         budget.release(neighbor_counts.nbytes)
     return out
@@ -397,97 +453,6 @@ def _pair_contract(
             gather[:count] *= product[:count]
             block += gather[:count]
     return acc
-
-
-def _exec_resolved(
-    plan: LevelPlan,
-    clevel: CompiledLevel,
-    sources: CountTable,
-    second: Dict[int, Tuple[np.ndarray, bool]],
-    width: int,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """Run one level by resolving plan keys against partial layers.
-
-    The general path for degenerate inputs whose layers realize only part
-    of the key universe (e.g. a color missing entirely): absent keys drop
-    their pairs, as an absent hash-table entry contributes nothing.  Each
-    plan slot lands on its row of the sorted universe.
-    """
-    row_of = {key: row for row, key in enumerate(clevel.keys)}
-    slot_rows = [row_of[key] for key in plan.out_keys]
-    out = np.zeros((len(clevel.keys), width), dtype=np.float64)
-    for group in plan.groups:
-        prime_rows_of = sources.layer(group.h_prime).key_rows
-        second_rows_of = sources.layer(group.h_second).key_rows
-        prime_rows: List[int] = []
-        second_rows: List[int] = []
-        slots: List[int] = []
-        for prime_key, second_key, slot in zip(
-            group.prime_keys, group.second_keys, group.out_slots
-        ):
-            second_row = second_rows_of.get(second_key)
-            if second_row is None:
-                continue
-            prime_row = prime_rows_of.get(prime_key)
-            if prime_row is None:
-                continue
-            prime_rows.append(prime_row)
-            second_rows.append(second_row)
-            slots.append(slot_rows[slot])
-        if not slots:
-            continue
-        instrumentation.count("merge_ops", len(slots))
-        _scatter_pairs(
-            out,
-            sources.layer(group.h_prime).counts,
-            second[group.h_second][0],
-            np.asarray(prime_rows, dtype=np.int64),
-            np.asarray(second_rows, dtype=np.int64),
-            np.asarray(slots, dtype=np.int64),
-        )
-    divisors = clevel.betas > 1.0
-    if divisors.any():
-        out[divisors] /= clevel.betas[divisors, None]
-    return out
-
-
-def _scatter_pairs(
-    out: np.ndarray,
-    prime_counts: np.ndarray,
-    neighbor_counts: np.ndarray,
-    prime_rows: np.ndarray,
-    second_rows: np.ndarray,
-    slots: np.ndarray,
-) -> None:
-    """Gather → multiply → segment-sum one group's pairs into ``out``.
-
-    The pairs of one output row are contiguous in ``slots``, so each run
-    is one ``np.add.reduceat`` segment.  Work proceeds in segment-aligned
-    chunks of roughly ``_CHUNK_PAIRS`` pairs to bound the gather buffer
-    at chunk × n floats; alignment keeps every segment's summation
-    sequential, in plan enumeration order.
-    """
-    starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-    boundaries = np.append(starts, slots.size)
-    segment = 0
-    while segment < starts.size:
-        stop = segment + 1
-        while (
-            stop < starts.size
-            and boundaries[stop + 1] - boundaries[segment] <= _CHUNK_PAIRS
-        ):
-            stop += 1
-        lo, hi = boundaries[segment], boundaries[stop]
-        terms = (
-            prime_counts[prime_rows[lo:hi]]
-            * neighbor_counts[second_rows[lo:hi]]
-        )
-        chunk_starts = starts[segment:stop] - lo
-        out[slots[starts[segment:stop]]] = np.add.reduceat(
-            terms, chunk_starts, axis=0
-        )
-        segment = stop
 
 
 # ----------------------------------------------------------------------

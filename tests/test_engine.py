@@ -3,45 +3,24 @@
 The contract under test is strong: the build-up must equal the exact
 big-int CC hash-table build (``build_hash_table``, the build's oracle)
 key for key and entry for entry on every configuration (sizes,
-0-rooting, degenerate colorings), and the ensemble engine must
-give identical results for a fixed seed no matter how many worker
-processes it fans out over.
+0-rooting, degenerate colorings whose layers hold only part of their
+key universe — ``test_properties.py::TestPartialLayers`` draws those
+for every builder), and the ensemble engine must give identical results
+for a fixed seed no matter how many worker processes it fans out over.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import SamplingError
 from repro.colorcoding.buildup import build_table
-from repro.colorcoding.buildup_baseline import build_hash_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.engine import EnsembleResult, PipelineEngine, derive_child_seeds
 from repro.graph.generators import erdos_renyi
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.util.instrument import Instrumentation
-
-
-def assert_matches_oracle(table, graph, coloring, zero_rooting=True):
-    """Exactly the oracle's key set and nonzero entries, layer by layer."""
-    reference = build_hash_table(
-        graph, coloring, zero_rooting=zero_rooting
-    ).to_encoding_dict()
-    built = {}
-    for h in range(1, table.k + 1):
-        layer = table.layer(h)
-        counts = np.asarray(layer.counts)
-        for row, key in enumerate(layer.keys):
-            built[key] = {
-                int(v): float(counts[row, v])
-                for v in np.flatnonzero(counts[row])
-            }
-    assert built.keys() == reference.keys()
-    for key, per_vertex in reference.items():
-        assert built[key] == {
-            v: float(count) for v, count in per_vertex.items()
-        }, key
+from support.oracle import assert_matches_oracle, has_partial_layer
 
 
 class TestKernelEquivalence:
@@ -55,14 +34,14 @@ class TestKernelEquivalence:
         table = build_table(graph, coloring, zero_rooting=zero_rooting)
         assert_matches_oracle(table, graph, coloring, zero_rooting)
 
-    def test_missing_color_falls_back(self):
-        """A color absent from the graph forces the resolving path."""
+    def test_missing_color_partial_layers(self):
+        """A color absent from the graph leaves layers that hold only
+        part of their key universe."""
         graph = erdos_renyi(12, 26, rng=5)
         colors = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
         coloring = ColoringScheme.fixed(colors, k=4)
-        instrumentation = Instrumentation()
-        table = build_table(graph, coloring, instrumentation=instrumentation)
-        assert instrumentation["fallback_levels"] > 0
+        table = build_table(graph, coloring)
+        assert has_partial_layer(table)
         assert_matches_oracle(table, graph, coloring)
 
     def test_biased_coloring(self):

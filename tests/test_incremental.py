@@ -31,6 +31,7 @@ from repro.artifacts import (
     load_manifest,
     load_table_delta,
     open_table,
+    save_table,
     save_table_delta,
 )
 from repro.cli import main as cli_main
@@ -556,6 +557,19 @@ class TestDeltaArtifacts:
                 str(tmp_path / "base"), deltas, str(tmp_path / "out"),
                 graph,
             )
+
+    @pytest.mark.parametrize("build", [None, "x", [], 5])
+    def test_compaction_rejects_non_object_build(self, tmp_path, build):
+        graph = self._graph()
+        coloring = ColoringScheme.uniform(30, 4, rng=5)
+        base = str(tmp_path / "base")
+        save_table(base, build_table(graph, coloring), coloring, graph)
+        manifest = load_manifest(base)
+        manifest["build"] = build
+        with open(tmp_path / "base" / "manifest.json", "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError):
+            compact_table(base, [], str(tmp_path / "out"), graph)
 
     def test_update_lineage_recorded_in_saved_artifact(self, tmp_path):
         graph = self._graph()

@@ -8,12 +8,7 @@ import pytest
 from repro.errors import TableError
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.plans import (
-    build_level_plan,
-    compile_plans,
-    full_universe_keys,
-    level_plans,
-)
+from repro.colorcoding.plans import compile_plans, full_universe_keys
 from repro.colorcoding.sharded import build_table_sharded
 from repro.graph.generators import erdos_renyi
 from repro.table.layer_store import ShardedStore
@@ -87,30 +82,40 @@ class TestPlans:
             registry.decompositions_of_size(1)
 
     def test_level_plan_covers_universe(self, registry):
+        compiled = compile_plans(registry)
         for h in range(2, 6):
-            plan = build_level_plan(registry, h)
+            level = compiled[h]
             expected = {
                 (t, mask)
                 for t in registry.treelets_of_size(h)
                 for mask in range(1 << registry.k)
                 if popcount(mask) == h
             }
-            assert set(plan.out_keys) == expected
-            assert plan.betas.shape == (len(plan.out_keys),)
-            assert np.all(plan.betas >= 1)
+            assert set(level.keys) == expected
+            assert level.betas.shape == (len(level.keys),)
+            assert np.all(level.betas >= 1)
 
     def test_pair_sizes_consistent(self, registry):
+        compiled = compile_plans(registry)
         for h in range(2, 6):
-            plan = build_level_plan(registry, h)
-            for group in plan.groups:
+            for group in compiled[h].groups:
                 assert group.h_prime + group.h_second == h
-                for key in group.prime_keys:
-                    assert getsize(key[0]) == group.h_prime
-                for key in group.second_keys:
-                    assert getsize(key[0]) == group.h_second
-                # Slots are non-decreasing with contiguous runs.
-                slots = group.out_slots
-                assert np.all(np.diff(slots) >= 0)
+                num_slots = group.out_rows.size
+                shape = (num_slots, group.pairs_per_slot)
+                assert group.prime_rows.shape == shape
+                assert group.second_rows.shape == shape
+                # Row indices stay inside each size's universe and pick
+                # keys of that size.
+                for size, rows in (
+                    (group.h_prime, group.prime_rows),
+                    (group.h_second, group.second_rows),
+                ):
+                    universe = full_universe_keys(registry, size)
+                    assert rows.min() >= 0 and rows.max() < len(universe)
+                    assert {
+                        getsize(universe[row][0]) for row in rows.ravel()
+                    } == {size}
+                assert group.out_rows.max() < len(compiled[h].keys)
 
     def test_compiled_groups_partition_universe(self, registry):
         for level in compile_plans(registry).values():
@@ -136,5 +141,5 @@ class TestPlans:
                     assert group.select_lut is None
 
     def test_plans_cached_per_registry(self, registry):
-        assert level_plans(registry) is level_plans(registry)
         assert compile_plans(registry) is compile_plans(registry)
+        assert compile_plans(registry) is compile_plans(TreeletRegistry(5))

@@ -7,6 +7,9 @@ structure, and the σ tables against the sampling probabilities they feed.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, HealthCheck
@@ -14,14 +17,18 @@ from hypothesis import strategies as st
 
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.incremental import apply_edge_updates
+from repro.colorcoding.sharded import build_table_sharded
 from repro.colorcoding.urn import TreeletUrn
 from repro.errors import SamplingError
 from repro.exact.brute import brute_force_colorful_treelet_total
 from repro.exact.esu import exact_colorful_counts
 from repro.graph.graph import Graph
 from repro.graphlets.spanning import spanning_tree_count, spanning_tree_shape_counts
+from repro.table.layer_store import ShardedStore
 from repro.treelets.encoding import canonical_free
 from repro.treelets.registry import TreeletRegistry
+from support.oracle import assert_matches_oracle, has_partial_layer
 
 
 @st.composite
@@ -47,13 +54,44 @@ def small_graph(draw, min_n=6, max_n=12):
 
 
 @st.composite
-def colored_graph(draw, k):
+def colored_graph(draw, k, strict_palette=False, edgeless=False):
+    """A small graph and a fixed ``k``-coloring of it.
+
+    ``strict_palette`` draws the colors from a strict subset of
+    ``range(k)``, so at least one color never occurs; ``edgeless`` makes
+    about half the graphs ``Graph.empty``.
+    """
     graph = draw(small_graph())
+    if edgeless and draw(st.booleans()):
+        graph = Graph.empty(graph.num_vertices)
+    palette = list(range(k))
+    if strict_palette:
+        size = draw(st.integers(min_value=1, max_value=k - 1))
+        palette = draw(st.permutations(palette))[:size]
     colors = [
-        draw(st.integers(min_value=0, max_value=k - 1))
-        for _ in range(graph.num_vertices)
+        draw(st.sampled_from(palette)) for _ in range(graph.num_vertices)
     ]
     return graph, ColoringScheme.fixed(colors, k=k)
+
+
+@st.composite
+def partially_colored_case(draw):
+    """A colored graph missing some color, k = 3–5, with an edge batch."""
+    k = draw(st.integers(min_value=3, max_value=5))
+    graph, coloring = draw(
+        colored_graph(k, strict_palette=True, edgeless=True)
+    )
+    n = graph.num_vertices
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda edge: edge[0] != edge[1])
+    updates = [("+", u, v) for u, v in draw(st.lists(pair, max_size=3))]
+    edges = list(graph.edges())
+    if edges:
+        deleted = draw(st.lists(st.sampled_from(edges), max_size=3))
+        updates += [("-", u, v) for u, v in deleted]
+    return graph, coloring, draw(st.permutations(updates))
 
 
 class TestDpKirchhoffIdentity:
@@ -72,6 +110,45 @@ class TestDpKirchhoffIdentity:
         table = build_table(graph, coloring, zero_rooting=True)
         expected = brute_force_colorful_treelet_total(graph, 4, coloring)
         assert table.root_weights().sum() == pytest.approx(expected)
+
+
+class TestPartialLayers:
+    """Missing colors and edgeless graphs leave layers holding only part
+    of their key universe; every builder must still equal the oracle."""
+
+    @given(partially_colored_case(), st.booleans())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.data_too_large],
+    )
+    def test_every_builder_matches_oracle(self, case, zero_rooting):
+        graph, coloring, updates = case
+        tables = [
+            build_table(
+                graph, coloring, zero_rooting=zero_rooting, layout=layout
+            )
+            for layout in ("dense", "succinct")
+        ]
+        assert has_partial_layer(tables[0])
+        with tempfile.TemporaryDirectory() as directory:
+            for num_shards in (1, 3):
+                with ShardedStore(
+                    num_shards, os.path.join(directory, str(num_shards))
+                ) as store:
+                    sharded = build_table_sharded(
+                        graph, coloring, zero_rooting=zero_rooting,
+                        store=store,
+                    )
+                    assert_matches_oracle(
+                        sharded, graph, coloring, zero_rooting
+                    )
+        for table in tables:
+            assert_matches_oracle(table, graph, coloring, zero_rooting)
+        result = apply_edge_updates(tables[0], graph, updates, coloring)
+        assert_matches_oracle(
+            result.table, result.graph, coloring, zero_rooting
+        )
 
 
 class TestUrnSigmaConsistency:

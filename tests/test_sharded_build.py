@@ -31,6 +31,7 @@ from repro.table.layer_store import ShardedStore
 from repro.treelets.registry import TreeletRegistry
 
 from support.graphgen import powerlaw_edges
+from support.oracle import has_partial_layer
 
 
 def _sharded(graph, coloring, tmp_path, tag, num_shards, layout="dense",
@@ -202,7 +203,7 @@ class TestShardedDegenerateInputs:
         _assert_layers_equal(reference, table, 4)
         store.close()
 
-    def test_missing_color_takes_fallback_path(self, tmp_path):
+    def test_missing_color_partial_layers(self, tmp_path):
         graph = erdos_renyi(30, 90, rng=2)
         colors = np.zeros(30, dtype=np.int64)
         colors[::2] = 2  # colors 1 and 3 never occur
@@ -217,6 +218,7 @@ class TestShardedDegenerateInputs:
             table = build_table_sharded(
                 graph, coloring, zero_rooting=zero_rooting, store=store
             )
+            assert has_partial_layer(table)
             _assert_layers_equal(reference, table, 4)
             store.close()
 
