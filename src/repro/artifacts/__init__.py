@@ -9,7 +9,9 @@ This package makes that split durable and managed:
     The versioned on-disk format for one table — a self-describing
     manifest (format version, graph fingerprint, build parameters,
     per-layer digests, post-build RNG state) plus per-layer key/count
-    blobs — with :func:`save_table` / :func:`open_table`.
+    blobs — with :func:`save_table` / :func:`open_table`, and the edge
+    log that persists updates (:func:`append_edge_log`, folded back by
+    :func:`compact_table`).
 :mod:`repro.artifacts.codec`
     The blob codecs: 48-bit packed keys shared by both count codecs,
     ``dense`` (memmap-reopened float64) and ``succinct`` (delta/varint,
@@ -36,18 +38,17 @@ from repro.artifacts.ensemble import (
     save_ensemble,
 )
 from repro.artifacts.table_artifact import (
-    DELTA_FORMAT,
     FORMAT_VERSION,
+    LOG_FORMAT_VERSION,
     TABLE_FORMAT,
     TableArtifact,
     advance_lineage,
+    append_edge_log,
     compact_table,
     load_manifest,
-    load_table_delta,
+    log_rows,
     open_table,
-    rewrite_table,
     save_table,
-    save_table_delta,
 )
 
 __all__ = [
@@ -55,20 +56,19 @@ __all__ = [
     "CacheEntry",
     "CODECS",
     "KEY_BYTES",
-    "DELTA_FORMAT",
     "ENSEMBLE_FORMAT",
     "EnsembleArtifact",
     "open_ensemble",
     "save_ensemble",
     "FORMAT_VERSION",
+    "LOG_FORMAT_VERSION",
     "TABLE_FORMAT",
     "TableArtifact",
     "advance_lineage",
+    "append_edge_log",
     "compact_table",
     "load_manifest",
-    "load_table_delta",
+    "log_rows",
     "open_table",
-    "rewrite_table",
     "save_table",
-    "save_table_delta",
 ]

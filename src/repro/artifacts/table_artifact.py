@@ -20,6 +20,11 @@ Directory layout (one table artifact)::
       descent_plan.npz     optional: the compiled descent program
                            (sampling-phase plan cache; format-versioned
                            separately via PLAN_FORMAT_VERSION)
+      edges.log            optional: edge updates applied since the
+                           blobs were written, one (op, u, v) int64 row
+                           each (:func:`append_edge_log`)
+      graph.npz            optional: the graph the blobs count, written
+                           by :func:`compact_table`
 
 The manifest is the contract: :func:`open_table` refuses artifacts whose
 format name/version it does not understand, whose manifest does not
@@ -27,6 +32,12 @@ parse, or whose graph fingerprint differs from the graph in hand — each
 with a typed :class:`~repro.errors.ArtifactError`.  Layer digests are
 checked on demand (``verify=True``), not on every open, so the warm path
 stays metadata-speed.
+
+An edge update persists the change, not the state: its effective edge
+changes are appended to ``edges.log`` and the manifest commits the new
+row count and the graph fingerprint they lead to.  :func:`open_table`
+replays the committed rows onto the blobs' table as one batch, and
+:func:`compact_table` later folds them into fresh blobs.
 
 Saving the post-build RNG state is what makes *build once, sample many*
 bit-compatible with the one-shot pipeline: a counter restored from the
@@ -64,17 +75,16 @@ from repro.table.count_table import LAYOUTS, CountTable, Layer, SuccinctLayer
 from repro.util.instrument import Instrumentation
 
 __all__ = [
-    "DELTA_FORMAT",
     "FORMAT_VERSION",
+    "LOG_FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
     "TABLE_FORMAT",
     "TableArtifact",
     "advance_lineage",
-    "rewrite_table",
-    "save_table",
-    "save_table_delta",
-    "load_table_delta",
+    "append_edge_log",
     "compact_table",
+    "log_rows",
+    "save_table",
     "open_table",
     "load_manifest",
     "file_digest",
@@ -82,24 +92,26 @@ __all__ = [
 
 #: Manifest ``format`` tag of a single-table artifact.
 TABLE_FORMAT = "motivo-table-artifact"
-#: Manifest ``format`` tag of a *delta* artifact: not a table, but an
-#: edge-update batch linking a parent table artifact to the child state
-#: it produces (see :func:`save_table_delta`).
-DELTA_FORMAT = "motivo-table-delta"
-#: Current on-disk format version, the one writers stamp.  Version 2
-#: added the optional ``descent_plan`` blob; version 3 adds the
-#: incremental-maintenance story — an optional ``lineage`` section on
-#: table manifests (parent-fingerprint provenance of delta-maintained
-#: tables) and the :data:`DELTA_FORMAT` sidecar artifacts.  Each step
-#: is additive, so readers accept all three.
+#: On-disk format version writers stamp on a manifest whose blobs hold
+#: the whole table.  Version 2 added the optional ``descent_plan`` blob
+#: and version 3 the optional ``lineage`` section; each step is
+#: additive, so readers accept all three.
 FORMAT_VERSION = 3
+#: The version stamped while the edge log holds rows the blobs do not:
+#: a reader that predates the log accepts only versions 1-3, so it
+#: refuses such a manifest instead of serving the stale blobs.
+LOG_FORMAT_VERSION = 4
 #: Manifest versions this build can read.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 MANIFEST_NAME = "manifest.json"
 COLORING_NAME = "coloring.npy"
 PLAN_NAME = "descent_plan.npz"
-UPDATES_NAME = "updates.npy"
+LOG_NAME = "edges.log"
+GRAPH_NAME = "graph.npz"
+#: One edge-log row: ``(op, u, v)`` as little-endian int64.
+_LOG_DTYPE = np.dtype("<i8")
+_LOG_ROW_BYTES = 3 * _LOG_DTYPE.itemsize
 
 
 def file_digest(path: str) -> str:
@@ -145,10 +157,29 @@ def _require_version(manifest: dict, expected_format: str) -> None:
             f"artifact format version {version} is not supported "
             f"(this build reads versions {SUPPORTED_VERSIONS})"
         )
+    # The log version marks exactly the manifests whose blobs lag their
+    # edge log, so a dropped row count cannot pass for a clean table.
+    rows = log_rows(manifest)
+    if (version == LOG_FORMAT_VERSION) != (rows > 0):
+        raise ArtifactError(
+            f"artifact format version {version} does not match its edge "
+            f"log: {rows} row(s) committed (version "
+            f"{LOG_FORMAT_VERSION} marks exactly a non-empty log)"
+        )
+
+
+def _graph_record(manifest: dict) -> dict:
+    """The manifest's ``graph`` section, refused unless an object."""
+    recorded = manifest.get("graph", {})
+    if not isinstance(recorded, dict):
+        raise ArtifactError(
+            f"manifest graph section must be an object, got {recorded!r}"
+        )
+    return recorded
 
 
 def _check_graph(manifest: dict, graph: Graph) -> None:
-    recorded = manifest.get("graph", {})
+    recorded = _graph_record(manifest)
     fingerprint = recorded.get("fingerprint")
     if fingerprint != graph.fingerprint():
         raise ArtifactError(
@@ -182,6 +213,9 @@ class TableArtifact:
         :class:`~repro.colorcoding.descent.DescentProgram`, validated
         against the loaded table — or ``None`` for artifacts saved
         without one (the urn then compiles on first batched draw).
+    graph:
+        The graph ``table`` counts: the head of the artifact's edge log
+        (see :func:`open_table`).  ``None`` until opened with a graph.
     """
 
     def __init__(
@@ -191,12 +225,14 @@ class TableArtifact:
         table: Optional[CountTable] = None,
         coloring: Optional[ColoringScheme] = None,
         descent_program: Optional[DescentProgram] = None,
+        graph: Optional[Graph] = None,
     ):
         self.directory = directory
         self.manifest = manifest
         self.table = table
         self.coloring = coloring
         self.descent_program = descent_program
+        self.graph = graph
 
     @property
     def k(self) -> int:
@@ -339,12 +375,14 @@ def save_table(
         been compiled against exactly this table.
     lineage:
         Optional provenance dict for delta-maintained tables (format
-        v3): the facade records ``parent_fingerprint`` (the graph this
-        table's state was incrementally carried forward from) plus
-        update accounting, and compaction records the deltas it folded.
-        Purely informational — the table itself is bit-identical to a
-        fresh build, so the content-addressed identity stays the
-        ``graph``/``build`` pair.
+        v3): ``parent_fingerprint`` (the graph this table's state was
+        incrementally carried forward from) plus update accounting
+        (:func:`advance_lineage`).  Purely informational — the table
+        itself is bit-identical to a fresh build, so the
+        content-addressed identity stays the ``graph``/``build`` pair.
+
+    Saving drops any edge log in ``directory``: the new blobs are the
+    whole table.
     """
     if codec not in CODECS:
         raise ArtifactError(f"unknown codec {codec!r}; choose from {CODECS}")
@@ -367,8 +405,7 @@ def save_table(
     for name in os.listdir(directory):
         if (
             name.startswith("layer_")
-            or name == COLORING_NAME
-            or name == PLAN_NAME
+            or name in (COLORING_NAME, PLAN_NAME, LOG_NAME)
         ):
             try:
                 os.remove(os.path.join(directory, name))
@@ -467,7 +504,7 @@ def save_table(
     }
     _write_manifest(directory, manifest)
     return TableArtifact(
-        directory, manifest, table, coloring, descent_program
+        directory, manifest, table, coloring, descent_program, graph
     )
 
 
@@ -490,40 +527,132 @@ def advance_lineage(
     return advanced
 
 
-def rewrite_table(
+def log_rows(manifest: dict) -> int:
+    """Edge-log rows the manifest commits beyond its blobs (0 for none).
+
+    Raises :class:`~repro.errors.ArtifactError` when the ``log``
+    section is not an object with a non-negative integer ``rows``.
+    """
+    log = manifest.get("log")
+    if log is None:
+        return 0
+    rows = log.get("rows") if isinstance(log, dict) else None
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 0:
+        raise ArtifactError(
+            f"manifest log section must record a non-negative integer "
+            f"row count, got {log!r}"
+        )
+    return rows
+
+
+def _head_fingerprint(manifest: dict) -> str:
+    """Fingerprint of the graph the artifact counts once its log is
+    replayed: the log's recorded head, or the blobs' graph."""
+    if log_rows(manifest):
+        head = manifest["log"].get("head_fingerprint")
+    else:
+        head = _graph_record(manifest).get("fingerprint")
+    if not isinstance(head, str):
+        raise ArtifactError(
+            f"manifest records no graph fingerprint for its head: {head!r}"
+        )
+    return head
+
+
+def append_edge_log(
+    directory: str,
+    manifest: dict,
+    changes: np.ndarray,
+    head: Graph,
+    instrumentation: Optional[Instrumentation] = None,
+) -> dict:
+    """Persist one applied edge-update batch by appending it to the log.
+
+    The one persistence step of ``POST /update`` and ``motivo-py
+    update``.  ``manifest`` is the artifact's committed manifest before
+    the batch, ``changes`` the batch's effective ``(±1, u, v)`` rows
+    (:attr:`repro.colorcoding.incremental.DeltaResult.changes`) and
+    ``head`` the graph they lead to.  The rows are written after the
+    committed ones — any uncommitted tail a failed append left is
+    overwritten — and then one atomic manifest write commits the new
+    row count, the head fingerprint, the advanced ``lineage``
+    (:func:`advance_lineage`) and, when given, the instrumentation
+    snapshot.  No blob is rewritten.  Until the manifest write lands,
+    readers see the artifact as it was.
+
+    Returns the committed manifest (``manifest`` itself for an empty
+    batch, which commits nothing).
+    """
+    committed = log_rows(manifest)
+    changes = np.ascontiguousarray(changes, dtype=_LOG_DTYPE).reshape(-1, 3)
+    if not changes.shape[0]:
+        return manifest
+    path = os.path.join(directory, LOG_NAME)
+    with open(path, "r+b" if committed else "wb") as handle:
+        if os.fstat(handle.fileno()).st_size < committed * _LOG_ROW_BYTES:
+            raise ArtifactError(
+                f"edge log {path} holds fewer than the {committed} rows "
+                "its manifest commits"
+            )
+        handle.seek(committed * _LOG_ROW_BYTES)
+        handle.write(changes.tobytes())
+        handle.truncate()
+    rows = committed + int(changes.shape[0])
+    advanced = {
+        **manifest,
+        "format_version": LOG_FORMAT_VERSION,
+        "log": {"rows": rows, "head_fingerprint": head.fingerprint()},
+        "lineage": advance_lineage(
+            manifest.get("lineage"),
+            _head_fingerprint(manifest),
+            int(changes.shape[0]),
+        ),
+    }
+    if instrumentation is not None:
+        advanced["instrumentation"] = instrumentation.snapshot()
+    _write_manifest(directory, advanced)
+    return advanced
+
+
+def compact_table(
     directory: str,
     manifest: dict,
     table: CountTable,
     coloring: ColoringScheme,
     graph: Graph,
-    updates_applied: int,
     descent_program: Optional[DescentProgram] = None,
-    instrumentation: Optional[Instrumentation] = None,
 ) -> TableArtifact:
-    """Rewrite a table artifact in place after an edge-update batch.
+    """Fold the edge log into the blobs: rewrite the artifact at its head.
 
-    The one persistence step of ``motivo-py update`` and
-    ``POST /update``.  ``manifest`` is the artifact's manifest before
-    the batch: its codec, build parameters and RNG state are written
-    back verbatim (an update consumes no draws and changes no build
-    field), and its lineage advances by one batch of
-    ``updates_applied`` edge changes (:func:`advance_lineage`).
-
-    The old source hint loads the pre-update graph, whose fingerprint
-    no longer matches, so the updated ``graph`` is saved next to the
-    blobs (``graph.npz``) and the hint repointed there — the artifact
+    ``manifest`` is the artifact's committed manifest and ``table``,
+    ``coloring`` and ``graph`` the head state its log replays to (a
+    served handle's, or an updated counter's).  The blobs are rewritten
+    in ``manifest``'s codec, with its build parameters, RNG state,
+    instrumentation and lineage kept verbatim, and the log is dropped.
+    The head graph is saved beside the blobs as an uncompressed
+    ``graph.npz`` and the source hint repointed there, so the artifact
     stays self-resolving across restarts.  This goes through
     :func:`save_table` rather than the facade's ``save_artifact``: a
-    batch that deletes the last colorful k-treelet leaves a legitimate
+    batch that deleted the last colorful k-treelet leaves a legitimate
     empty-urn table (zero estimates) that must stay openable.
+
+    Raises :class:`~repro.errors.ArtifactError` when ``graph`` is not
+    the head the manifest records.
     """
     # Both resolved at call time through their public modules, as the
     # facade's save_artifact does, so wrappers installed there (the
-    # e2ebench span recorder) also see the rewrites.
+    # e2ebench span recorder) also see the compaction.
     from repro.artifacts import save_table as save
     from repro.graph.io import save_binary
 
-    graph_blob = os.path.join(os.path.abspath(directory), "graph.npz")
+    head = _head_fingerprint(manifest)
+    if graph.fingerprint() != head:
+        raise ArtifactError(
+            f"cannot compact {directory}: its log leads to {head!r}, the "
+            f"table in hand counts {graph.fingerprint()!r}"
+        )
+    build = TableArtifact(directory, manifest).build
+    graph_blob = os.path.join(os.path.abspath(directory), GRAPH_NAME)
     save_binary(graph, graph_blob)
     return save(
         directory,
@@ -531,16 +660,14 @@ def rewrite_table(
         coloring,
         graph,
         codec=str(manifest.get("codec", "dense")),
-        build=manifest.get("build"),
+        build=build,
         rng_state=manifest.get("rng_state"),
-        instrumentation=instrumentation,
+        instrumentation=Instrumentation.from_snapshot(
+            manifest.get("instrumentation") or {}
+        ),
         source=graph_blob,
         descent_program=descent_program,
-        lineage=advance_lineage(
-            manifest.get("lineage"),
-            manifest["graph"]["fingerprint"],
-            updates_applied,
-        ),
+        lineage=manifest.get("lineage"),
     )
 
 
@@ -554,162 +681,102 @@ def _write_manifest(directory: str, manifest: dict) -> None:
     os.replace(tmp, path)
 
 
-def save_table_delta(
-    directory: str,
-    updates,
-    parent_fingerprint: str,
-    child_fingerprint: str,
-    stats: Optional[dict] = None,
-) -> dict:
-    """Persist one edge-update batch as a delta artifact (format v3).
+def _read_log(directory: str, manifest: dict, n: int) -> np.ndarray:
+    """The manifest's committed edge-log rows, validated (none when the
+    manifest commits none, without touching the file).
 
-    A delta is deliberately *not* a table: it stores the normalized
-    ``(op, u, v)`` batch plus the parent and child graph fingerprints it
-    links.  Replaying the batch through
-    :func:`repro.colorcoding.incremental.apply_edge_updates` on the
-    parent's table reproduces the child's table bit for bit (the
-    coloring travels with the parent artifact), so a base artifact plus
-    a chain of deltas is a complete, compactable history —
-    :func:`compact_table` folds them back into a fresh full artifact.
-
-    Returns the written manifest.
+    Rows past the committed count (a failed append's tail) are
+    ignored.  Raises :class:`~repro.errors.ArtifactError` when the log
+    holds fewer rows than committed or a row is not an ``(±1, u, v)``
+    edge change over vertices ``0..n-1``.
     """
-    from repro.graph.graph import normalize_updates
-
-    ops = normalize_updates(updates)
-    os.makedirs(directory, exist_ok=True)
+    rows = log_rows(manifest)
+    if not rows:
+        return np.zeros((0, 3), dtype=np.int64)
+    path = os.path.join(directory, LOG_NAME)
     try:
-        os.remove(os.path.join(directory, MANIFEST_NAME))
-    except OSError:
-        pass
-    np.save(
-        os.path.join(directory, UPDATES_NAME),
-        np.ascontiguousarray(ops, dtype=np.int64),
-    )
-    manifest = {
-        "format": DELTA_FORMAT,
-        "format_version": FORMAT_VERSION,
-        # repro: allow[REPRO-D001] provenance timestamp in the manifest; never read back into tables, seeds, or estimates
-        "created_at": time.time(),
-        "parent_fingerprint": parent_fingerprint,
-        "child_fingerprint": child_fingerprint,
-        "num_updates": int(ops.shape[0]),
-        "updates": _blob_entry(directory, UPDATES_NAME),
-        **({"stats": dict(stats)} if stats else {}),
-    }
-    _write_manifest(directory, manifest)
-    return manifest
+        size = os.path.getsize(path)
+        if rows > size // _LOG_ROW_BYTES:
+            raise ArtifactError(
+                f"edge log {path} holds {size // _LOG_ROW_BYTES} rows, the "
+                f"manifest commits {rows}"
+            )
+        with open(path, "rb") as handle:
+            data = handle.read(rows * _LOG_ROW_BYTES)
+    except OSError as error:
+        raise ArtifactError(f"unreadable edge log {path}: {error}") from None
+    ops = np.frombuffer(data, dtype=_LOG_DTYPE).reshape(rows, 3)
+    ops = ops.astype(np.int64)
+    ends = ops[:, 1:]
+    if (
+        not np.isin(ops[:, 0], (-1, 1)).all()
+        or ends.min() < 0
+        or ends.max() >= n
+        or (ops[:, 1] == ops[:, 2]).any()
+    ):
+        raise ArtifactError(
+            f"edge log {path} holds a row that is no edge change over "
+            f"{n} vertices"
+        )
+    return ops
 
 
-def load_table_delta(directory: str) -> "tuple[np.ndarray, dict]":
-    """Reopen a delta artifact; returns ``(updates, manifest)``.
+def _resolve_log(
+    directory: str, manifest: dict, graph: Graph
+) -> "tuple[Graph, np.ndarray]":
+    """``(base, rows)``: the graph the blobs count, and the log rows.
 
-    Validates the format tag, version, lineage fields, and the blob
-    digest (deltas are small, so unlike table blobs they are always
-    verified).  Raises :class:`~repro.errors.ArtifactError` on any
-    mismatch.
+    ``graph`` may be the blobs' graph or, with rows committed, the head
+    they lead to.  The rows are effective changes, each flipping its
+    edge, so the reversed rows with their ops negated lead from the
+    head back to the base (as one batch, the last op on an edge wins).
+    Raises :class:`~repro.errors.ArtifactError` when ``graph`` is
+    neither.
     """
-    manifest = load_manifest(directory)
-    _require_version(manifest, DELTA_FORMAT)
-    try:
-        parent = manifest["parent_fingerprint"]
-        child = manifest["child_fingerprint"]
-        entry = manifest["updates"]
-        path = os.path.join(directory, entry["file"])
-        expected_digest = entry["digest"]
-    except (KeyError, TypeError) as error:
-        raise ArtifactError(
-            f"corrupted delta manifest in {directory}: missing {error!r}"
-        ) from None
-    if not parent or not child:
-        raise ArtifactError(
-            f"delta manifest in {directory} lacks lineage fingerprints"
-        )
-    if not os.path.isfile(path):
-        raise ArtifactError(f"delta blob missing: {path}")
-    if file_digest(path) != expected_digest:
-        raise ArtifactError(f"delta blob {path} digest mismatch")
-    try:
-        ops = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as error:
-        raise ArtifactError(f"unreadable delta blob {path}: {error}") from None
-    if ops.ndim != 2 or ops.shape[1] != 3 or ops.dtype != np.int64:
-        raise ArtifactError(
-            f"delta blob {path} is not an (N, 3) int64 update batch"
-        )
-    return ops, manifest
+    fingerprint = graph.fingerprint()
+    at_base = fingerprint == _graph_record(manifest).get("fingerprint")
+    if not at_base and (
+        not log_rows(manifest)
+        or fingerprint != manifest["log"].get("head_fingerprint")
+    ):
+        _check_graph(manifest, graph)  # raises: neither base nor head
+    ops = _read_log(directory, manifest, graph.num_vertices)
+    if at_base:
+        return graph, ops
+    inverse = ops[::-1] * np.array([-1, 1, 1], dtype=np.int64)
+    base, _ = graph.apply_updates(inverse)
+    _check_graph(manifest, base)
+    return base, ops
 
 
-def compact_table(
-    base_directory: str,
-    delta_directories: "List[str]",
-    output_directory: str,
+def _replay_log(
+    table: CountTable,
+    base: Graph,
+    ops: np.ndarray,
+    coloring: ColoringScheme,
+    manifest: dict,
     graph: Graph,
-    mmap: bool = True,
-    instrumentation: Optional[Instrumentation] = None,
-) -> "tuple[TableArtifact, Graph]":
-    """Fold a base artifact plus a delta chain into a fresh artifact.
+) -> "tuple[CountTable, Graph]":
+    """Carry the blobs' table over the committed log rows, as one batch.
 
-    Opens the base table against ``graph`` (its fingerprint must match
-    the base manifest), replays each delta in order through
-    :func:`~repro.colorcoding.incremental.apply_edge_updates` — checking
-    that every delta's ``parent_fingerprint`` matches the graph state it
-    is applied to and that the updated graph lands on the recorded
-    ``child_fingerprint`` — and saves the result to
-    ``output_directory`` as a full v3 artifact whose ``lineage`` section
-    records the provenance.  The output is bit-identical to an artifact
-    saved from a fresh build on the final graph (same coloring), so
-    reopening it behaves exactly like the table it compacts.
-
-    The base's codec, build parameters, RNG state, and source hint are
-    carried over; the cached descent plan is not (the key universe may
-    have shifted), so the compacted artifact recompiles on first draw.
-
-    Returns ``(artifact, final_graph)``.
+    The last op on an edge wins, so the rows of every logged batch
+    replayed together reach the same graph as the batches one by one,
+    and the incremental contract makes the table equal a fresh build on
+    it.  Returns ``(table, head)``, ``head`` being ``graph`` itself
+    when the caller passed the head.
     """
+    # Looked up at call time so wrappers installed on the module (the
+    # e2ebench span recorder) see the replay.
     from repro.colorcoding.incremental import apply_edge_updates
 
-    base = open_table(base_directory, graph, mmap=mmap)
-    table = base.table
-    coloring = base.coloring
-    current = graph
-    applied = 0
-    for delta_dir in delta_directories:
-        ops, delta_manifest = load_table_delta(delta_dir)
-        if delta_manifest["parent_fingerprint"] != current.fingerprint():
-            raise ArtifactError(
-                f"delta {delta_dir} expects parent "
-                f"{delta_manifest['parent_fingerprint']!r}, graph is at "
-                f"{current.fingerprint()!r}"
-            )
-        result = apply_edge_updates(
-            table, current, ops, coloring, instrumentation=instrumentation
+    result = apply_edge_updates(table, base, ops, coloring, in_place=True)
+    head = manifest["log"].get("head_fingerprint")
+    if result.graph.fingerprint() != head:
+        raise ArtifactError(
+            f"artifact edge log replays to {result.graph.fingerprint()!r}, "
+            f"the manifest records head {head!r}"
         )
-        table, current = result.table, result.graph
-        applied += result.updates_applied
-        if delta_manifest["child_fingerprint"] != current.fingerprint():
-            raise ArtifactError(
-                f"delta {delta_dir} promised child "
-                f"{delta_manifest['child_fingerprint']!r}, replay produced "
-                f"{current.fingerprint()!r}"
-            )
-    artifact = save_table(
-        output_directory,
-        table,
-        coloring,
-        current,
-        codec=base.codec,
-        build=base.build,
-        rng_state=base.rng_state,
-        instrumentation=instrumentation,
-        source=base.source,
-        lineage={
-            "parent_fingerprint": graph.fingerprint(),
-            "deltas_compacted": len(delta_directories),
-            "updates_applied": applied,
-        },
-    )
-    return artifact, current
+    return result.table, graph if graph.fingerprint() == head else result.graph
 
 
 def open_table(
@@ -744,10 +811,23 @@ def open_table(
     :class:`~repro.errors.ArtifactError`; an *absent* plan entry (old
     artifacts) is not an error — ``descent_program`` is then ``None``
     and the urn recompiles on first batched draw.
+
+    An artifact whose edge log commits rows opens against either the
+    graph its blobs count or the head graph the rows lead to: the
+    committed rows replay onto the blobs' table as one
+    :func:`~repro.colorcoding.incremental.apply_edge_updates` batch,
+    the replayed graph must land on the recorded head fingerprint, and
+    uncommitted rows are ignored.  The returned artifact's ``graph`` is
+    the head graph its ``table`` counts (``graph`` itself when no rows
+    are committed); the cached plan is kept only while it still
+    matches the replayed key universe.  A log that holds fewer rows
+    than committed, a row that is no edge change, or a replay that
+    misses the recorded head raises
+    :class:`~repro.errors.ArtifactError`.
     """
     manifest = load_manifest(directory)
     _require_version(manifest, TABLE_FORMAT)
-    _check_graph(manifest, graph)
+    base, ops = _resolve_log(directory, manifest, graph)
     artifact = TableArtifact(directory, manifest)
     if verify:
         artifact.verify()
@@ -778,7 +858,7 @@ def open_table(
             colors=colors.astype(np.int64),
             lam=manifest["coloring"].get("lam"),
         )
-        table = CountTable(k, graph.num_vertices, bool(manifest["zero_rooted"]))
+        table = CountTable(k, base.num_vertices, bool(manifest["zero_rooted"]))
         for entry in manifest["layers"]:
             size = int(entry["size"])
             num_keys = int(entry["num_keys"])
@@ -824,9 +904,19 @@ def open_table(
         raise ArtifactError(
             f"unreadable artifact blob in {directory}: {error}"
         ) from None
+    program = _load_descent_plan(directory, manifest, table)
+    head = base
+    if ops.shape[0]:
+        table, head = _replay_log(table, base, ops, coloring, manifest, graph)
+        if program is not None:
+            try:
+                program.validate_for(table, digest=table_keys_digest(table))
+            except ValueError:
+                program = None  # the log changed the key universe
     artifact.table = table
     artifact.coloring = coloring
-    artifact.descent_program = _load_descent_plan(directory, manifest, table)
+    artifact.graph = head
+    artifact.descent_program = program
     return artifact
 
 

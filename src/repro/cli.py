@@ -17,9 +17,10 @@ this CLI mirrors that workflow:
     the output is bit-identical to a one-shot ``count``.
 ``motivo-py update <artifact> --updates FILE``
     Delta-maintain a persisted table under edge insertions/deletions:
-    propagate the touched-column frontier instead of rebuilding, and
-    rewrite the artifact in place — bit-identical to a fresh build on
-    the updated graph (``docs/artifacts.md``).
+    propagate the touched-column frontier instead of rebuilding, append
+    the batch to the artifact's edge log and fold the log into the
+    blobs — bit-identical to a fresh build on the updated graph
+    (``docs/artifacts.md``).
 ``motivo-py serve --artifact-dir DIR --port P``
     Long-lived serving: keep the cached tables warm and answer
     concurrent ``/count`` JSON queries (see ``docs/serving.md``).
@@ -43,7 +44,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 import time
 from typing import List, Optional
 
@@ -417,11 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
              "delta propagation (correctness oracle; identical result)",
     )
     update.add_argument(
-        "--delta-log", default=None,
-        help="also persist the batch as a delta artifact under this "
-             "directory (replayable via artifact compaction)",
-    )
-    update.add_argument(
         "--trace-out", default=None,
         help="record the update stage span as JSON lines to this path",
     )
@@ -788,7 +786,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    from repro.artifacts import ENSEMBLE_FORMAT, load_manifest, rewrite_table
+    from repro.artifacts import (
+        ENSEMBLE_FORMAT,
+        append_edge_log,
+        compact_table,
+        load_manifest,
+        log_rows,
+    )
+    from repro.graph.graph import change_rows
     from repro.graph.io import load_updates
 
     manifest = load_manifest(args.artifact)
@@ -813,23 +818,30 @@ def _cmd_update(args: argparse.Namespace) -> int:
     try:
         counter.configure_telemetry(_telemetry_config(args))
         counter.config.incremental_updates = not args.rebuild
-        counter.config.delta_log_dir = args.delta_log
+        added, removed, _ = counter.graph.resolve_updates(updates)
         stats = counter.update(updates)
         if stats["updates_applied"]:
-            # Rewrite the artifact in place (updated graph embedded, so
+            manifest = append_edge_log(
+                args.artifact,
+                manifest,
+                change_rows(added, removed, graph.num_vertices),
+                counter.graph,
+                instrumentation=counter.instrumentation,
+            )
+        folded = log_rows(manifest) > 0
+        if folded:
+            # Fold the log before exiting (updated graph embedded, so
             # later sample/update/serve runs resolve it without --graph).
-            rewrite_table(
+            compact_table(
                 args.artifact,
                 manifest,
                 counter.table,
                 counter.coloring,
                 counter.graph,
-                stats["updates_applied"],
                 descent_program=(
                     counter.urn.descent_program()
                     if counter.urn is not None else None
                 ),
-                instrumentation=counter.instrumentation,
             )
         if args.stats_out:
             _write_stats(args.stats_out, counter.instrumentation)
@@ -842,7 +854,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         stats["edges_added"], stats["edges_removed"],
         stats["rows_touched"], stats["propagate_seconds"],
         time.perf_counter() - start,
-        "" if stats["updates_applied"] else " (artifact unchanged)",
+        "" if folded else " (artifact unchanged)",
     )
     print(json.dumps(stats, sort_keys=True))
     return 0
@@ -868,6 +880,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "Ctrl-C stops",
         flush=True,
     )
+    # SIGTERM (kill, CI, systemd, containers) stops the server the way
+    # Ctrl-C does, so the close below still folds every edge log.
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -44,7 +44,7 @@ names deliberately distinct from the build counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,7 +60,7 @@ from repro.colorcoding.level import (
 )
 from repro.colorcoding.plans import compile_plans, level_source_sizes
 from repro.errors import BuildError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, change_rows
 from repro.table.count_table import (
     CountTable,
     Layer,
@@ -99,6 +99,10 @@ class DeltaResult:
         hint: gathered-cumulative rows stay valid for every vertex
         whose neighborhood avoids this set (see
         :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).
+    changes:
+        The batch's effective edge changes as ``(±1, u, v)`` rows
+        (:func:`repro.graph.graph.change_rows`) — what an artifact's
+        edge log persists.
     """
 
     table: CountTable
@@ -109,6 +113,9 @@ class DeltaResult:
     edges_added: int
     edges_removed: int
     dirty_columns: Optional[np.ndarray] = None
+    changes: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 3), dtype=np.int64)
+    )
 
     def stats(self) -> Dict[str, int]:
         """The batch's counters under the names the update APIs report
@@ -366,4 +373,5 @@ def apply_edge_updates(
         int(added.size),
         int(removed.size),
         dirty_columns=balls[k - 3] if k >= 3 else endpoints,
+        changes=change_rows(added, removed, n),
     )

@@ -100,7 +100,11 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.descent import DescentProgram, compile_program
+from repro.colorcoding.descent import (
+    DescentProgram,
+    compile_program,
+    table_keys_digest,
+)
 from repro.graph.graph import Graph
 from repro.telemetry.tracing import span as _trace_span
 from repro.table.count_table import CountTable
@@ -243,10 +247,12 @@ class TreeletUrn:
         totals, shape aliases — is built afresh by the
         constructor, and draws from the successor are bit-identical to a
         from-scratch urn's.  The compiled descent program carries over
-        whenever it still validates against the new table (key sets
+        whenever the new table holds exactly its key universe (key sets
         rarely change under a trickle of updates), so the warm path
         never recompiles; :meth:`take_gathered` then carries the
-        gathered-cumulative store over too.
+        gathered-cumulative store over too.  Equal key counts are not
+        enough: a mixed batch can drop one key of a layer and gain
+        another.
 
         This urn is not touched: it stays valid for draws still in
         flight on the old table.
@@ -257,7 +263,7 @@ class TreeletUrn:
         program = self._program
         if program is not None:
             try:
-                program.validate_for(table)
+                program.validate_for(table, digest=table_keys_digest(table))
             except ValueError:
                 program = None
         return TreeletUrn(

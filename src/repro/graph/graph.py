@@ -17,7 +17,7 @@ from scipy import sparse
 
 from repro.errors import GraphError
 
-__all__ = ["Graph", "exact_int", "normalize_updates"]
+__all__ = ["Graph", "change_rows", "exact_int", "normalize_updates"]
 
 #: Accepted spellings of the two edge-update operations.
 _INSERT_OPS = {"+", "add", "insert", 1, +1}
@@ -98,6 +98,21 @@ def normalize_updates(updates) -> np.ndarray:
             )
         rows.append((1 if insert else -1, *ends))
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
+
+
+def change_rows(added: np.ndarray, removed: np.ndarray, n: int) -> np.ndarray:
+    """The ``(±1, u, v)`` rows of resolved edge changes, ``u < v``.
+
+    ``added`` and ``removed`` are the packed ``u*n + v`` keys
+    :meth:`Graph.resolve_updates` reports for a graph of ``n`` vertices;
+    insertions come first.  Each edge appears once, so the rows are a
+    batch whose every entry changes the graph it was resolved against.
+    """
+    packed = np.concatenate([added, removed]).astype(np.int64)
+    ops = np.repeat(
+        np.array([1, -1], dtype=np.int64), [added.size, removed.size]
+    )
+    return np.stack([ops, packed // n, packed % n], axis=1)
 
 
 class Graph:  # repro: pool-transport

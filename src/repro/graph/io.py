@@ -519,9 +519,9 @@ def load_graph(spec: str) -> Graph:
 def save_binary(graph: Graph, path: PathLike) -> None:
     """Save the CSR arrays as an uncompressed ``.npz`` (binary format).
 
-    Uncompressed on purpose: every edge update rewrites the graph blob
-    beside its artifact, and deflate dominated that write for a
-    few-fold size saving.  :func:`load_binary` still reads the
+    Uncompressed on purpose: every artifact compaction rewrites the
+    graph blob beside the artifact, and deflate dominated that write
+    for a few-fold size saving.  :func:`load_binary` still reads the
     compressed files earlier versions wrote.
     """
     np.savez(

@@ -37,7 +37,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -105,8 +104,9 @@ class MotivoConfig:
         Samples per vectorized sampling chunk (naive chunks, AGS adaptive
         chunk cap); at least 1, or sampling raises
         :class:`~repro.errors.SamplingError`.  Naive estimates do not
-        depend on it; AGS checks coverage once per chunk, so its
-        estimates are reproducible per ``(seed, batch_size)``.
+        depend on it, so naive chunks never drop below
+        ``DEFAULT_BATCH_SIZE``; AGS checks coverage once per chunk, so
+        its estimates are reproducible per ``(seed, batch_size)``.
     table_layout:
         In-memory count-table layout: ``"dense"`` (the build-up's
         matrix form, the default) or ``"succinct"`` (the paper's CSR
@@ -174,12 +174,6 @@ class MotivoConfig:
         coloring — the incremental path's bit-identity oracle.  Both
         produce byte-identical tables, so like telemetry this is not a
         build field and never changes an artifact-cache key.
-    delta_log_dir:
-        When set, every :meth:`MotivoCounter.update` batch is also
-        persisted there as a numbered delta artifact
-        (``delta-000000``, …) carrying the parent/child graph
-        fingerprints, so the update history can later be folded into a
-        fresh base via :func:`repro.artifacts.compact_table`.
     """
 
     k: int = 5
@@ -198,7 +192,6 @@ class MotivoConfig:
     shard_jobs: int = 1
     telemetry: Optional[TelemetryConfig] = None
     incremental_updates: bool = True
-    delta_log_dir: Optional[str] = None
 
     def build_params(self) -> dict:
         """The table-relevant fields, as recorded in artifact manifests."""
@@ -407,9 +400,12 @@ class MotivoCounter:
                 artifact = open_table(
                     slot, self.graph, layout=config.table_layout
                 )
+                if artifact.graph.fingerprint() != self.graph.fingerprint():
+                    raise ArtifactError("slot holds an updated table")
             except ArtifactError:
                 # A stale slot (version skew after an upgrade, truncated
-                # blobs) is a miss, not a failure: evict and rebuild.
+                # blobs, a table updated past this graph) is a miss, not
+                # a failure: evict and rebuild.
                 cache.evict(key)
             else:
                 self.instrumentation.count("artifact_cache_hits")
@@ -513,9 +509,9 @@ class MotivoCounter:
 
         With :attr:`MotivoConfig.incremental_updates` off, the table is
         fully rebuilt (in memory, same coloring) instead — the oracle
-        the incremental path is tested against.  With
-        :attr:`MotivoConfig.delta_log_dir` set, the batch is also
-        persisted as a delta artifact for later compaction.
+        the incremental path is tested against.  The counter persists
+        nothing; ``motivo-py update`` appends the batch to the
+        artifact's edge log (:func:`repro.artifacts.append_edge_log`).
 
         Returns a stats dict: ``mode``, ``updates_applied``,
         ``edges_added``, ``edges_removed``, ``rows_touched``,
@@ -570,14 +566,10 @@ class MotivoCounter:
             stats["propagate_seconds"] = time.perf_counter() - started_at
             if stats["updates_applied"] == 0:
                 return stats
-            parent_fingerprint = self.graph.fingerprint()
-            if config.delta_log_dir:
-                self._log_delta(
-                    updates, parent_fingerprint, new_graph.fingerprint(),
-                    stats,
-                )
             self._lineage = advance_lineage(
-                self._lineage, parent_fingerprint, stats["updates_applied"]
+                self._lineage,
+                self.graph.fingerprint(),
+                stats["updates_applied"],
             )
             self.graph = new_graph
             self._refresh_after_update(table, dirty_columns)
@@ -622,29 +614,6 @@ class MotivoCounter:
             self.empty_urn = False
         self.classifier = self.classifier.successor(self.graph)
         self._built = True
-
-    def _log_delta(
-        self,
-        updates,
-        parent_fingerprint: str,
-        child_fingerprint: str,
-        stats: dict,
-    ) -> None:
-        """Persist one update batch to the configured delta log."""
-        from repro.artifacts import save_table_delta
-
-        root = self.config.delta_log_dir
-        os.makedirs(root, exist_ok=True)
-        sequence = len(
-            [name for name in os.listdir(root) if name.startswith("delta-")]
-        )
-        save_table_delta(
-            os.path.join(root, f"delta-{sequence:06d}"),
-            updates,
-            parent_fingerprint,
-            child_fingerprint,
-            stats=stats,
-        )
 
     # ------------------------------------------------------------------
     # Persistence: build once, sample many
@@ -719,6 +688,10 @@ class MotivoCounter:
         both ``config`` and the layout recorded at build time (which
         otherwise win, in that order — ``open_table`` falls back to the
         codec's native layout for artifacts predating the field).
+
+        ``graph`` may be the graph the artifact's blobs count or the
+        head its edge log leads to; the counter counts the head graph
+        (:func:`repro.artifacts.open_table` replays the log).
         """
         from repro.artifacts import open_table
 
@@ -747,7 +720,7 @@ class MotivoCounter:
                     f"artifact was built under seed {recorded.seed}, config "
                     f"wants {config.seed}"
                 )
-        counter = cls(graph, config)
+        counter = cls(artifact.graph, config)
         return counter._adopt_artifact(artifact, reseed=reseed)
 
     def _adopt_artifact(

@@ -13,11 +13,12 @@ colorful k-treelets.  Hence, with ``x_i`` hits among ``s`` samples,
 ``docs/estimators.md``.)  Rare graphlets need Θ(t / (c_i σ_i)) samples to
 be seen even once — the additive error barrier AGS breaks.
 
-The sampling loop runs in chunks of ``batch_size`` through
+The sampling loop runs in chunks through
 :meth:`~repro.colorcoding.urn.TreeletUrn.sample_batch` and
 :meth:`~repro.sampling.occurrences.GraphletClassifier.classify_batch`.
 Each chunk reads the next rows of one uniform stream, so the estimate
-depends on the seed alone: any ``batch_size >= 1`` gives the same hits.
+depends on the seed alone: any ``batch_size >= 1`` gives the same hits,
+and chunks never shrink below :data:`DEFAULT_BATCH_SIZE`.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def naive_hit_counts(
 ) -> Counter:
     """Raw sampling loop: canonical graphlet encoding → number of hits.
 
-    Draws run in chunks of ``batch_size`` (at least 1) through the
-    vectorized engine; the chunk size bounds memory and never changes
-    the hits.
+    Draws run through the vectorized engine in chunks of ``batch_size``
+    (at least 1), raised to :data:`DEFAULT_BATCH_SIZE`: the chunk size
+    bounds memory and never changes the hits, and below the default a
+    chunk pays the per-batch overhead for nothing.
 
     ``draw`` replaces the chunk draw ``urn.sample_batch(chunk, rng)``
     with a caller-supplied ``draw(chunk, rng)`` returning the same
@@ -74,6 +76,7 @@ def naive_hit_counts(
     hits: Counter = Counter()
     if draw is None:
         draw = urn.sample_batch
+    batch_size = max(batch_size, DEFAULT_BATCH_SIZE)
     remaining = num_samples
     while remaining:
         chunk = min(batch_size, remaining)
@@ -107,8 +110,8 @@ def naive_estimate(
         Optional precomputed spanning-tree counts (canonical encoding →
         σ_i); missing entries are computed via Kirchhoff on demand.
     batch_size:
-        Samples per vectorized chunk (at least 1; estimates do not
-        depend on it).
+        Samples per vectorized chunk (at least 1, raised to
+        :data:`DEFAULT_BATCH_SIZE`; estimates do not depend on it).
     draw:
         Optional chunk-draw hook, forwarded to :func:`naive_hit_counts`.
     """

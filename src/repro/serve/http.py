@@ -26,9 +26,10 @@ work, so the HTTP layer is a thin JSON codec:
     Body: ``{"artifact": <key>?, "updates": [[op, u, v], ...]}`` with
     ``op`` ``1``/``-1`` (or ``"+"``/``"-"``).  Delta-maintains the
     served table in memory under the edge updates (bit-identical to a
-    rebuild on the updated graph), rewrites the artifact, then swaps in
-    a warm successor handle — no reopen; in-flight requests finish on
-    the old table and the key's sessions restart.
+    rebuild on the updated graph), appends the batch to the artifact's
+    edge log, then swaps in a warm successor handle — no reopen;
+    in-flight requests finish on the old table and the key's sessions
+    restart.
     Response: the update stats (``updates_applied``, ``rows_touched``,
     new ``fingerprint``, ...).
 

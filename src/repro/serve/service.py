@@ -82,9 +82,11 @@ import numpy as np
 
 from repro.artifacts import (
     ArtifactCache,
+    append_edge_log,
+    compact_table,
     load_manifest,
+    log_rows,
     open_table,
-    rewrite_table,
 )
 from repro.colorcoding.coloring import ColoringScheme
 from repro.errors import ArtifactError, ReproError, SamplingError, ServeError
@@ -586,8 +588,8 @@ class SamplingService:
         self._evict_gen: Dict[str, int] = {}
         self._lock = threading.Lock()
         self.instrumentation = Instrumentation(registry=self.registry)
-        #: Serializes table updates per artifact key: concurrent
-        #: updates would race on the artifact directory rewrite.
+        #: Serializes table updates and compactions per artifact key:
+        #: concurrent ones would race on the edge log and the blobs.
         self._update_locks: Dict[str, threading.Lock] = {}
         self.started_at = time.time()
         #: (monotonic stamp, value) cache of the cache-root tree walk,
@@ -606,12 +608,20 @@ class SamplingService:
                 self._graphs[source] = graph
 
     def _resolve_graph(self, manifest: dict) -> Graph:
-        recorded = manifest.get("graph", {})
-        fingerprint = recorded.get("fingerprint")
+        """A graph :func:`open_table` accepts for ``manifest``: a
+        registered graph at its blobs or at its edge log's head, else
+        the blobs' graph loaded from the source hint."""
+        recorded = manifest.get("graph")
+        if not isinstance(recorded, dict):
+            recorded = {}  # open_table refuses the manifest
+        fingerprints = [recorded.get("fingerprint")]
+        if log_rows(manifest):
+            fingerprints.append(manifest["log"].get("head_fingerprint"))
         with self._lock:
-            graph = self._graphs.get(fingerprint)
-        if graph is not None:
-            return graph
+            for fingerprint in fingerprints:
+                graph = self._graphs.get(fingerprint)
+                if graph is not None:
+                    return graph
         source = recorded.get("source")
         if source is None:
             raise ServeError(
@@ -683,8 +693,8 @@ class SamplingService:
             raise ServeError(
                 f"no servable artifact under key {key!r}: {error}"
             ) from None
-        graph = self._resolve_graph(manifest)
-        artifact = open_table(directory, graph)
+        artifact = open_table(directory, self._resolve_graph(manifest))
+        graph = artifact.graph
         k = artifact.k
         recorded = read_build_params(artifact.manifest.get("build", {}), k)
         # A plan-carrying artifact hands its compiled descent program
@@ -704,7 +714,7 @@ class SamplingService:
             classifier=GraphletClassifier(graph, k),
             k=k,
             batch_size=recorded.batch_size,
-            manifest=manifest,
+            manifest=artifact.manifest,
             registry=self.registry,
         )
         self.instrumentation.count("serve_tables_opened")
@@ -753,11 +763,15 @@ class SamplingService:
         served); the handle closes when the last of them drains.  New
         requests for the key re-open from disk — or fail with
         :class:`~repro.errors.ServeError` if ``from_disk`` removed the
-        slot.  The key's session states go with it (a reopened key
-        starts fresh streams), so long-lived processes do not
-        accumulate state for tables they no longer serve.  Returns
-        whether a warm handle existed.
+        slot.  An evict that keeps the slot first folds the warm
+        handle's edge log into the blobs (:meth:`_fold`).  The key's
+        session states go with it (a reopened key starts fresh
+        streams), so long-lived processes do not accumulate state for
+        tables they no longer serve.  Returns whether a warm handle
+        existed.
         """
+        if not from_disk:
+            self._fold(key)
         with self._lock:
             handle = self._handles.pop(key, None)
             self._retire_locked(key)
@@ -767,6 +781,48 @@ class SamplingService:
         if from_disk:
             self.cache.evict(key)
         return handle is not None
+
+    def _update_lock(self, key: str) -> threading.Lock:
+        with self._lock:
+            return self._update_locks.setdefault(key, threading.Lock())
+
+    def _fold(self, key: str) -> None:
+        """Compact the key's warm handle if its edge log holds rows.
+
+        Runs under the key's update lock, so no batch appends while the
+        blobs are rewritten at the handle's head
+        (:func:`~repro.artifacts.compact_table`); requests keep being
+        served from the handle meanwhile.  Keys without a warm handle,
+        or whose log is empty, are left as they are.
+        """
+        with self._update_lock(key):
+            with self._lock:
+                handle = self._handles.get(key)
+            table = handle.table if handle is not None else None
+            if table is None or not log_rows(handle.manifest):
+                return
+            urn = handle.urn
+            artifact = compact_table(
+                handle.directory,
+                handle.manifest,
+                table,
+                handle.coloring,
+                handle.graph,
+                descent_program=(
+                    urn.descent_program() if urn is not None else None
+                ),
+            )
+            # An update this handle serves before it retires appends to
+            # the compacted artifact, not to the log just folded.
+            handle.manifest = artifact.manifest
+            # A later reopen resolves the compacted blobs' graph through
+            # the source hint compaction recorded, without loading it.
+            # Not keyed by fingerprint: superseded graphs must not stay
+            # resident once their handles close.
+            with self._lock:
+                self._graphs[artifact.manifest["graph"]["source"]] = (
+                    handle.graph
+                )
 
     def _retire_locked(self, key: str) -> None:  # repro: holds-lock
         """Retire the key's registered version: bump its eviction
@@ -778,7 +834,12 @@ class SamplingService:
             del self._sessions[session_key]
 
     def close(self) -> None:
-        """Evict every warm handle (disk untouched)."""
+        """Evict every warm handle, folding each edge log into its blobs
+        first (:meth:`_fold`); nothing is deleted from disk."""
+        with self._lock:
+            keys = list(self._handles)
+        for key in keys:
+            self._fold(key)
         with self._lock:
             handles, self._handles = list(self._handles.values()), {}
             self._sessions.clear()
@@ -992,10 +1053,13 @@ class SamplingService:
         advances through the same successor steps as
         :meth:`repro.motivo.MotivoCounter.update`: the new urn keeps the
         compiled descent program and takes over the gathered-cumulative
-        store, the new classifier keeps the pattern caches.  The
-        artifact directory is rewritten (updated graph embedded beside
-        the blobs, lineage advanced) *before* the successor handle is
-        swapped in, so a failed rewrite leaves the old handle serving.
+        store, the new classifier keeps the pattern caches.  The batch
+        is persisted by appending its effective edge changes to the
+        artifact's edge log and committing them in the manifest
+        (:func:`repro.artifacts.append_edge_log`) — no blob is
+        rewritten — *before* the successor handle is swapped in, so a
+        failed append leaves the old handle serving.  The log is folded
+        into the blobs when the key is evicted or the service closes.
 
         The swap retires the old handle like an evict does — in-flight
         requests finish on the old table, and the handle closes when
@@ -1006,7 +1070,7 @@ class SamplingService:
         distributions.
 
         Updates for one key are serialized (concurrent batches would
-        race on the directory rewrite); updates for different keys run
+        race on the edge log); updates for different keys run
         concurrently.  Returns the update stats (the keys of
         :meth:`repro.motivo.MotivoCounter.update`) plus the key, the
         new graph fingerprint, ``swapped`` and ``elapsed_seconds``.
@@ -1021,9 +1085,7 @@ class SamplingService:
     def _update_inner(self, updates, artifact: Optional[str]) -> dict:
         started = time.perf_counter()
         key = self._resolve_key(artifact)
-        with self._lock:
-            lock = self._update_locks.setdefault(key, threading.Lock())
-        with lock:
+        with self._update_lock(key):
             handle = self._checkout(key)
             try:
                 stats, successor = self._advance(handle, updates)
@@ -1031,12 +1093,15 @@ class SamplingService:
                     self._swap(key, successor)
             finally:
                 handle.release()
+        current = handle if successor is None else successor
+        stats.update(
+            key=key,
+            fingerprint=current.graph.fingerprint(),
+            swapped=successor is not None,
+            elapsed_seconds=time.perf_counter() - started,
+        )
         if successor is None:
-            stats.update(
-                key=key, fingerprint=handle.graph.fingerprint(), swapped=False
-            )
             return stats
-        elapsed = time.perf_counter() - started
         self.instrumentation.count("serve_updates")
         self.instrumentation.count(
             "delta_updates_total", stats["updates_applied"]
@@ -1047,12 +1112,6 @@ class SamplingService:
         self.registry.add_time(
             "delta_propagate", stats["propagate_seconds"]
         )
-        stats.update(
-            key=key,
-            fingerprint=successor.graph.fingerprint(),
-            swapped=True,
-            elapsed_seconds=elapsed,
-        )
         return stats
 
     def _advance(
@@ -1061,12 +1120,15 @@ class SamplingService:
         """One batch on ``handle``'s version: ``(stats, successor)``.
 
         ``successor`` is ``None`` for a batch that changes nothing (the
-        artifact is then left untouched).  Nothing ``handle`` serves is
-        mutated except its urn's right to append gathered rows, which
-        passes to the successor's urn.
+        artifact is then left untouched).  Otherwise the batch's
+        effective edge changes are appended to the artifact's edge log
+        before the old urn hands its gathered store over, and the
+        successor carries the committed manifest.  Nothing ``handle``
+        serves is mutated except its urn's right to append gathered
+        rows, which passes to the successor's urn.
         """
-        # Looked up at call time, like rewrite_table's entry points, so
-        # wrappers installed on the module (e2ebench/spans.py) see it.
+        # Looked up at call time so wrappers installed on the module
+        # (e2ebench/spans.py) see it.
         from repro.colorcoding.incremental import apply_edge_updates
 
         started = time.perf_counter()
@@ -1074,7 +1136,7 @@ class SamplingService:
         if table is None:
             raise SamplingError("handle is closed")
         # The manifest keeps the build's counters; the batch's delta
-        # counters join them in the rewritten manifest.
+        # counters join them in the committed manifest.
         instrumentation = Instrumentation.from_snapshot(
             handle.manifest.get("instrumentation", {})
         )
@@ -1106,24 +1168,13 @@ class SamplingService:
                 urn = handle.urn.successor(graph, table)
             except SamplingError:
                 urn = None  # the batch emptied the urn: zero estimates
-        artifact = rewrite_table(
+        manifest = append_edge_log(
             handle.directory,
             handle.manifest,
-            table,
-            handle.coloring,
+            result.changes,
             graph,
-            result.updates_applied,
-            descent_program=(
-                urn.descent_program() if urn is not None else None
-            ),
             instrumentation=instrumentation,
         )
-        # Refresh the blob's entry so a later reopen of this key (after
-        # an evict) resolves the updated graph without loading it.  Not
-        # keyed by fingerprint: superseded graphs must not stay resident
-        # once their handles close.
-        with self._lock:
-            self._graphs[artifact.manifest["graph"]["source"]] = graph
         if urn is not None:
             handle.hand_over(urn, result.dirty_columns)
         successor = TableHandle(
@@ -1136,7 +1187,7 @@ class SamplingService:
             classifier=handle.classifier.successor(graph),
             k=handle.k,
             batch_size=handle.batch_size,
-            manifest=artifact.manifest,
+            manifest=manifest,
             registry=self.registry,
             sigma_cache=handle.sigma_cache,
         )

@@ -11,8 +11,8 @@ batches and checks the maintained state against fresh rebuilds across
 layouts (dense, succinct), builds (in-memory, sharded) and both
 sampling methods, plus the sampling-plane cache retention
 paths (kept gathered store with live dirty lanes; threshold flush), the
-empty-urn lifecycle, delta artifacts and compaction, and the facade /
-serve / CLI wiring.
+empty-urn lifecycle, the artifact edge log and its compaction, and the
+facade / serve / CLI wiring.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import numpy as np
 import pytest
 
 from repro.artifacts import (
+    append_edge_log,
     compact_table,
     load_manifest,
-    load_table_delta,
     open_table,
     save_table,
-    save_table_delta,
 )
 from repro.cli import main as cli_main
 from repro.colorcoding.buildup import build_table
@@ -44,7 +43,8 @@ from repro.colorcoding.incremental import (
 from repro.colorcoding.urn import TreeletUrn
 from repro.errors import ArtifactError, BuildError
 from repro.graph.generators import erdos_renyi
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, change_rows
+from repro.graph.io import load_graph
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService, serve_http
 
@@ -361,6 +361,38 @@ class TestEmptyUrnLifecycle:
         fresh.close()
 
 
+class TestSuccessorProgram:
+    def test_key_swap_at_equal_count_recompiles(self):
+        """A mixed batch that drops one key of a layer and gains another
+        keeps every key count: the successor must not keep the old
+        descent program, whose rows now name other keys."""
+        graph = Graph.from_edges(
+            [(0, 1), (0, 4), (0, 6), (0, 7), (2, 4), (2, 8), (4, 7),
+             (4, 8), (5, 7), (6, 7)],
+            9,
+        )
+        coloring = ColoringScheme.uniform(9, 4, rng=113)
+        table = build_table(graph, coloring)
+        urn = TreeletUrn(graph, table, coloring)
+        program = urn.descent_program()
+        result = apply_edge_updates(
+            table, graph,
+            [("+", 8, 6), ("-", 0, 1), ("+", 4, 3), ("-", 4, 8)],
+            coloring,
+        )
+        program.validate_for(result.table)  # the counts alone agree
+        successor = urn.successor(result.graph, result.table)
+        fresh = TreeletUrn(result.graph, result.table, coloring)
+        uniforms = np.random.default_rng(5).random(
+            (2000, fresh.draw_width)
+        )
+        for got, want in zip(
+            successor.sample_batch(2000, uniforms=uniforms),
+            fresh.sample_batch(2000, uniforms=uniforms),
+        ):
+            assert np.array_equal(got, want)
+
+
 class TestGatheredStoreRetention:
     """The sampling plane's snapshot-pinned cache across updates.
 
@@ -481,95 +513,125 @@ class TestGatheredStoreRetention:
         fresh.close()
 
 
+def _logged_update(directory: str, counter: MotivoCounter, batch) -> dict:
+    """Update ``counter`` and append the batch to the artifact's edge
+    log, as ``motivo-py update`` does before it folds."""
+    added, removed, _ = counter.graph.resolve_updates(batch)
+    counter.update(batch)
+    return append_edge_log(
+        directory,
+        load_manifest(directory),
+        change_rows(added, removed, counter.graph.num_vertices),
+        counter.graph,
+    )
+
+
 class TestDeltaArtifacts:
+    """The artifact edge log: appended batches, their replay on open,
+    and compaction back into blobs."""
+
     def _graph(self):
         return erdos_renyi(30, 70, rng=4)
 
+    def _saved(self, tmp_path):
+        graph = self._graph()
+        counter = MotivoCounter(graph, MotivoConfig(k=4, seed=13))
+        counter.build()
+        directory = str(tmp_path / "base")
+        counter.save_artifact(directory)
+        return graph, counter, directory
+
     def test_save_load_roundtrip(self, tmp_path):
-        manifest = save_table_delta(
-            str(tmp_path / "d0"), [("+", 1, 2), ("-", 3, 4)],
-            "sha256:p", "sha256:c", stats={"rows_touched": 5},
+        graph, counter, directory = self._saved(tmp_path)
+        absent = next(
+            (a, b) for a in range(30) for b in range(a + 1, 30)
+            if not graph.has_edge(a, b)
         )
-        assert manifest["num_updates"] == 2
-        ops, loaded = load_table_delta(str(tmp_path / "d0"))
-        assert loaded["parent_fingerprint"] == "sha256:p"
-        assert loaded["child_fingerprint"] == "sha256:c"
-        assert loaded["stats"]["rows_touched"] == 5
-        assert ops.shape == (2, 3)
-        assert ops.dtype == np.int64
+        present = next(iter(graph.edges()))
+        manifest = _logged_update(
+            directory, counter,
+            [("+", *absent), ("-", *present), ("+", *present)],
+        )
+        assert manifest["log"] == {
+            "rows": 1, "head_fingerprint": counter.graph.fingerprint(),
+        }
+        assert manifest["graph"]["fingerprint"] == graph.fingerprint()
+        logged = np.fromfile(str(tmp_path / "base" / "edges.log"), "<i8")
+        assert logged.tolist() == [1, *absent]
+        reopened = open_table(directory, graph)
+        assert reopened.graph.fingerprint() == counter.graph.fingerprint()
+        assert _digest(reopened.table, 4) == _digest(counter.table, 4)
+        counter.close()
 
     def test_tampered_blob_rejected(self, tmp_path):
-        save_table_delta(
-            str(tmp_path / "d0"), [("+", 1, 2)], "sha256:p", "sha256:c"
+        graph, counter, directory = self._saved(tmp_path)
+        absent = next(
+            (a, b) for a in range(30) for b in range(a + 1, 30)
+            if not graph.has_edge(a, b)
         )
-        blob = tmp_path / "d0" / "updates.npy"
-        blob.write_bytes(blob.read_bytes()[:-1] + b"\x01")
+        _logged_update(directory, counter, [("+", *absent)])
+        log = tmp_path / "base" / "edges.log"
+        log.write_bytes(b"\x05" + log.read_bytes()[1:])  # op 1 -> 5
         with pytest.raises(ArtifactError):
-            load_table_delta(str(tmp_path / "d0"))
+            open_table(directory, graph)
+        counter.close()
 
     def test_compaction_folds_delta_chain(self, tmp_path):
-        graph = self._graph()
-        counter = MotivoCounter(
-            graph,
-            MotivoConfig(
-                k=4, seed=13, delta_log_dir=str(tmp_path / "deltas")
-            ),
-        )
-        counter.build()
-        counter.save_artifact(str(tmp_path / "base"))
+        graph, counter, directory = self._saved(tmp_path)
         rng = np.random.default_rng(77)
-        counter.update(_mixed_batch(rng, counter.graph, 3, 2))
-        counter.update(_mixed_batch(rng, counter.graph, 2, 3))
-        deltas = [str(tmp_path / "deltas" / f"delta-{i:06d}")
-                  for i in range(2)]
-
-        artifact, final_graph = compact_table(
-            str(tmp_path / "base"), deltas, str(tmp_path / "out"), graph
+        _logged_update(
+            directory, counter, _mixed_batch(rng, counter.graph, 3, 2)
         )
-        assert final_graph.fingerprint() == counter.graph.fingerprint()
+        manifest = _logged_update(
+            directory, counter, _mixed_batch(rng, counter.graph, 2, 3)
+        )
+        artifact = compact_table(
+            directory, manifest, counter.table, counter.coloring,
+            counter.graph,
+        )
         assert _digest(artifact.table, 4) == _digest(counter.table, 4)
+        assert "log" not in artifact.manifest
+        assert not (tmp_path / "base" / "edges.log").exists()
         lineage = artifact.manifest["lineage"]
         assert lineage["parent_fingerprint"] == graph.fingerprint()
-        assert lineage["deltas_compacted"] == 2
+        assert lineage["update_batches"] == 2
 
-        reopened = open_table(str(tmp_path / "out"), final_graph)
+        source = artifact.manifest["graph"]["source"]
+        final_graph = load_graph(source)
+        assert final_graph.fingerprint() == counter.graph.fingerprint()
+        reopened = open_table(directory, final_graph)
         assert _digest(reopened.table, 4) == _digest(counter.table, 4)
         counter.close()
 
     def test_compaction_rejects_out_of_order_chain(self, tmp_path):
-        graph = self._graph()
-        counter = MotivoCounter(
-            graph,
-            MotivoConfig(
-                k=4, seed=13, delta_log_dir=str(tmp_path / "deltas")
-            ),
+        """Batches replay in log order: an edge inserted by one batch
+        and deleted by the next must not come back when the two rows
+        trade places."""
+        graph, counter, directory = self._saved(tmp_path)
+        absent = next(
+            (a, b) for a in range(30) for b in range(a + 1, 30)
+            if not graph.has_edge(a, b)
         )
-        counter.build()
-        counter.save_artifact(str(tmp_path / "base"))
-        rng = np.random.default_rng(78)
-        counter.update(_mixed_batch(rng, counter.graph, 3, 2))
-        counter.update(_mixed_batch(rng, counter.graph, 2, 3))
-        counter.close()
-        deltas = [str(tmp_path / "deltas" / f"delta-{i:06d}")
-                  for i in (1, 0)]
+        _logged_update(directory, counter, [("+", *absent)])
+        _logged_update(directory, counter, [("-", *absent)])
+        log = tmp_path / "base" / "edges.log"
+        rows = np.fromfile(str(log), "<i8").reshape(-1, 3)
+        rows[::-1].tofile(str(log))
         with pytest.raises(ArtifactError):
-            compact_table(
-                str(tmp_path / "base"), deltas, str(tmp_path / "out"),
-                graph,
-            )
+            open_table(directory, graph)
+        counter.close()
 
     @pytest.mark.parametrize("build", [None, "x", [], 5])
     def test_compaction_rejects_non_object_build(self, tmp_path, build):
         graph = self._graph()
         coloring = ColoringScheme.uniform(30, 4, rng=5)
         base = str(tmp_path / "base")
-        save_table(base, build_table(graph, coloring), coloring, graph)
+        table = build_table(graph, coloring)
+        save_table(base, table, coloring, graph)
         manifest = load_manifest(base)
         manifest["build"] = build
-        with open(tmp_path / "base" / "manifest.json", "w") as handle:
-            json.dump(manifest, handle)
         with pytest.raises(ArtifactError):
-            compact_table(base, [], str(tmp_path / "out"), graph)
+            compact_table(base, manifest, table, coloring, graph)
 
     def test_update_lineage_recorded_in_saved_artifact(self, tmp_path):
         graph = self._graph()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -548,7 +549,7 @@ class TestUpdateSwap:
     on the table version its request checked out."""
 
     @pytest.mark.parametrize("codec", ["dense", "succinct"])
-    def test_each_update_serves_the_rewritten_artifact_warm(
+    def test_each_update_serves_the_logged_artifact_warm(
         self, tmp_path, codec
     ):
         host = erdos_renyi(40, 100, rng=5)
@@ -576,9 +577,12 @@ class TestUpdateSwap:
                     samples=250, session=f"after{index}", seed=seed
                 )
                 manifest = load_manifest(directory)
-                graph = load_graph(manifest["graph"]["source"])
-                assert graph.fingerprint() == stats["fingerprint"]
-                replayed = MotivoCounter.from_artifact(graph, directory)
+                assert manifest["log"]["head_fingerprint"] == (
+                    stats["fingerprint"]
+                )
+                # A reopen from the built graph replays the edge log.
+                replayed = MotivoCounter.from_artifact(host, directory)
+                assert replayed.graph.fingerprint() == stats["fingerprint"]
                 assert _same(served.estimates, _replay(replayed, 250, seed))
                 replayed.close()
                 assert served.estimates.empty_urn == (index == 2)
@@ -589,8 +593,14 @@ class TestUpdateSwap:
                     == 1
                 )
             assert load_manifest(directory)["lineage"]["update_batches"] == 4
-            # An evicted key reopens the rewritten artifact from disk.
+            # An evict folds the log; the key reopens the compacted
+            # artifact from disk.
             service.evict(_key(root), from_disk=False)
+            manifest = load_manifest(directory)
+            assert "log" not in manifest
+            assert load_graph(manifest["graph"]["source"]).fingerprint() == (
+                stats["fingerprint"]
+            )
             reopened = service.count(samples=250, session="re", seed=seed)
             assert _same(reopened.estimates, served.estimates)
             assert service.instrumentation.counters["serve_tables_opened"] == 2
@@ -670,17 +680,22 @@ class TestUpdateSwap:
     def test_failed_rewrite_keeps_the_old_handle(
         self, host, cache_root, tmp_path, monkeypatch
     ):
+        """A manifest write that fails after the log rows landed leaves
+        the old handle serving, and a reopen ignores the uncommitted
+        rows; the next append overwrites them."""
         import shutil
 
-        from repro.serve import service as service_module
+        from repro.artifacts import table_artifact
 
         root = str(tmp_path / "cache")
         shutil.copytree(cache_root, root)
         key = _key(root)
-        absent = next(
+        directory = ArtifactCache(root).path(key)
+        absent = [
             (a, b) for a in range(90) for b in range(a + 1, 90)
             if not host.has_edge(a, b)
-        )
+        ][:2]
+        write_manifest = table_artifact._write_manifest
 
         def fail(*_args, **_kwargs):
             raise OSError("disk full")
@@ -689,15 +704,26 @@ class TestUpdateSwap:
             service.add_graph(host)
             before = service.count(samples=200, session="a", seed=6)
             handle = service.open(key)
-            monkeypatch.setattr(service_module, "rewrite_table", fail)
+            monkeypatch.setattr(table_artifact, "_write_manifest", fail)
             with pytest.raises(OSError):
-                service.update([["+", *absent]])
+                service.update([["+", *absent[0]]])
+            assert os.path.getsize(os.path.join(directory, "edges.log")) == 24
             assert service.open(key) is handle and not handle.closing
             again = service.count(samples=200, session="b", seed=6)
             assert _same(again.estimates, before.estimates)
-            assert load_manifest(ArtifactCache(root).path(key))[
-                "graph"
-            ]["fingerprint"] == host.fingerprint()
+            assert "log" not in load_manifest(directory)
+            reopened = MotivoCounter.from_artifact(host, directory)
+            assert reopened.graph is host
+            assert _same(_replay(reopened, 200, 6), before.estimates)
+            reopened.close()
+
+            monkeypatch.setattr(table_artifact, "_write_manifest", write_manifest)
+            service.update([["+", *absent[1]]])
+            head, _ = host.apply_updates([("+", *absent[1])])
+            assert load_manifest(directory)["log"] == {
+                "rows": 1, "head_fingerprint": head.fingerprint(),
+            }
+            assert os.path.getsize(os.path.join(directory, "edges.log")) == 24
 
     @pytest.mark.parametrize("codec", ["dense", "succinct"])
     def test_counts_racing_updates_match_a_table_version(
