@@ -8,10 +8,11 @@ combination plans only on the touched-column frontier (ball of radius
 ``h - 2`` around the updated endpoints, per level), and the sampling
 plane follows suit — the urn keeps its compiled descent program and its
 gathered-cumulative store across the update (stale rows stay bit-exact
-for vertices outside the dirty neighborhood because the kernel only ever
-reads them relatively; dirty vertices take an exact live path).  The
-result is bit-identical to a fresh rebuild on the updated graph under
-the same coloring.
+wherever a vertex's distance to the update clears the key's size,
+because the kernel only ever reads them relatively; the reads the update
+may have staled go through the successor urn's segment store of exact
+running sums over the current adjacency).  The result is bit-identical
+to a fresh rebuild on the updated graph under the same coloring.
 
 Three workloads:
 
@@ -60,7 +61,12 @@ shrinks the headline workload for the CI ``incremental-smoke`` job: the
 bit-identity gates are unchanged, only the timing protocol is shortened
 and the speedup floor is noise-padded (writes
 ``BENCH_INCREMENTAL_quick`` under ``benchmarks/results/`` so the tracked
-trajectory file is untouched).
+trajectory file is untouched).  It also runs the **carried-store
+check**, untimed, on a small Chung-Lu graph where one edge's dirty ball
+covers most vertices: after each of three single-edge updates the
+successor urn must share its predecessor's gathered store, and its
+draws must equal a fresh urn's and the ``method="loop"`` oracle's under
+the same uniforms (``payload["carried_store"]``).
 """
 
 from __future__ import annotations
@@ -72,6 +78,8 @@ import sys
 
 import numpy as np
 
+from repro.colorcoding.buildup import build_table
+from repro.colorcoding.urn import TreeletUrn
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.motivo import MotivoConfig, MotivoCounter
@@ -118,10 +126,14 @@ MAX_EPOCHS = 4
 MIN_EPOCHS = 2
 TARGET_SPEEDUP = 10.0
 QUICK_TARGET_SPEEDUP = 2.0
+#: Carried-store check (quick mode): a Chung-Lu graph on which one
+#: inserted edge's radius-(k-2) ball covers most vertices.
+HUB_N = 3000
+HUB_M = 9000
+HUB_K = 5
+HUB_UPDATES = 3
 #: Batch sizes for the honest degradation curve (headline workload); the
-#: largest point churns over 1.5% of the edge count in one batch — far
-#: past the dirty-neighborhood threshold where the sampling-plane caches
-#: flush.
+#: largest point churns over 1.5% of the edge count in one batch.
 CURVE_BATCH_SIZES = (1, 8, 64, 512, 2048)
 
 
@@ -215,6 +227,60 @@ def _assert_bit_identity(graph: Graph, batch: list, k: int) -> dict:
         "table_digest": inc_digest,
         "rows_touched": stats["rows_touched"],
         "touched_vertices": stats["touched_vertices"],
+    }
+
+
+def _carried_store_check(graph: Graph, k: int, updates: int) -> dict:
+    """Single-edge updates on a hub graph keep the gathered store and
+    stay bit-identical (untimed).
+
+    After each update the successor urn must share its predecessor's
+    gathered matrix, the maintained table must equal a fresh build, and
+    the successor's draws must equal a fresh urn's and the loop
+    oracle's under the same uniforms.
+    """
+    counter = MotivoCounter(graph, _config(k))
+    counter.build()
+    counter.sample_naive(SAMPLES_PER_REQUERY)  # materialize the store
+    rng = np.random.default_rng(SEED)
+    kept = []
+    for index in range(updates):
+        previous = counter.urn
+        counter.update(
+            [("+", u, v) for u, v in _pick_absent_edges(
+                counter.graph, 1, seed=300 + index
+            )]
+        )
+        urn = counter.urn
+        kept.append(urn._gath_matrix is previous._gath_matrix)
+        fresh_table = build_table(counter.graph, counter.coloring)
+        assert _table_digest(counter.table, k) == _table_digest(
+            fresh_table, k
+        ), "delta-maintained table differs from fresh rebuild"
+        uniforms = rng.random((4 * SAMPLES_PER_REQUERY, urn.draw_width))
+        fresh = TreeletUrn(counter.graph, fresh_table, counter.coloring)
+        drawn = urn.sample_batch(uniforms.shape[0], uniforms=uniforms)
+        for got, want in zip(
+            drawn, fresh.sample_batch(uniforms.shape[0], uniforms=uniforms)
+        ):
+            assert np.array_equal(got, want), "carried store diverged"
+        head = uniforms[:SAMPLES_PER_REQUERY]
+        loop = urn.sample_batch(head.shape[0], uniforms=head, method="loop")
+        for got, want in zip(drawn, loop):
+            assert np.array_equal(got[: head.shape[0]], want), (
+                "carried store diverged from the loop oracle"
+            )
+    counters = counter.instrumentation.counters
+    radii = counter.urn._gath_radii
+    counter.close()
+    return {
+        "graph": f"PL(n={graph.num_vertices}, m={graph.num_edges}, k={k})",
+        "updates": updates,
+        "bit_identical": True,
+        "kept_store": all(kept),
+        "dirty_fraction": float((radii < k - 1).mean()),
+        "segment_fills": int(counters.get("gathered_segment_fills", 0)),
+        "segment_entries": int(counters.get("gathered_segment_entries", 0)),
     }
 
 
@@ -427,6 +493,9 @@ def main(argv=None) -> None:
             side_workloads=False,
         )
         payload["quick"] = True
+        payload["carried_store"] = _carried_store_check(
+            _powerlaw_graph(HUB_N, HUB_M), HUB_K, HUB_UPDATES
+        )
         emit_json("BENCH_INCREMENTAL_quick", payload)
     else:
         payload = run_incremental_comparison()
@@ -460,6 +529,8 @@ def main(argv=None) -> None:
     )
     assert payload["bit_identical"], payload
     assert payload["speedup"] >= payload["target_speedup"], payload
+    if args.quick:
+        assert payload["carried_store"]["kept_store"], payload
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from repro.artifacts.table_artifact import (
     load_manifest,
     log_rows,
     open_table,
+    require_unmoved,
     save_table,
 )
 
@@ -70,5 +71,6 @@ __all__ = [
     "load_manifest",
     "log_rows",
     "open_table",
+    "require_unmoved",
     "save_table",
 ]

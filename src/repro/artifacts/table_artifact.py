@@ -84,6 +84,7 @@ __all__ = [
     "append_edge_log",
     "compact_table",
     "log_rows",
+    "require_unmoved",
     "save_table",
     "open_table",
     "load_manifest",
@@ -581,12 +582,15 @@ def append_edge_log(
     readers see the artifact as it was.
 
     Returns the committed manifest (``manifest`` itself for an empty
-    batch, which commits nothing).
+    batch, which commits nothing).  Raises
+    :class:`~repro.errors.ArtifactError` when the artifact moved on disk
+    past ``manifest`` (:func:`require_unmoved`).
     """
     committed = log_rows(manifest)
     changes = np.ascontiguousarray(changes, dtype=_LOG_DTYPE).reshape(-1, 3)
     if not changes.shape[0]:
         return manifest
+    require_unmoved(directory, manifest)
     path = os.path.join(directory, LOG_NAME)
     with open(path, "r+b" if committed else "wb") as handle:
         if os.fstat(handle.fileno()).st_size < committed * _LOG_ROW_BYTES:
@@ -612,6 +616,27 @@ def append_edge_log(
         advanced["instrumentation"] = instrumentation.snapshot()
     _write_manifest(directory, advanced)
     return advanced
+
+
+def require_unmoved(directory: str, manifest: dict) -> None:
+    """Refuse to write an artifact that moved on disk past ``manifest``.
+
+    A writer holding a manifest (a served handle's, or one read before
+    an update) may append to the edge log or fold it only while the
+    directory still commits that state.  A second writer that appended
+    or compacted meanwhile changed the on-disk ``log`` rows, its head
+    fingerprint or the ``lineage``; writing then would append after rows
+    that are gone, or fold a stale head over the other writer's batch.
+    Raises :class:`~repro.errors.ArtifactError` in that case.
+    """
+    on_disk = load_manifest(directory)
+    for section in ("log", "lineage"):
+        if on_disk.get(section) != manifest.get(section):
+            raise ArtifactError(
+                f"artifact {directory} moved on disk: its {section} is "
+                f"{on_disk.get(section)!r}, this writer holds "
+                f"{manifest.get(section)!r} (another process updated it)"
+            )
 
 
 def compact_table(

@@ -92,13 +92,17 @@ class DeltaResult:
         work measure the update/rebuild speedup scales with.
     updates_applied, edges_added, edges_removed:
         Edge changes the batch actually made (no-op entries excluded).
-    dirty_columns:
-        Sorted vertices whose *sub-k* layer counts (sizes ``1..k-1``)
-        may have changed — the radius-``(k-3)`` frontier ball, which
-        contains the endpoints.  The sampling plane's cache-retargeting
-        hint: gathered-cumulative rows stay valid for every vertex
-        whose neighborhood avoids this set (see
-        :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).
+    dirty_radii:
+        One int8 label per vertex: its distance to the nearest updated
+        endpoint over the union of old and new adjacency, capped at
+        ``k - 1`` (``None`` for a no-op batch).  The sampling plane's
+        per-size staleness hint: a gathered segment of a size-``h``
+        key at ``v`` sums size-``h`` counts over ``v``'s adjacency, and
+        those counts move only within distance ``h - 2`` of an
+        endpoint, so the segment can be stale only where the label is
+        below ``h`` (see
+        :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).  Read
+        straight off the frontier balls — no search of its own.
     changes:
         The batch's effective edge changes as ``(±1, u, v)`` rows
         (:func:`repro.graph.graph.change_rows`) — what an artifact's
@@ -112,7 +116,7 @@ class DeltaResult:
     updates_applied: int
     edges_added: int
     edges_removed: int
-    dirty_columns: Optional[np.ndarray] = None
+    dirty_radii: Optional[np.ndarray] = None
     changes: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 3), dtype=np.int64)
     )
@@ -150,6 +154,18 @@ def touched_frontiers(
         ball = np.union1d(ball, grown)
         balls.append(ball)
     return balls
+
+
+def _distance_labels(
+    balls: List[np.ndarray], n: int, cap: int
+) -> np.ndarray:
+    """Per-vertex distance to the update, capped at ``cap``: ``balls[r]``
+    is the radius-``r`` ball, written from the widest in so the
+    smallest radius wins."""
+    labels = np.full(n, cap, dtype=np.int8)
+    for radius in range(len(balls) - 1, -1, -1):
+        labels[balls[radius]] = radius
+    return labels
 
 
 def _membership(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -372,6 +388,6 @@ def apply_edge_updates(
         int(added.size + removed.size),
         int(added.size),
         int(removed.size),
-        dirty_columns=balls[k - 3] if k >= 3 else endpoints,
+        dirty_radii=_distance_labels(balls, n, k - 1),
         changes=change_rows(added, removed, n),
     )

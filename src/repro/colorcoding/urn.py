@@ -48,8 +48,11 @@ running sum: the batched path accumulates one cumsum over all adjacency
 lists per ``(T'', C'')`` key, i.e. ``Σ_u deg(u)·c(T''_{C''}, u)`` — a
 degree-weighted total up to Δ times larger than any per-vertex neighbor
 sum the loop path ever forms.  While that stays below 2^53 the two
-paths cannot diverge; beyond it both keep working but may round
-differently.  No surrogate workload comes near the bound.
+paths cannot diverge; beyond it nothing is checked.  Measured at k=8:
+on K_{4,6000} layer 7 peaks at 2^57.4 and batched and loop draws under
+the same uniforms disagree on 2–3 of 300 rows (seeds 0, 1, 2) without
+a warning; on K_{3,12000} layer 7 reaches 2^63.4 and the batched draw
+raises "inconsistent table: no valid split" on every seed.
 
 Fused descent kernel.  The vectorized path replays a single compiled
 :class:`~repro.colorcoding.descent.DescentProgram` — every treelet plan,
@@ -63,16 +66,24 @@ by vectorized bisection.  Programs are pure table metadata: artifacts
 cache them (``descent_plan.npz``) and hand them back via the
 ``program=`` constructor argument, so warm opens never compile.
 
-The gathered-cumulative matrix is a single global grow-on-demand store
-(one ``O(m)`` row per ``(T'', C'')`` key the descent actually visits,
-shared across layers and batches) held at the narrowest **exact integer
-dtype** — uint32 when ``max_count · 2m < 2^32``, else int64 — halving
-memory traffic versus float64 rows.  Integer running sums also make the
-child inversion exact at any magnitude: the scalar rule
+The gathered-cumulative matrix is a single global store (one ``O(m)``
+row per ``(T'', C'')`` key the descent actually visits, shared across
+layers and batches, allocated once up to the row budget) held at the
+narrowest **exact integer dtype** — uint32 when ``max_count · 2m <
+2^32``, else int64 — halving memory traffic versus float64 rows.
+Integer running sums also make the child inversion exact at any
+magnitude: the scalar rule
 ``searchsorted(running, u·s, side="right")`` counts ``running <= u·s``,
 which for integer running sums equals ``running <= floor(u·s)``, an
 int64 comparison with no rounding anywhere.  Split weights stay float64
 products, performing the same float ops as the scalar recursion.
+
+Across edge updates the store is carried, not rebuilt: a successor urn
+keeps reading the rows, pinned to the graph they were summed over, and
+sends each read an update may have staled — a size-``h`` key at a
+vertex whose distance to the updated endpoints is below ``h`` — through
+its segment store of exact running sums over the current adjacency
+(:meth:`TreeletUrn.take_gathered`).  A fresh urn never consults it.
 
 Table layouts: every table access goes through the
 :class:`~repro.table.count_table.LayerView` protocol (``row_values`` for
@@ -107,7 +118,7 @@ from repro.colorcoding.descent import (
 )
 from repro.graph.graph import Graph
 from repro.telemetry.tracing import span as _trace_span
-from repro.table.count_table import CountTable
+from repro.table.count_table import CountTable, DenseLayer, LayerView
 from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
 from repro.util.alias import AliasSampler
@@ -152,6 +163,93 @@ class _UniformRow:
         value = float(self._row[self._cursor])
         self._cursor += 1
         return value
+
+
+class _SegmentStore:
+    """Exact running sums of the current counts over the current
+    adjacency, for the stale ``(gathered key, vertex)`` pairs of a
+    carried gathered store (:meth:`TreeletUrn.take_gathered`).
+
+    Every filled segment lies back to back in one global int64 running
+    sum: pair ``p`` occupies ``cum[base_p : base_p + deg_p + 1]``, its
+    leading entry shared with the segment before, so its neighbor total
+    is ``cum[base_p + deg_p] - cum[base_p]``.  The whole array is
+    nondecreasing (counts are nonnegative), so the child inversion of
+    any number of pairs is one ``searchsorted`` over it.  A pair's base
+    sits at ``index[vertex_row[v], gk]``: each vertex read gets one row
+    over the gathered keys, and row 0 is all ``-1`` (absent), so a
+    lookup is one gather.  Plain arrays only, with no reference back to
+    the urn, so a retired urn's store is freed with it.
+    """
+
+    __slots__ = ("vertex_row", "index", "rows", "cum", "used")
+
+    #: Running totals stay below this, so the int64 sums never wrap.
+    LIMIT = 2.0**62
+
+    def __init__(self, num_vertices: int, num_keys: int) -> None:
+        self.vertex_row = np.zeros(num_vertices, dtype=np.int64)
+        self.index = np.full((1, num_keys), -1, dtype=np.int64)
+        self.clear()
+
+    def clear(self) -> None:
+        self.vertex_row[:] = 0
+        self.index = self.index[:1].copy()
+        self.rows = 1
+        self.cum = np.zeros(1, dtype=np.int64)
+        self.used = 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes charged to the descent cache budget."""
+        return 8 * (self.used + self.index.size + self.vertex_row.size)
+
+    def find(self, gks: np.ndarray, verts: np.ndarray) -> np.ndarray:
+        """Bases of the ``(gks[i], verts[i])`` pairs, ``-1`` where
+        absent."""
+        return self.index[self.vertex_row[verts], gks]
+
+    def below_limit(self, values: np.ndarray) -> bool:
+        """Whether appending ``values`` keeps the running total below
+        :attr:`LIMIT`."""
+        return float(self.cum[self.used - 1]) + float(values.sum()) < (
+            self.LIMIT
+        )
+
+    def append(
+        self,
+        gks: np.ndarray,
+        verts: np.ndarray,
+        degrees: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Append the segments of absent ``(gks[i], verts[i])`` pairs:
+        ``degrees[i]`` entries each, taken from ``values`` in order."""
+        fresh = np.unique(verts[self.vertex_row[verts] == 0])
+        if fresh.size:
+            rows = self.rows + fresh.size
+            if rows > self.index.shape[0]:
+                grown = np.full(
+                    (max(rows, 2 * self.index.shape[0]), self.index.shape[1]),
+                    -1,
+                    dtype=np.int64,
+                )
+                grown[: self.rows] = self.index[: self.rows]
+                self.index = grown
+            self.vertex_row[fresh] = np.arange(self.rows, rows, dtype=np.int64)
+            self.rows = rows
+        end = self.used + values.size
+        if end > self.cum.size:
+            grown = np.empty(max(end, 2 * self.cum.size), dtype=np.int64)
+            grown[: self.used] = self.cum[: self.used]
+            self.cum = grown
+        run = self.cum[self.used:end]
+        np.cumsum(values.astype(np.int64), out=run)
+        run += self.cum[self.used - 1]
+        self.index[self.vertex_row[verts], gks] = (
+            self.used - 1 + np.cumsum(degrees) - degrees
+        )
+        self.used = end
 
 
 class TreeletUrn:
@@ -223,19 +321,22 @@ class TreeletUrn:
         if descent_cache_bytes is None:
             descent_cache_bytes = DEFAULT_DESCENT_CACHE_BYTES
         self.descent_cache_bytes = int(descent_cache_bytes)
-        row_bytes = (graph.indices.size + 1) * 8
+        self._row_bytes = (graph.indices.size + 1) * 8
         self._gathered_row_budget = max(
-            16, self.descent_cache_bytes // row_bytes
+            16, self.descent_cache_bytes // self._row_bytes
         )
         self._gathered_cached_rows = 0
         self._gath_matrix: Optional[np.ndarray] = None
         self._gath_slot: Optional[np.ndarray] = None
         # The graph snapshot the gathered store is pinned to, plus the
-        # per-vertex dirty mask of the stale-row read discipline (see
-        # :meth:`take_gathered`).  Identical to ``self.graph`` until a
-        # successor takes the store over across an edge update.
+        # per-vertex distance labels of the stale-read discipline (see
+        # :meth:`take_gathered`).  Identical to ``self.graph``, and no
+        # labels, until a successor takes the store over across an
+        # edge update; the segment store then serves the stale reads.
         self._gath_graph: Graph = graph
-        self._gath_dirty: Optional[np.ndarray] = None
+        self._gath_radii: Optional[np.ndarray] = None
+        self._segments: Optional[_SegmentStore] = None
+        self._dense_sources: Dict[int, DenseLayer] = {}
         self._key_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def successor(self, graph: Graph, table: CountTable) -> "TreeletUrn":
@@ -279,27 +380,30 @@ class TreeletUrn:
     def take_gathered(
         self,
         previous: "TreeletUrn",
-        dirty_columns: Optional[np.ndarray],
+        dirty_radii: Optional[np.ndarray],
     ) -> bool:
         """Take over ``previous``'s gathered-cumulative store.
 
-        ``previous`` is the urn this one succeeds and ``dirty_columns``
-        the update batch's vertices whose sub-``k`` counts changed.  The
-        store holds, per gathered key, the running sum of that key's
-        counts over the snapshot graph's edge array.  The fused kernel
-        only ever reads it *relatively* — segment-endpoint differences
-        for split weights, and bisection against ``row[start] + t``
-        thresholds — so the global prefix offset of a row cancels out of
-        every decision.  A stale row read through the snapshot's
-        ``indptr``/``indices`` therefore yields bit-exact results for
-        any vertex whose adjacency segment is unchanged and whose
-        neighbors' counts for sub-``k`` layers are unchanged.  The dirty
-        mask marks exactly the vertices where that fails — the updated
-        columns plus their one-hop neighborhoods under both the old and
-        new adjacency, unioned with ``previous``'s mask — and the kernel
-        routes those lanes through a live per-segment computation
-        against the *current* graph and table (:meth:`_live_segments`),
-        which is exact by construction.
+        ``previous`` is the urn this one succeeds and ``dirty_radii``
+        the update batch's per-vertex distance labels
+        (:attr:`repro.colorcoding.incremental.DeltaResult.dirty_radii`).
+        The store holds, per gathered key, the running sum of that
+        key's counts over the snapshot graph's edge array.  The fused
+        kernel only ever reads it *relatively* — segment-endpoint
+        differences for split weights, and bisection against
+        ``row[start] + t`` thresholds — so the global prefix offset of
+        a row cancels out of every decision, and a stale row read
+        through the snapshot's ``indptr``/``indices`` is bit-exact at
+        any vertex whose adjacency is unchanged and whose neighbors'
+        counts of the key's size are unchanged.  Size-``h`` counts move
+        only within distance ``h - 2`` of an updated endpoint, so a
+        size-``h`` segment at ``v`` can be stale only where ``v``'s
+        label is below ``h``.  Labels of chained updates merge by
+        elementwise minimum, and the kernel routes every stale
+        ``(key, vertex)`` read through this urn's segment store —
+        running sums of the *current* counts over ``v``'s *current*
+        adjacency, exact by construction — in the same wave as the
+        clean reads of the carried rows.
 
         The matrix is shared, not copied: this urn reads the rows
         cached so far and appends its own past them, while
@@ -310,45 +414,34 @@ class TreeletUrn:
         hand-over point cannot move.
 
         Returns ``False`` and leaves both urns as they were when there
-        is no dirty hint, the program was not carried over (gathered-key
+        are no labels, the program was not carried over (gathered-key
         ids would renumber), ``previous`` never materialized a store,
-        the dirty mask would cover more than a quarter of the vertices
-        (too much for stale reads to pay off), or the updated counts
-        would overflow the store's integer dtype.  This urn then starts
-        with an empty store.
+        or the updated counts would overflow a uint32 store.  This urn
+        then starts with an empty store.
         """
         if (
-            dirty_columns is None
+            dirty_radii is None
             or self._program is None
             or self._program is not previous._program
             or previous._gath_slot is None
         ):
             return False
-        n = self.graph.num_vertices
-        seed = np.zeros(n, dtype=bool)
-        seed[np.asarray(dirty_columns, dtype=np.int64)] = True
-        fresh = seed.copy()
-        for adjacency in (previous.graph, self.graph):
-            hits = seed[adjacency.indices]
-            if hits.any():
-                owners = np.repeat(
-                    np.arange(n, dtype=np.int64), np.diff(adjacency.indptr)
-                )
-                fresh[owners[hits]] = True
-        dirty = fresh if previous._gath_dirty is None else (
-            previous._gath_dirty | fresh
-        )
-        if int(dirty.sum()) * 4 > n:
-            return False
         snapshot = previous._gath_graph
-        if previous._gath_matrix.dtype != self._gathered_dtype(snapshot):
+        matrix = previous._gath_matrix
+        if matrix.dtype != np.int64 and (
+            self._gathered_dtype(snapshot) != matrix.dtype
+        ):
             return False
+        radii = np.asarray(dirty_radii, dtype=np.int8)
+        if previous._gath_radii is not None:
+            radii = np.minimum(previous._gath_radii, radii)
         self._gath_graph = snapshot
-        self._gath_dirty = dirty
-        self._gath_matrix = previous._gath_matrix
+        self._gath_radii = radii
+        self._gath_matrix = matrix
         self._gath_slot = previous._gath_slot.copy()
         self._gathered_cached_rows = previous._gathered_cached_rows
         self._gathered_row_budget = previous._gathered_row_budget
+        self._row_bytes = previous._row_bytes
         previous._gathered_row_budget = previous._gathered_cached_rows
         return True
 
@@ -666,28 +759,46 @@ class TreeletUrn:
         return np.dtype(np.uint32) if bound < 2**32 else np.dtype(np.int64)
 
     def _ensure_gathered(self) -> None:
+        """Allocate the store once: one row per gathered key up to the
+        row budget, uninitialized, so only written rows become
+        resident and a successor appending rows never copies it."""
         if self._gath_slot is None:
+            program = self._program
             self._gath_slot = np.full(
-                self._program.num_gathered_keys, -1, dtype=np.int64
+                program.num_gathered_keys, -1, dtype=np.int64
             )
-            self._gath_matrix = np.zeros(
-                (0, self._gath_graph.indices.size + 1),
+            self._gath_matrix = np.empty(
+                (
+                    min(program.num_gathered_keys, self._gathered_row_budget),
+                    self._gath_graph.indices.size + 1,
+                ),
                 dtype=self._gathered_dtype(self._gath_graph),
             )
 
-    def _build_gathered_row(self, gk: int, out_row: np.ndarray) -> None:
-        """Fill one gathered-cumulative row: a leading zero, then the
-        running sum of the key's counts gathered over the edge list.
-        Counts are integer-valued floats, so accumulating in int64 is
-        exact (and the uint32 narrowing is bounds-checked by dtype
-        selection)."""
+    def _fill_gathered_rows(self, gks: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out[i]`` with gathered key ``gks[i]``'s row: a leading
+        zero, then the running sum of the key's counts gathered over the
+        snapshot's edge list.
+
+        In place, row by row: the key's counts cast once to the store's
+        integer dtype (counts are integer-valued floats, and dtype
+        selection bounds every running sum, so the cast and the sums are
+        exact), one ``take`` along the edge array into the row, then an
+        in-place running sum — the same integers an int64 ``cumsum``
+        gives.  Row by row keeps each freshly written row in cache for
+        its running sum; a whole-layer ``take`` measured slower.
+        """
         program = self._program
-        layer = self.table.layer(int(program.gk_size[gk]))
-        values = layer.row_values(int(program.gk_row[gk]))[
-            self._gath_graph.indices
-        ]
-        out_row[0] = 0
-        out_row[1:] = np.cumsum(values, dtype=np.int64)
+        indices = self._gath_graph.indices
+        out[:, 0] = 0
+        for gk, target in zip(gks.tolist(), out):
+            layer = self.table.layer(int(program.gk_size[gk]))
+            source = layer.row_values(int(program.gk_row[gk]))
+            running = target[1:]
+            np.take(
+                source.astype(out.dtype), indices, out=running, mode="clip"
+            )
+            np.cumsum(running, dtype=out.dtype, out=running)
 
     def _gathered_rows(
         self, gkids: np.ndarray
@@ -701,12 +812,12 @@ class TreeletUrn:
         ``cumsum(counts[neighbors])``, and the difference of the slice
         endpoints is the neighbor total.
 
-        Rows are built once (one ``O(m)`` pass each) into a global
-        grow-on-demand matrix shared by all layers, capped at
-        ``descent_cache_bytes``; once full — or once a successor took
-        the store over (:meth:`take_gathered`) — waves touching uncached
-        keys get a transient per-call matrix instead (same arithmetic,
-        nothing retained, counted as ``gathered_budget_fallbacks``), so
+        Rows are built once (one ``O(m)`` pass each) into the global
+        store shared by all layers, capped at ``descent_cache_bytes``;
+        once full — or once a successor took the store over
+        (:meth:`take_gathered`) — waves touching uncached keys get a
+        transient per-call matrix instead (same arithmetic, nothing
+        retained, counted as ``gathered_budget_fallbacks``), so
         resident memory stays bounded on paper-scale graphs.
         """
         self._ensure_gathered()
@@ -717,44 +828,129 @@ class TreeletUrn:
                 _trace_span("sample.gather"):
             flat = gkids.ravel()
             missing = np.unique(flat[slot[flat] < 0])
-            room = self._gathered_row_budget - self._gathered_cached_rows
+            matrix = self._gath_matrix
+            room = min(self._gathered_row_budget, matrix.shape[0]) - (
+                self._gathered_cached_rows
+            )
             to_cache = missing[: max(room, 0)]
             if to_cache.size:
-                matrix = self._gath_matrix
-                needed = self._gathered_cached_rows + int(to_cache.size)
-                if needed > matrix.shape[0]:
-                    grown = np.zeros(
-                        (max(needed, 2 * matrix.shape[0]), matrix.shape[1]),
-                        dtype=matrix.dtype,
-                    )
-                    grown[: matrix.shape[0]] = matrix
-                    self._gath_matrix = matrix = grown
-                for gk in to_cache:
-                    target = self._gathered_cached_rows
-                    self._build_gathered_row(int(gk), matrix[target])
-                    slot[gk] = target
-                    self._gathered_cached_rows += 1
-                    self.instrumentation.count("gathered_cumulative_builds")
+                first = self._gathered_cached_rows
+                last = first + int(to_cache.size)
+                self._fill_gathered_rows(to_cache, matrix[first:last])
+                slot[to_cache] = np.arange(first, last, dtype=np.int64)
+                self._gathered_cached_rows = last
+                self.instrumentation.count(
+                    "gathered_cumulative_builds", int(to_cache.size)
+                )
             if to_cache.size < missing.size:
                 self.instrumentation.count("gathered_budget_fallbacks")
                 wanted = np.unique(flat)
-                transient = np.zeros(
-                    (wanted.size, self._gath_graph.indices.size + 1),
-                    dtype=self._gath_matrix.dtype,
+                build = wanted[slot[wanted] < 0]
+                kept = wanted[slot[wanted] >= 0]
+                transient = np.empty(
+                    (wanted.size, matrix.shape[1]), dtype=matrix.dtype
                 )
+                self._fill_gathered_rows(build, transient[: build.size])
+                transient[build.size:] = matrix[slot[kept]]
                 tmp_slot = np.full(slot.size, -1, dtype=np.int64)
-                for i, gk in enumerate(wanted):
-                    tmp_slot[gk] = i
-                    cached = slot[gk]
-                    if cached >= 0:
-                        transient[i] = self._gath_matrix[cached]
-                    else:
-                        self._build_gathered_row(int(gk), transient[i])
-                        self.instrumentation.count(
-                            "gathered_transient_builds"
-                        )
+                tmp_slot[build] = np.arange(build.size, dtype=np.int64)
+                tmp_slot[kept] = np.arange(
+                    build.size, wanted.size, dtype=np.int64
+                )
+                self.instrumentation.count(
+                    "gathered_transient_builds", int(build.size)
+                )
                 return transient, tmp_slot
-        return self._gath_matrix, slot
+        return matrix, slot
+
+    # -- segment store (stale reads of a carried store) -------------------
+
+    def _segment_bases(
+        self, gks: np.ndarray, verts: np.ndarray
+    ) -> np.ndarray:
+        """Segment-store bases of the ``(gks[i], verts[i])`` pairs,
+        filling the pairs read for the first time.
+
+        A store past the byte budget left beside the cached rows is
+        cleared at its next fill, which then refills every pair asked
+        for.
+        """
+        store = self._segments
+        if store is None:
+            store = self._segments = _SegmentStore(
+                self.graph.num_vertices, self._program.num_gathered_keys
+            )
+        bases = store.find(gks, verts)
+        if (bases >= 0).all():
+            return bases
+        keys = gks * np.int64(self.graph.num_vertices) + verts
+        fill = self._segment_values(np.unique(keys[bases < 0]))
+        if self._segment_room() < 0 or not store.below_limit(fill[3]):
+            store.clear()
+            fill = self._segment_values(np.unique(keys))
+            if not store.below_limit(fill[3]):
+                raise SamplingError(
+                    "neighbor sums too large for exact int64 running sums"
+                )
+        store.append(*fill)
+        self.instrumentation.count("gathered_segment_fills", int(fill[0].size))
+        self.instrumentation.count(
+            "gathered_segment_entries", int(fill[3].size)
+        )
+        return store.find(gks, verts)
+
+    def _segment_room(self) -> int:
+        """Budget bytes left beside the cached rows, the segment store
+        and the dense fill sources."""
+        used = self._gathered_cached_rows * self._row_bytes + sum(
+            source.counts.nbytes for source in self._dense_sources.values()
+        )
+        if self._segments is not None:
+            used += self._segments.nbytes
+        return self.descent_cache_bytes - used
+
+    def _segment_source(self, size: int) -> LayerView:
+        """Where segment fills read size-``size`` counts: the table's
+        layer, or a dense copy of a succinct one while the budget holds
+        it, so fills gather instead of binary-searching records."""
+        source = self._dense_sources.get(size)
+        if source is not None:
+            return source
+        layer = self.table.layer(size)
+        if layer.layout == "dense" or (
+            8 * layer.num_keys * layer.num_vertices > self._segment_room()
+        ):
+            return layer
+        source = DenseLayer(size, layer.keys, layer.dense_counts())
+        self._dense_sources[size] = source
+        return source
+
+    def _segment_values(self, keys: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(gks, verts, degrees, values)`` of packed ``gk · n + v``
+        pairs, sorted by layer size: each pair's current counts over
+        ``v``'s current adjacency, back to back in that order."""
+        program = self._program
+        graph = self.graph
+        gks, verts = np.divmod(keys, np.int64(graph.num_vertices))
+        order = np.argsort(program.gk_size[gks], kind="stable")
+        gks, verts = gks[order], verts[order]
+        sizes = program.gk_size[gks]
+        starts = graph.indptr[verts]
+        degrees = graph.indptr[verts + 1] - starts
+        bounds = np.concatenate(([0], np.cumsum(degrees)))
+        neighbors = graph.indices[
+            np.repeat(starts - bounds[:-1], degrees)
+            + np.arange(int(bounds[-1]), dtype=np.int64)
+        ]
+        rows = np.repeat(program.gk_row[gks], degrees)
+        values = np.empty(neighbors.size, dtype=np.float64)
+        for size in np.unique(sizes).tolist():
+            first, last = np.searchsorted(sizes, (size, size + 1))
+            lo, hi = bounds[first], bounds[last]
+            values[lo:hi] = self._segment_source(size).pairs_at(
+                rows[lo:hi], neighbors[lo:hi]
+            )
+        return gks, verts, degrees, values
 
     # -- fused descent kernel --------------------------------------------
 
@@ -839,7 +1035,10 @@ class TreeletUrn:
         epsilon); and the child endpoint inverts the gathered running
         sums by bisection against the exact integer threshold
         ``G[start] + floor(u · s)`` — identical, comparison by
-        comparison, to the scalar ``searchsorted`` rule.
+        comparison, to the scalar ``searchsorted`` rule.  On a carried
+        store, lanes the updates may have staled read ``S`` and invert
+        their child off the segment store instead
+        (:meth:`_segment_bases`), under the same integer rules.
         """
         gids = ops << self.k | masks
         start, length = program.group_bounds(gids)
@@ -865,28 +1064,55 @@ class TreeletUrn:
             )
 
         second_gk = program.cand_second_gkid[cand]
-        gathered, slot = self._gathered_rows(second_gk)
-        sl = slot[second_gk]
         # Gathered rows are pinned to the snapshot graph: segment bounds
         # and (later) child positions must come from the SAME arrays the
-        # rows were accumulated over.  Lanes at dirty vertices — where
-        # the snapshot's segments or gathered values have drifted from
-        # the live graph/table — are recomputed exactly, per segment,
-        # against current state instead.
+        # rows were accumulated over.  On a carried store, lanes whose
+        # size-h'' segment may have drifted from the live graph/table
+        # (distance label below h'') read the segment store instead —
+        # exact running sums over the current adjacency.
+        stale = None
+        if self._gath_radii is not None:
+            stale = self._gath_radii[verts] < program.op_second_size[ops]
+            if not stale.any():
+                stale = None
         indptr = self._gath_graph.indptr
-        starts = indptr[verts]
-        ends = indptr[verts + 1]
-        s_vals = (
-            gathered[sl, ends[None, :]] - gathered[sl, starts[None, :]]
-        ).astype(np.int64)
-        dirty = self._gath_dirty
-        live = None
-        if dirty is not None:
-            live_sel = np.flatnonzero(dirty[verts])
-            if live_sel.size:
-                live = self._live_segments(program, second_gk, verts, live_sel)
-                lcum, live_nb, live_deg = live
-                s_vals[:, live_sel] = lcum[:, :, -1]
+        if stale is None:
+            gathered, slot = self._gathered_rows(second_gk)
+            sl = slot[second_gk]
+            starts = indptr[verts]
+            ends = indptr[verts + 1]
+            s_vals = (
+                gathered[sl, ends[None, :]] - gathered[sl, starts[None, :]]
+            ).astype(np.int64)
+        else:
+            clean = np.flatnonzero(~stale)
+            dirty = np.flatnonzero(stale)
+            s_vals = np.zeros(cand.shape, dtype=np.int64)
+            if clean.size:
+                clean_gk = second_gk[:, clean]
+                gathered, slot = self._gathered_rows(clean_gk)
+                sl = slot[clean_gk]
+                starts = indptr[verts[clean]]
+                ends = indptr[verts[clean] + 1]
+                s_vals[:, clean] = (
+                    gathered[sl, ends[None, :]]
+                    - gathered[sl, starts[None, :]]
+                )
+            # Only candidates with a positive prime factor can weigh
+            # anything, so only their segments are read (or filled).
+            dirty_verts = verts[dirty]
+            cand_at, lane_at = np.nonzero(
+                valid[:, dirty] & (prime_vals[:, dirty] > 0.0)
+            )
+            pair_bases = self._segment_bases(
+                second_gk[cand_at, dirty[lane_at]], dirty_verts[lane_at]
+            )
+            live_start = self.graph.indptr[dirty_verts]
+            degrees = self.graph.indptr[dirty_verts + 1] - live_start
+            cum = self._segments.cum
+            s_vals[cand_at, dirty[lane_at]] = (
+                cum[pair_bases + degrees[lane_at]] - cum[pair_bases]
+            )
 
         weights = np.where(
             valid & (prime_vals > 0.0) & (s_vals > 0),
@@ -916,13 +1142,13 @@ class TreeletUrn:
 
         lanes = np.arange(verts.size, dtype=np.int64)
         chosen = cand[position, lanes]
-        chosen_slots = sl[position, lanes]
         chosen_s = s_vals[position, lanes].astype(np.float64)
         # The scalar child rule counts running sums <= u·s; running sums
         # are integers, so that equals counting <= floor(u·s) — an exact
-        # int64 threshold against the absolute gathered row.
+        # int64 threshold against the absolute running sums.
         offsets = np.floor(child_u * chosen_s).astype(np.int64)
-        if live is None:
+        if stale is None:
+            chosen_slots = sl[position, lanes]
             thresholds = (
                 gathered[chosen_slots, starts].astype(np.int64) + offsets
             )
@@ -931,26 +1157,30 @@ class TreeletUrn:
             )
         else:
             children = np.empty(verts.size, dtype=np.int64)
-            clean = np.ones(verts.size, dtype=bool)
-            clean[live_sel] = False
-            cl = np.flatnonzero(clean)
-            thresholds = (
-                gathered[chosen_slots[cl], starts[cl]].astype(np.int64)
-                + offsets[cl]
+            if clean.size:
+                chosen_slots = sl[
+                    position[clean], np.arange(clean.size, dtype=np.int64)
+                ]
+                thresholds = (
+                    gathered[chosen_slots, starts].astype(np.int64)
+                    + offsets[clean]
+                )
+                children[clean] = self._invert_children(
+                    gathered, chosen_slots, starts, ends, thresholds
+                )
+            # The segment store is one nondecreasing running sum, so
+            # one search inverts every stale lane; the clamp mirrors
+            # the scalar ``min(position, d - 1)`` guard.
+            base = self._segments.find(
+                second_gk[position[dirty], dirty], dirty_verts
             )
-            children[cl] = self._invert_children(
-                gathered, chosen_slots[cl], starts[cl], ends[cl], thresholds
+            found = np.searchsorted(
+                cum[: self._segments.used],
+                cum[base] + offsets[dirty],
+                side="right",
             )
-            # Live lanes: same counting rule against the per-segment
-            # running sums (which start at zero, so the threshold is the
-            # bare offset), then the neighbor at the counted position.
-            rows = lcum[
-                position[live_sel], np.arange(live_sel.size, dtype=np.int64), :
-            ]
-            counted = (rows <= offsets[live_sel][:, None]).sum(axis=1)
-            at = np.minimum(counted, np.maximum(live_deg - 1, 0))
-            children[live_sel] = live_nb[
-                np.arange(live_sel.size, dtype=np.int64), at
+            children[dirty] = self.graph.indices[
+                live_start + np.minimum(found - base - 1, degrees - 1)
             ]
         self.instrumentation.count("batched_child_draws", verts.size)
         return program.cand_sub[chosen], children
@@ -985,60 +1215,6 @@ class TreeletUrn:
             active = lo < hi
         positions = np.minimum(lo - starts - 1, ends - starts - 1)
         return self._gath_graph.indices[starts + positions]
-
-    def _live_segments(
-        self,
-        program: DescentProgram,
-        second_gk: np.ndarray,
-        verts: np.ndarray,
-        live_sel: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact per-segment running sums for dirty-vertex lanes.
-
-        For each live lane the per-candidate gathered values are
-        recomputed directly from the *current* graph and table — the
-        same ``cumsum(counts[neighbors])`` the loop path evaluates —
-        so decisions on these lanes match a freshly built urn exactly.
-        Returns ``(lcum, neighbors, degrees)``: an ``(Lmax, live, dmax)``
-        int64 running-sum tensor (padded lanes repeat the final total,
-        so endpoint reads and threshold counts are unaffected up to the
-        degree clamp), the padded ``(live, dmax)`` neighbor matrix, and
-        the live vertices' current degrees.
-        """
-        graph = self.graph
-        lv = verts[live_sel]
-        lstart = graph.indptr[lv]
-        ldeg = (graph.indptr[lv + 1] - lstart).astype(np.int64)
-        lmax = second_gk.shape[0]
-        count = int(live_sel.size)
-        dmax = int(ldeg.max()) if count else 0
-        if dmax == 0:
-            return (
-                np.zeros((lmax, count, 1), dtype=np.int64),
-                np.zeros((count, 1), dtype=np.int64),
-                ldeg,
-            )
-        lane = np.arange(dmax, dtype=np.int64)[None, :]
-        pad = np.minimum(lane, np.maximum(ldeg - 1, 0)[:, None])
-        neighbors = graph.indices[lstart[:, None] + pad]
-        valid = lane < ldeg[:, None]
-        gks = second_gk[:, live_sel]
-        sizes = program.gk_size[gks]
-        rows = program.gk_row[gks]
-        vals = np.zeros((lmax, count, dmax), dtype=np.float64)
-        nb3 = np.broadcast_to(neighbors[None, :, :], vals.shape)
-        rr3 = np.broadcast_to(rows[:, :, None], vals.shape)
-        for size in np.unique(sizes):
-            sel = sizes == size
-            vals[sel] = self.table.layer(int(size)).pairs_at(
-                rr3[sel], nb3[sel]
-            )
-        vals[:, ~valid] = 0.0
-        return (
-            np.cumsum(vals.astype(np.int64), axis=2),
-            neighbors,
-            ldeg,
-        )
 
     # ------------------------------------------------------------------
     # Copy materialization (§2.2 recursion)

@@ -87,6 +87,7 @@ from repro.artifacts import (
     load_manifest,
     log_rows,
     open_table,
+    require_unmoved,
 )
 from repro.colorcoding.coloring import ColoringScheme
 from repro.errors import ArtifactError, ReproError, SamplingError, ServeError
@@ -340,7 +341,7 @@ class TableHandle:
         self.table = None
 
     def hand_over(
-        self, successor: TreeletUrn, dirty_columns: Optional[np.ndarray]
+        self, successor: TreeletUrn, dirty_radii: Optional[np.ndarray]
     ) -> None:
         """Let ``successor`` take over this handle's gathered store.
 
@@ -351,7 +352,7 @@ class TableHandle:
         """
         with self._draw_lock:
             if self.urn is not None:
-                successor.take_gathered(self.urn, dirty_columns)
+                successor.take_gathered(self.urn, dirty_radii)
 
     # -- coalesced draws ----------------------------------------------
 
@@ -793,13 +794,21 @@ class SamplingService:
         blobs are rewritten at the handle's head
         (:func:`~repro.artifacts.compact_table`); requests keep being
         served from the handle meanwhile.  Keys without a warm handle,
-        or whose log is empty, are left as they are.
+        or whose log is empty, are left as they are, and so is an
+        artifact another process moved on disk past the handle's
+        manifest (:func:`~repro.artifacts.require_unmoved`): that writer
+        read the handle's committed rows, so folding the handle's head
+        would only overwrite its batch.
         """
         with self._update_lock(key):
             with self._lock:
                 handle = self._handles.get(key)
             table = handle.table if handle is not None else None
             if table is None or not log_rows(handle.manifest):
+                return
+            try:
+                require_unmoved(handle.directory, handle.manifest)
+            except ArtifactError:
                 return
             urn = handle.urn
             artifact = compact_table(
@@ -1176,7 +1185,7 @@ class SamplingService:
             instrumentation=instrumentation,
         )
         if urn is not None:
-            handle.hand_over(urn, result.dirty_columns)
+            handle.hand_over(urn, result.dirty_radii)
         successor = TableHandle(
             key=handle.key,
             directory=handle.directory,
@@ -1274,6 +1283,10 @@ class SamplingService:
             ),
             "budget_fallbacks": int(
                 counters.get("gathered_budget_fallbacks", 0)
+            ),
+            "segment_fills": int(counters.get("gathered_segment_fills", 0)),
+            "segment_entries": int(
+                counters.get("gathered_segment_entries", 0)
             ),
             "classified": int(counters.get("classified", 0)),
             "classify_cache_hits": int(

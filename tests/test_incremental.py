@@ -10,7 +10,8 @@ The harness churns random graphs with random mixed insert/delete
 batches and checks the maintained state against fresh rebuilds across
 layouts (dense, succinct), builds (in-memory, sharded) and both
 sampling methods, plus the sampling-plane cache retention
-paths (kept gathered store with live dirty lanes; threshold flush), the
+paths (a kept gathered store whose stale reads go through the segment
+store, on sparse and hub graphs), the
 empty-urn lifecycle, the artifact edge log and its compaction, and the
 facade / serve / CLI wiring.
 """
@@ -25,6 +26,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.artifacts import (
     append_edge_log,
@@ -41,10 +44,10 @@ from repro.colorcoding.incremental import (
     touched_frontiers,
 )
 from repro.colorcoding.urn import TreeletUrn
-from repro.errors import ArtifactError, BuildError
+from repro.errors import ArtifactError, BuildError, SamplingError
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, change_rows
-from repro.graph.io import load_graph
+from repro.graph.io import load_graph, save_binary
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService, serve_http
 
@@ -238,8 +241,8 @@ class TestDeltaBitIdentity:
             in_place=True,
         )
         _assert_tables_equal(copied.table, patched.table, k)
-        assert copied.dirty_columns is not None
-        assert np.array_equal(copied.dirty_columns, patched.dirty_columns)
+        assert copied.dirty_radii is not None
+        assert np.array_equal(copied.dirty_radii, patched.dirty_radii)
 
     def test_isolated_vertex_gains_first_edge(self):
         n, k = 20, 3
@@ -396,17 +399,19 @@ class TestSuccessorProgram:
 class TestGatheredStoreRetention:
     """The sampling plane's snapshot-pinned cache across updates.
 
-    On a sparse graph the successor urn takes over its predecessor's
-    gathered-cumulative store: stale rows are read only relatively (segment
-    differences), so they stay bit-exact outside the dirty neighborhood,
-    and dirty vertices take the exact live path.  A batch whose dirty
-    neighborhood exceeds a quarter of the vertices flushes instead.
-    Either way samples must equal a fresh counter's at matched stream
-    positions.
+    The successor urn takes over its predecessor's gathered-cumulative
+    store after every update: stale rows are read only relatively
+    (segment differences), so they stay bit-exact wherever a vertex's
+    distance label clears the key's size, and the reads that may be
+    stale go through the urn's segment store of exact running sums.
+    Samples must equal a fresh counter's at matched stream positions,
+    and the ``method="loop"`` oracle's under the same uniforms.
     """
 
     K = 5
     N = 600
+    HUB_N = 200
+    HUB_M = 600
 
     def _cycle_counter(self):
         edges = [(i, (i + 1) % self.N) for i in range(self.N)]
@@ -420,7 +425,7 @@ class TestGatheredStoreRetention:
         counter.sample_naive(128)  # materialize gathered rows
         assert counter.urn._gath_slot is not None
         counter.update([("+", 0, self.N // 2)])
-        assert counter.urn._gath_dirty is not None, "store was flushed"
+        assert counter.urn._gath_radii is not None, "store was flushed"
         assert counter.urn._gath_graph is graph, (
             "store must stay pinned to its build-time snapshot"
         )
@@ -441,10 +446,13 @@ class TestGatheredStoreRetention:
         _graph, counter = self._cycle_counter()
         counter.sample_naive(128)
         counter.update([("+", 0, self.N // 2)])
-        first = int(counter.urn._gath_dirty.sum())
+        first = counter.urn._gath_radii.copy()
         counter.update([("+", 100, 400)])
-        assert counter.urn._gath_dirty is not None
-        assert int(counter.urn._gath_dirty.sum()) >= first
+        second = counter.urn._gath_radii
+        assert second is not None
+        assert np.all(second <= first), "labels merge by minimum"
+        assert (second < first).any()
+        assert second[[0, self.N // 2, 100, 400]].tolist() == [0, 0, 0, 0]
 
         fresh = MotivoCounter(counter.graph, MotivoConfig(k=self.K, seed=17))
         fresh.build()
@@ -471,12 +479,13 @@ class TestGatheredStoreRetention:
             old.table, graph, [("+", 0, self.N // 2)], old.coloring
         )
         new = old.successor(result.graph, result.table)
-        assert new.take_gathered(old, result.dirty_columns)
+        assert new.take_gathered(old, result.dirty_radii)
         assert new._gath_matrix is old._gath_matrix
 
         uniforms = np.random.default_rng(2).random((512, new.draw_width))
         drawn = new.sample_batch(512, uniforms=uniforms)
         assert new._gathered_cached_rows > handed
+        assert new._gath_matrix is old._gath_matrix, "appends never copy"
         assert np.array_equal(old._gath_matrix[:handed], rows)
         assert np.array_equal(new._gath_matrix[:handed], rows)
         fresh = TreeletUrn(result.graph, result.table, old.coloring)
@@ -494,15 +503,17 @@ class TestGatheredStoreRetention:
             assert np.array_equal(got, want)
         counter.close()
 
-    def test_wide_batch_flushes_store(self):
+    def test_wide_batch_keeps_store(self):
         _graph, counter = self._cycle_counter()
-        counter.sample_naive(128)
         rng = np.random.default_rng(44)
-        batch = _mixed_batch(rng, counter.graph, inserts=80, deletes=0)
-        counter.update(batch)
-        assert counter.urn._gath_dirty is None, (
-            "a whole-graph dirty neighborhood must flush, not accumulate"
-        )
+        # Chords give the cycle every key shape first, so the wide batch
+        # below keeps the key universe and with it the program.
+        counter.update(_mixed_batch(rng, counter.graph, 80, 0))
+        counter.sample_naive(128)
+        counter.update(_mixed_batch(rng, counter.graph, 40, 10))
+        radii = counter.urn._gath_radii
+        assert radii is not None, "a wide batch keeps the store"
+        assert int((radii < self.K - 1).sum()) * 4 > self.N
         fresh = MotivoCounter(counter.graph, MotivoConfig(k=self.K, seed=17))
         fresh.build()
         fresh.sample_naive(128)
@@ -511,6 +522,124 @@ class TestGatheredStoreRetention:
         assert _rng_state(counter) == _rng_state(fresh)
         counter.close()
         fresh.close()
+
+    # -- hub graphs: one insert's dirty ball covers most vertices ------
+
+    def _hub_graph(self, seed: int = 5) -> Graph:
+        return Graph.from_edges(
+            powerlaw_edges(self.HUB_N, self.HUB_M, 2.2, seed=seed), self.HUB_N
+        )
+
+    @staticmethod
+    def _assert_draws(urn, reference, uniforms, loop_rows=None):
+        """``urn``'s batched draws equal ``reference``'s, and (on the
+        first ``loop_rows``) the loop oracle's, under ``uniforms``."""
+        drawn = urn.sample_batch(uniforms.shape[0], uniforms=uniforms)
+        want = reference.sample_batch(uniforms.shape[0], uniforms=uniforms)
+        for got, ref in zip(drawn, want):
+            assert np.array_equal(got, ref)
+        if loop_rows:
+            head = uniforms[:loop_rows]
+            loop = urn.sample_batch(loop_rows, uniforms=head, method="loop")
+            for got, ref in zip(drawn, loop):
+                assert np.array_equal(got[:loop_rows], ref)
+
+    def test_single_insert_ball_covers_hub_graph(self):
+        graph = self._hub_graph()
+        hub = int(np.argmax(np.diff(graph.indptr)))
+        other = next(
+            v for v in range(self.HUB_N)
+            if v != hub and not graph.has_edge(hub, v)
+        )
+        new_graph, _ = graph.apply_updates([("+", hub, other)])
+        balls = touched_frontiers(
+            graph, new_graph, np.array([hub, other]), self.K
+        )
+        assert balls[self.K - 2].size * 4 > self.HUB_N
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_hub_graph_chained_batches(self, layout, budget):
+        """``budget=1`` starves every cache: rows past the 16-row floor
+        are built per wave, and the segment store is cleared and
+        refilled at every fill, reading succinct layers in place."""
+        graph = self._hub_graph()
+        coloring = ColoringScheme.uniform(self.HUB_N, self.K, rng=23)
+        table = build_table(graph, coloring, layout=layout)
+        urn = TreeletUrn(graph, table, coloring, descent_cache_bytes=budget)
+        urn.sample_batch(512, np.random.default_rng(0))
+        rng = np.random.default_rng(61)
+        for step in range(3):
+            batch = _mixed_batch(rng, graph, inserts=2, deletes=1)
+            result = apply_edge_updates(table, graph, batch, coloring)
+            successor = urn.successor(result.graph, result.table)
+            assert successor.take_gathered(urn, result.dirty_radii)
+            assert successor._gath_matrix is urn._gath_matrix
+
+            uniforms = np.random.default_rng(100 + step).random(
+                (768, urn.draw_width)
+            )
+            self._assert_draws(
+                successor,
+                TreeletUrn(result.graph, result.table, coloring),
+                uniforms,
+                loop_rows=192,
+            )
+            # The old urn keeps answering in-flight draws on its table.
+            self._assert_draws(
+                urn, TreeletUrn(graph, table, coloring), uniforms
+            )
+            graph, table, urn = result.graph, result.table, successor
+        assert urn._gath_matrix is not None
+        counters = urn.instrumentation.counters
+        assert counters["gathered_segment_fills"] > 0
+        assert counters["gathered_segment_entries"] >= (
+            counters["gathered_segment_fills"]
+        )
+
+    def test_fresh_urn_fills_no_segments(self):
+        graph = self._hub_graph()
+        coloring = ColoringScheme.uniform(self.HUB_N, self.K, rng=23)
+        urn = TreeletUrn(graph, build_table(graph, coloring), coloring)
+        urn.sample_batch(512, np.random.default_rng(0))
+        assert "gathered_segment_fills" not in urn.instrumentation.counters
+        assert urn._segments is None
+
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=40, max_value=90),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_carried_store_matches_fresh_property(self, seed, n, batches):
+        graph = Graph.from_edges(powerlaw_edges(n, 3 * n, 2.2, seed=seed), n)
+        rng = np.random.default_rng(seed)
+        coloring = ColoringScheme.uniform(n, 4, rng=seed + 1)
+        table = build_table(graph, coloring)
+        try:
+            urn = TreeletUrn(graph, table, coloring)
+        except SamplingError:
+            return  # an empty urn has no store to carry
+        urn.sample_batch(64, rng)
+        for _ in range(batches):
+            batch = _mixed_batch(
+                rng, graph, inserts=int(rng.integers(1, 4)),
+                deletes=int(rng.integers(0, 3)),
+            )
+            result = apply_edge_updates(table, graph, batch, coloring)
+            try:
+                successor = urn.successor(result.graph, result.table)
+            except SamplingError:
+                return
+            successor.take_gathered(urn, result.dirty_radii)
+            uniforms = rng.random((256, urn.draw_width))
+            self._assert_draws(
+                successor,
+                TreeletUrn(result.graph, result.table, coloring),
+                uniforms,
+                loop_rows=64,
+            )
+            graph, table, urn = result.graph, result.table, successor
 
 
 def _logged_update(directory: str, counter: MotivoCounter, batch) -> dict:
@@ -753,6 +882,59 @@ class TestServeUpdate:
         finally:
             server.shutdown()
             server.server_close()
+
+
+    def test_second_writer_is_refused(self, served, tmp_path, capsys):
+        """A ``motivo-py update`` between two served updates moves the
+        artifact on disk: the service's next ``/update`` gets a typed
+        400, and closing the service leaves the CLI's artifact as it
+        is."""
+        host, service = served
+        directory = service.cache.path(service.cache.entries()[0].key)
+        first, second, third = [
+            (a, b) for a in range(40) for b in range(a + 1, 40)
+            if not host.has_edge(a, b)
+        ][:3]
+        assert service.update([["+", *first]])["updates_applied"] == 1
+
+        graph_path = str(tmp_path / "host.npz")
+        save_binary(host, graph_path)
+        updates_path = tmp_path / "cli.txt"
+        updates_path.write_text(f"+ {second[0]} {second[1]}\n")
+        assert cli_main([
+            "update", directory, "--graph", graph_path,
+            "--updates", str(updates_path),
+        ]) == 0
+        capsys.readouterr()
+        compacted = load_manifest(directory)
+
+        server = serve_http(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            hostname, port = server.server_address[:2]
+            request = urllib.request.Request(
+                f"http://{hostname}:{port}/update",
+                data=json.dumps({"updates": [["+", *third]]}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request)
+            assert info.value.code == 400
+            assert "moved on disk" in json.load(info.value)["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+        service.close()
+        manifest = load_manifest(directory)
+        assert manifest == compacted
+        assert manifest["lineage"]["update_batches"] == 2
+        head, _ = host.apply_updates([("+", *first), ("+", *second)])
+        assert manifest["graph"]["fingerprint"] == head.fingerprint()
+        source = manifest["graph"]["source"]
+        reopened = open_table(directory, load_graph(source))
+        assert reopened.graph.fingerprint() == head.fingerprint()
 
 
 class TestCLIUpdate:

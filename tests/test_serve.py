@@ -37,6 +37,8 @@ from repro.serve import SamplingService, serve_http, session_seed
 from repro.serve.http import _as_int, _opt_int
 from repro.util.rng import ensure_rng
 
+from support.graphgen import powerlaw_edges
+
 
 @pytest.fixture(scope="module")
 def host():
@@ -543,10 +545,51 @@ def _same(a, b) -> bool:
     return (a.counts, a.hits, a.empty_urn) == (b.counts, b.hits, b.empty_urn)
 
 
+def _segment_counters(service) -> tuple:
+    """The stale-path counters as ``/healthz`` and ``/metrics`` report
+    them: ``((fills, entries), (fills, entries))``."""
+    sampling = service.healthz()["sampling"]
+    metrics = {}
+    for line in service.metrics_text().splitlines():
+        if line.startswith("motivo_gathered_segment_"):
+            name, value = line.split()
+            metrics[name] = float(value)
+    return (
+        (sampling["segment_fills"], sampling["segment_entries"]),
+        (
+            metrics.get("motivo_gathered_segment_fills_total", 0.0),
+            metrics.get("motivo_gathered_segment_entries_total", 0.0),
+        ),
+    )
+
+
 class TestUpdateSwap:
     """``POST /update`` advances the served handle in memory and swaps
     in a warm successor: no reopen, and every response equals a replay
     on the table version its request checked out."""
+
+    def test_hub_update_reads_segments(self, tmp_path):
+        """On a hub graph an update keeps the gathered store and routes
+        the reads it may have staled through the segment store: both
+        stale-path counters move, and they stay 0 on a fresh urn."""
+        host = Graph.from_edges(powerlaw_edges(200, 600, 2.2, seed=5), 200)
+        root, _directory = _served_artifact(tmp_path, host, "dense")
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            service.count(samples=500, session="fresh", seed=1)
+            assert _segment_counters(service) == ((0, 0), (0.0, 0.0))
+            hub = int(np.argmax(np.diff(host.indptr)))
+            other = next(
+                v for v in range(200)
+                if v != hub and not host.has_edge(hub, v)
+            )
+            assert service.update([["+", hub, other]])["swapped"]
+            service.count(samples=500, session="stale", seed=2)
+            (fills, entries), (metric_fills, metric_entries) = (
+                _segment_counters(service)
+            )
+            assert 0 < fills <= entries
+            assert (metric_fills, metric_entries) == (fills, entries)
 
     @pytest.mark.parametrize("codec", ["dense", "succinct"])
     def test_each_update_serves_the_logged_artifact_warm(
@@ -1121,6 +1164,8 @@ class TestTelemetryNameStability:
             "gather_seconds",
             "plan_compile_seconds",
             "plan_compiles",
+            "segment_entries",
+            "segment_fills",
             "transient_builds",
         ]
 
