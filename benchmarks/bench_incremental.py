@@ -31,6 +31,14 @@ Three workloads:
   headline's size and ``k``.  Honest hub case: one hub in the frontier
   drags in its whole neighborhood, the ball saturates, and the
   incremental path loses outright.
+* **hub_copy** — the e2ebench ``cold-build``/``budget-build`` input
+  (Chung-Lu ``n = 12500, m = 62500``, exponent 2.5, ``k = 6``) in both
+  layouts, through the copying path a served ``POST /update`` takes
+  (``apply_edge_updates(..., in_place=False)``; the input table stays
+  valid), against ``build_table(layout=...)`` on the updated graph.
+  Table maintenance only, no requery; reported as measured.  Every
+  other row here is dense and goes through ``MotivoCounter.update``
+  (``in_place=True``).
 
 For each workload a **trickle** of single-edge updates is timed under the
 shared interleaved protocol (``benchmarks/common.py``): per round the
@@ -66,7 +74,8 @@ check**, untimed, on a small Chung-Lu graph where one edge's dirty ball
 covers most vertices: after each of three single-edge updates the
 successor urn must share its predecessor's gathered store, and its
 draws must equal a fresh urn's and the ``method="loop"`` oracle's under
-the same uniforms (``payload["carried_store"]``).
+the same uniforms (``payload["carried_store"]``).  It also runs the
+hub_copy workload's bit-identity gate, untimed (``payload["hub_copy"]``).
 """
 
 from __future__ import annotations
@@ -79,6 +88,8 @@ import sys
 import numpy as np
 
 from repro.colorcoding.buildup import build_table
+from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.incremental import apply_edge_updates
 from repro.colorcoding.urn import TreeletUrn
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
@@ -132,6 +143,14 @@ HUB_N = 3000
 HUB_M = 9000
 HUB_K = 5
 HUB_UPDATES = 3
+#: hub_copy: the e2ebench cold-build/budget-build graph (its graph seed
+#: for workload seed 1) through the copying update path.
+COPY_N = 12_500
+COPY_M = 62_500
+COPY_K = 6
+COPY_EXPONENT = 2.5
+COPY_GRAPH_SEED = 5639305284100021919
+COPY_UPDATES = 3
 #: Batch sizes for the honest degradation curve (headline workload); the
 #: largest point churns over 1.5% of the edge count in one batch.
 CURVE_BATCH_SIZES = (1, 8, 64, 512, 2048)
@@ -284,6 +303,160 @@ def _carried_store_check(graph: Graph, k: int, updates: int) -> dict:
     }
 
 
+def _trickle_result(
+    epoch_stats: list, batch_size: int, rows_touched: list, graph: Graph
+) -> dict:
+    """A trickle's record: the best epoch's medians and speedup."""
+    best = best_epoch(epoch_stats, "rebuild", "incremental")
+    return {
+        "batch_size": batch_size,
+        "rebuild_seconds": best["rebuild_median"],
+        "incremental_seconds": best["incremental_median"],
+        "speedup": best["rebuild_median"] / best["incremental_median"],
+        "rows_touched_per_update": float(np.median(rows_touched)),
+        "frontier_fraction": float(
+            np.median(rows_touched) / graph.num_vertices
+        ),
+        "epochs": len(epoch_stats),
+        "all_epochs": epoch_stats,
+    }
+
+
+def _layout_digest(table, k: int) -> str:
+    """:func:`_table_digest` plus each succinct layer's CSR arrays,
+    bytes and dtypes — what the artifact codec writes."""
+    digest = hashlib.sha256(_table_digest(table, k).encode("utf-8"))
+    for h in range(1, k + 1):
+        layer = table.layer(h)
+        if layer.layout == "succinct":
+            for array in (layer.indptr, layer.key_row, layer.values):
+                digest.update(str(array.dtype).encode("utf-8"))
+                digest.update(np.ascontiguousarray(array).tobytes())
+    return "sha256:" + digest.hexdigest()
+
+
+def _copy_identity(
+    graph: Graph, coloring: ColoringScheme, layout: str, k: int,
+    updates: int,
+) -> dict:
+    """Chained single-edge updates through the copying path each equal
+    a fresh build byte for byte and leave their input table untouched
+    (untimed)."""
+    table = build_table(graph, coloring, layout=layout)
+    rows_touched = []
+    for index in range(updates):
+        before = _layout_digest(table, k)
+        edge = _pick_absent_edges(graph, 1, seed=400 + index)[0]
+        result = apply_edge_updates(
+            table, graph, [("+", *edge)], coloring, in_place=False
+        )
+        assert _layout_digest(table, k) == before, (
+            "the copying update path mutated its input table"
+        )
+        digest = _layout_digest(result.table, k)
+        fresh = build_table(result.graph, coloring, layout=layout)
+        assert digest == _layout_digest(fresh, k), (
+            f"{layout} copy-path update differs from fresh rebuild"
+        )
+        rows_touched.append(result.rows_touched)
+        graph, table = result.graph, result.table
+    return {
+        "bit_identical": True,
+        "updates": updates,
+        "table_digest": digest,
+        "rows_touched": rows_touched,
+    }
+
+
+def _copy_trickle(
+    graph: Graph,
+    coloring: ColoringScheme,
+    layout: str,
+    rounds: int,
+    max_epochs: int,
+    min_epochs: int,
+) -> dict:
+    """Interleaved single-edge copy-path updates vs ``build_table``.
+
+    The incremental arm toggles one edge on its live table through
+    ``apply_edge_updates(..., in_place=False)``; the rebuild arm builds
+    the matching graph state from scratch in the same layout.
+    """
+    edge = _pick_absent_edges(graph, 1, seed=100)[0]
+    toggles = ([("+", *edge)], [("-", *edge)])
+    plus_graph, _ = graph.apply_updates(toggles[0])
+    live = {
+        "graph": graph, "table": build_table(graph, coloring, layout=layout),
+    }
+    present = {"incremental": False, "rebuild": False}
+    rows_touched: list = []
+
+    def _incremental_arm(_tick):
+        batch = toggles[int(present["incremental"])]
+        present["incremental"] = not present["incremental"]
+        result = apply_edge_updates(
+            live["table"], live["graph"], batch, coloring, in_place=False
+        )
+        live["graph"], live["table"] = result.graph, result.table
+        rows_touched.append(result.rows_touched)
+
+    def _rebuild_arm(_tick):
+        target = graph if present["rebuild"] else plus_graph
+        present["rebuild"] = not present["rebuild"]
+        build_table(target, coloring, layout=layout)
+
+    epoch_stats = interleaved_epochs(
+        [("incremental", _incremental_arm), ("rebuild", _rebuild_arm)],
+        rounds=rounds,
+        max_epochs=max_epochs,
+        min_epochs=min_epochs,
+        warmup=1,
+    )
+    return _trickle_result(epoch_stats, 1, rows_touched, graph)
+
+
+def _copy_section(
+    timed: bool, rounds: int = ROUNDS, max_epochs: int = MAX_EPOCHS,
+    min_epochs: int = MIN_EPOCHS,
+) -> dict:
+    """The hub_copy workload: both layouts' bit-identity gate, and with
+    ``timed`` their single-edge trickle."""
+    graph = Graph.from_edges(
+        powerlaw_edges(
+            COPY_N, COPY_M, COPY_EXPONENT, seed=COPY_GRAPH_SEED
+        ),
+        n=COPY_N,
+    )
+    coloring = ColoringScheme.uniform(COPY_N, COPY_K, rng=SEED)
+    section: dict = {
+        "graph": (
+            f"PL(n={graph.num_vertices}, m={graph.num_edges}, k={COPY_K})"
+        ),
+        "note": (
+            "e2ebench cold-build/budget-build input through the copying "
+            "update path (in_place=False) a served update takes, "
+            "against build_table in the same layout; table "
+            "maintenance only, reported as measured"
+        ),
+    }
+    for layout in ("dense", "succinct"):
+        entry = {
+            "identity": _copy_identity(
+                graph, coloring, layout, COPY_K, COPY_UPDATES
+            ),
+        }
+        if timed:
+            entry["single_edge"] = _copy_trickle(
+                graph, coloring, layout, rounds, max_epochs, min_epochs
+            )
+        section[layout] = entry
+    section["bit_identical"] = all(
+        section[layout]["identity"]["bit_identical"]
+        for layout in ("dense", "succinct")
+    )
+    return section
+
+
 def _trickle_comparison(
     graph: Graph,
     batch: list,
@@ -337,19 +510,7 @@ def _trickle_comparison(
         ) >= target_speedup,
     )
     inc.close()
-    best = best_epoch(epoch_stats, "rebuild", "incremental")
-    return {
-        "batch_size": len(batch),
-        "rebuild_seconds": best["rebuild_median"],
-        "incremental_seconds": best["incremental_median"],
-        "speedup": best["rebuild_median"] / best["incremental_median"],
-        "rows_touched_per_update": float(np.median(rows_touched)),
-        "frontier_fraction": float(
-            np.median(rows_touched) / graph.num_vertices
-        ),
-        "epochs": len(epoch_stats),
-        "all_epochs": epoch_stats,
-    }
+    return _trickle_result(epoch_stats, len(batch), rows_touched, graph)
 
 
 def _workload_section(
@@ -444,8 +605,13 @@ def run_incremental_comparison(
         point.pop("all_epochs")
         curve.append(point)
 
+    hub_copy = _copy_section(
+        timed=True, rounds=rounds, max_epochs=max_epochs,
+        min_epochs=min_epochs,
+    ) if side_workloads else None
+
     speedup = workloads["er_trickle"]["single_edge"]["speedup"]
-    return {
+    payload = {
         "workload": {
             "k": k,
             "samples_per_requery": SAMPLES_PER_REQUERY,
@@ -471,8 +637,11 @@ def run_incremental_comparison(
         "bit_identical": all(
             section["identity"]["bit_identical"]
             for section in workloads.values()
-        ),
+        ) and (hub_copy is None or hub_copy["bit_identical"]),
     }
+    if hub_copy is not None:
+        payload["hub_copy"] = hub_copy
+    return payload
 
 
 def main(argv=None) -> None:
@@ -496,6 +665,7 @@ def main(argv=None) -> None:
         payload["carried_store"] = _carried_store_check(
             _powerlaw_graph(HUB_N, HUB_M), HUB_K, HUB_UPDATES
         )
+        payload["hub_copy"] = _copy_section(timed=False)
         emit_json("BENCH_INCREMENTAL_quick", payload)
     else:
         payload = run_incremental_comparison()
@@ -512,6 +682,18 @@ def main(argv=None) -> None:
             f"{trickle['speedup']:.1f}x",
             f"{trickle['rows_touched_per_update']:.0f}",
         ))
+    for layout in ("dense", "succinct"):
+        trickle = payload.get("hub_copy", {}).get(layout, {}).get(
+            "single_edge"
+        )
+        if trickle:
+            rows.append((
+                f"hub_copy {layout} single-edge",
+                f"{trickle['rebuild_seconds']:.3f}s",
+                f"{trickle['incremental_seconds'] * 1000:.1f}ms",
+                f"{trickle['speedup']:.1f}x",
+                f"{trickle['rows_touched_per_update']:.0f}",
+            ))
     for point in payload["batch_curve"]:
         rows.append((
             f"curve batch={point['batch_size']}",
@@ -531,6 +713,7 @@ def main(argv=None) -> None:
     assert payload["speedup"] >= payload["target_speedup"], payload
     if args.quick:
         assert payload["carried_store"]["kept_store"], payload
+        assert payload["hub_copy"]["bit_identical"], payload
 
 
 if __name__ == "__main__":

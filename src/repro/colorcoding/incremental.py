@@ -30,11 +30,25 @@ unchanged by induction) OR *any nonzero inside* (the recomputed block)
 — the keep sets agree, and with them the layer key lists, the rows
 every later level reads from them, and the sealed CSR records.
 
-Untouched columns are untouched bytes: dense layers copy the surviving
-rows and patch only the frontier columns; sealed
-:class:`~repro.table.count_table.SuccinctLayer` records are re-sealed
-only for frontier vertices, with untouched vertex records spliced over
-(key rows remapped through the monotone keep map).
+Frontier cost.  Untouched columns are untouched bytes, no level sorts
+or searches the whole table, and no update decodes a record twice:
+
+* the balls grow ring by ring off a visited mask;
+* levels read dense layers in place, and succinct layers from blocks
+  decoded once per update over the *read window* — the widest frontier
+  plus its halo, one ring past the balls — each successor layer's
+  block patched from the level output
+  (:class:`~repro.colorcoding.level.LiveColumns`);
+* a dense level is one contiguous copy of the old matrix with the
+  frontier columns patched (the live matrix itself with ``in_place``),
+  its row totals carried over so the keep test does not rescan it; a
+  level whose keys are born or die then remaps its rows;
+* a succinct level splices its records by length
+  (:meth:`~repro.table.count_table.SuccinctLayer.spliced`): the new
+  ``indptr`` sums the old record lengths off the frontier and the
+  recomputed nonzeros on it, untouched records move over through two
+  masks, and key rows go through the monotone keep map only when the
+  key set changed.
 
 Telemetry: ``count.delta_updates_total`` (edge changes applied),
 ``count.delta_rows_touched`` (frontier columns summed over levels) and
@@ -54,9 +68,9 @@ from repro.colorcoding.level import (
     HaloSums,
     LiveColumns,
     MemoryBudget,
-    column_block,
     execute_level,
     row_edges,
+    sorted_distinct,
 )
 from repro.colorcoding.plans import compile_plans, level_source_sizes
 from repro.errors import BuildError
@@ -65,8 +79,6 @@ from repro.table.count_table import (
     CountTable,
     Layer,
     LayerView,
-    SuccinctLayer,
-    csr_offsets,
 )
 from repro.treelets.registry import TreeletRegistry
 from repro.util.instrument import Instrumentation
@@ -144,15 +156,32 @@ def touched_frontiers(
     ``r``, and level ``h`` of the delta recomputes exactly entry
     ``h - 2``.
     """
-    ball = np.unique(np.asarray(endpoints, dtype=np.int64))
-    balls = [ball]
-    for _radius in range(1, max(k - 1, 1)):
-        grown = np.union1d(
-            old_graph.indices[row_edges(old_graph.indptr, ball)[1]],
-            new_graph.indices[row_edges(new_graph.indptr, ball)[1]],
-        )
-        ball = np.union1d(ball, grown)
-        balls.append(ball)
+    return _balls(old_graph, new_graph, endpoints, max(k - 2, 0))
+
+
+def _balls(
+    old_graph: Graph, new_graph: Graph, endpoints: np.ndarray, radius: int
+) -> List[np.ndarray]:
+    """Balls of radius ``0 .. radius`` over the union adjacency.
+
+    Each ring grows from the newest ring alone: its neighbors not yet
+    in the visited mask form the next ring, merged into the sorted ball
+    — work proportional to the ball's edges, not radius times them.
+    """
+    ring = np.unique(np.asarray(endpoints, dtype=np.int64))
+    visited = np.zeros(new_graph.num_vertices, dtype=bool)
+    visited[ring] = True
+    slot = np.empty(new_graph.num_vertices, dtype=np.int64)
+    balls = [ring]
+    for _radius in range(radius):
+        reached = np.concatenate([
+            graph.indices[row_edges(graph.indptr, ring)[1]]
+            for graph in (old_graph, new_graph)
+        ])
+        ring = sorted_distinct(reached[~visited[reached]], slot)
+        visited[ring] = True
+        ball = balls[-1]
+        balls.append(np.insert(ball, np.searchsorted(ball, ring), ring))
     return balls
 
 
@@ -168,13 +197,22 @@ def _distance_labels(
     return labels
 
 
-def _membership(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``queries`` in a sorted unique array."""
-    if sorted_values.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    positions = np.searchsorted(sorted_values, queries)
-    positions = np.minimum(positions, sorted_values.size - 1)
-    return sorted_values[positions] == queries
+def _remapped(
+    old_counts: np.ndarray,
+    kept_rows: np.ndarray,
+    old_kept: np.ndarray,
+    num_kept: int,
+    cols: np.ndarray,
+    block: np.ndarray,
+) -> np.ndarray:
+    """A successor matrix over a changed key set: the old rows
+    ``old_kept`` moved to rows ``kept_rows``, born keys' rows zero, and
+    the columns ``cols`` set to ``block``."""
+    counts = np.zeros((num_kept, old_counts.shape[1]), dtype=np.float64)
+    if old_kept.size:
+        counts[kept_rows] = old_counts[old_kept]
+    counts[:, cols] = block
+    return counts
 
 
 def _patched_layer(
@@ -183,103 +221,88 @@ def _patched_layer(
     candidate_keys: List[Key],
     out_block: np.ndarray,
     cols: np.ndarray,
-    n: int,
+    live: LiveColumns,
     in_place: bool = False,
 ) -> LayerView:
     """Splice the recomputed frontier columns into the level's layer.
 
     ``candidate_keys`` is the level's sorted key universe and
     ``out_block`` its recomputed counts at the frontier ``cols``.  The
-    keep set decomposes exactly (module docstring, fact 3); dense layers
-    patch the frontier columns (in place when the caller owns the table
-    and the key set is unchanged — the steady-state trickle path, which
-    does column-local work instead of copying the matrix), succinct
-    layers re-seal only frontier vertex records and splice the rest with
-    key rows remapped through the (monotone) keep map.
+    keep set decomposes exactly (module docstring): a key stays when it
+    has a nonzero off the frontier or one in ``out_block``.
 
-    The dense keep test reads :meth:`DenseLayer.row_totals` minus the
-    frontier row sums instead of scanning the off-frontier matrix:
-    counts are integer-valued floats, so the subtraction is exact and
-    the ``> 0`` decision matches the fresh build's bit for bit.
+    Dense layers are patched first — in place when the caller owns the
+    table (``in_place``, writable matrix), else one contiguous copy
+    patched (:meth:`DenseLayer.patched`) — so the successor's row
+    totals carry over exactly (counts are integer-valued floats) and
+    its keep test is the fresh build's, ``row total > 0``.  A changed
+    key set then remaps the patched rows.  Succinct layers count a
+    key's pairs off the frontier as its stored pairs minus its frontier
+    pairs and splice their records by length
+    (:meth:`SuccinctLayer.spliced`); below size ``k`` — a source of
+    later levels — their block over ``live``'s window is the old
+    layer's, decoded once, with the same rows kept and the frontier
+    columns patched from ``out_block``.
     """
     candidate_rows = {key: i for i, key in enumerate(candidate_keys)}
     old_cand = np.asarray(
         [candidate_rows[key] for key in old_layer.keys], dtype=np.int64
     ).reshape(old_layer.num_keys)
 
-    pos_old = np.zeros(len(candidate_keys), dtype=bool)
+    keep = (out_block > 0.0).any(axis=1)
     if old_layer.layout == "dense":
-        if old_layer.counts.size:
-            frontier_sums = np.asarray(
-                old_layer.counts[:, cols], dtype=np.float64
-            ).sum(axis=1)
-            pos_old[old_cand] = (
-                old_layer.row_totals() - frontier_sums
-            ) > 0.0
-    else:
-        pair_verts = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(old_layer.indptr)
+        old_rows = (
+            out_block if old_cand.size == keep.size else out_block[old_cand]
         )
-        outside_pairs = ~_membership(cols, pair_verts)
-        if outside_pairs.any():
-            rows_outside = np.asarray(
-                old_layer.key_row[outside_pairs], dtype=np.int64
-            )
-            pos_old[old_cand] = np.bincount(
-                rows_outside, minlength=old_layer.num_keys
-            ) > 0
-    pos_new = (out_block > 0.0).any(axis=1)
-    keep = pos_old | pos_new
+        if in_place and old_layer.counts.flags.writeable:
+            # Caller owns the table: patch the live matrix.
+            successor = old_layer
+            successor.patch_columns(cols, old_rows)
+        else:
+            successor = old_layer.patched(cols, old_rows)
+        keep[old_cand] |= successor.row_totals() > 0.0
+    else:
+        num_keys = old_layer.num_keys
+        frontier_pairs = old_layer.key_row[
+            row_edges(old_layer.indptr, cols)[1]
+        ]
+        keep[old_cand] |= (
+            np.bincount(old_layer.key_row, minlength=num_keys)
+            - np.bincount(frontier_pairs, minlength=num_keys)
+        ) > 0
     kept = np.flatnonzero(keep)
     kept_keys = [candidate_keys[i] for i in kept]
+    unchanged = kept_keys == old_layer.keys
+    if unchanged and old_layer.layout == "dense":
+        return successor
     kept_pos = np.full(len(candidate_keys), -1, dtype=np.int64)
     kept_pos[kept] = np.arange(kept.size, dtype=np.int64)
+    # Old rows of kept keys and their successor rows (monotone).
+    old_kept = np.flatnonzero(keep[old_cand])
+    kept_rows = kept_pos[old_cand[old_kept]]
+    sub = out_block if kept.size == keep.size else out_block[kept]
 
     if old_layer.layout == "dense":
-        if (
-            in_place
-            and old_layer.counts.flags.writeable
-            and kept_keys == old_layer.keys
-        ):
-            # Steady state: no key births or deaths, caller owns the
-            # table — patch the frontier columns into the live matrix.
-            old_layer.patch_columns(cols, out_block[old_cand])
-            return old_layer
-        new_counts = np.zeros((kept.size, n), dtype=np.float64)
-        old_keep = keep[old_cand]
-        if old_keep.any():
-            new_counts[kept_pos[old_cand[old_keep]]] = np.asarray(
-                old_layer.counts[old_keep], dtype=np.float64
-            )
-        new_counts[:, cols] = out_block[kept]
-        return Layer(h, kept_keys, new_counts)
-
-    # Succinct splice.  Untouched vertex records carry only keys with a
-    # positive count outside the frontier, i.e. kept keys, so the remap
-    # below never hits -1; it is monotone over kept rows, so remapped
-    # records keep their strictly-ascending key order.
-    remap = kept_pos[old_cand]
-    pair_verts = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(old_layer.indptr)
-    )
-    untouched = ~_membership(cols, pair_verts)
-    old_rows = remap[np.asarray(old_layer.key_row, dtype=np.int64)[untouched]]
-    old_values = np.asarray(old_layer.values, dtype=np.float64)[untouched]
-
-    sub = out_block[kept]
-    new_local, new_rows = np.nonzero(sub.T)
-    new_values = sub[new_rows, new_local]
-
-    all_verts = np.concatenate([pair_verts[untouched], cols[new_local]])
-    all_rows = np.concatenate([old_rows, new_rows.astype(np.int64)])
-    all_values = np.concatenate([old_values, new_values])
-    order = np.argsort(all_verts, kind="stable")
-    return SuccinctLayer(
-        h,
-        kept_keys,
-        csr_offsets(all_verts, n),
-        all_rows[order],
-        all_values[order],
+        return Layer(
+            h, kept_keys,
+            _remapped(
+                successor.counts, kept_rows, old_kept, kept.size, cols, sub
+            ),
+        )
+    if h < live.table.k:
+        block = live.decode(old_layer)
+        local = np.searchsorted(live.window, cols)
+        if unchanged:
+            block[local] = sub.T
+        else:
+            block = np.ascontiguousarray(_remapped(
+                block.T, kept_rows, old_kept, kept.size, local, sub
+            ).T)
+        live.blocks[h] = block
+    # Carried records hold only keys with a nonzero off the frontier,
+    # i.e. kept keys, so the remap never reads a -1.
+    return old_layer.spliced(
+        kept_keys, None if unchanged else kept_pos[old_cand], cols, sub
     )
 
 
@@ -344,24 +367,34 @@ def apply_edge_updates(
         if endpoints.size == 0:
             return DeltaResult(table, graph, endpoints, 0, 0, 0, 0)
         new_graph, _touched = graph.apply_updates(updates)
-        balls = touched_frontiers(graph, new_graph, endpoints, k)
+        # Succinct source layers are read from blocks over the widest
+        # frontier plus its halo: one ring past the frontier balls.
+        decoded = any(
+            table.layer(size).layout == "succinct" for size in range(1, k)
+        )
+        balls = _balls(
+            graph, new_graph, endpoints, max(k - 2, 0) + int(decoded)
+        )
+        frontiers = balls[: max(k - 1, 1)]
         adjacency = new_graph.adjacency_csr()
         compiled = compile_plans(registry)
 
         new_table = CountTable(k, n, zero_rooted=table.zero_rooted)
         new_table.set_layer(table.layer(1))
-        live = LiveColumns(new_table)
+        live = LiveColumns(new_table, balls[-1] if decoded else None)
+        if new_table.layer(1).layout == "succinct":
+            live.blocks[1] = live.decode(new_table.layer(1))
         budget = MemoryBudget()
         rows_touched = 0
         for h in range(2, k + 1):
-            cols = balls[h - 2]
+            cols = frontiers[h - 2]
             rows_touched += cols.size
             sources = CountTable(k, cols.size, False)
             for size in level_source_sizes(registry, h):
-                layer = new_table.layer(size)
-                sources.set_layer(
-                    Layer(size, list(layer.keys), column_block(layer, cols))
-                )
+                sources.set_layer(Layer(
+                    size, list(new_table.layer(size).keys),
+                    np.ascontiguousarray(live.read(size, 0, cols)),
+                ))
             out = execute_level(
                 h, registry, table.zero_rooted,
                 np.ascontiguousarray(coloring.colors[cols]), sources,
@@ -371,8 +404,8 @@ def apply_edge_updates(
             )
             new_table.set_layer(
                 _patched_layer(
-                    h, table.layer(h), list(compiled[h].keys), out, cols, n,
-                    in_place=in_place,
+                    h, table.layer(h), list(compiled[h].keys), out, cols,
+                    live, in_place=in_place,
                 )
             )
             del out
@@ -388,6 +421,6 @@ def apply_edge_updates(
         int(added.size + removed.size),
         int(added.size),
         int(removed.size),
-        dirty_radii=_distance_labels(balls, n, k - 1),
+        dirty_radii=_distance_labels(frontiers, n, k - 1),
         changes=change_rows(added, removed, n),
     )

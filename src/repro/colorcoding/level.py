@@ -25,7 +25,8 @@ provider:
     The sharded build and updates: the rows of the column set multiplied
     against only the *halo* columns they reference, read source shard by
     source shard (from the store's files under a :class:`MemoryBudget`,
-    or from the live layers of a table through :class:`LiveColumns`).
+    or from the live layers of a table through :class:`LiveColumns`,
+    succinct ones through blocks decoded once over a read window).
 
 Mode.  Every level runs off the compiled plans
 (:mod:`repro.colorcoding.plans`), *zero-rooted* when it is the size-``k``
@@ -92,8 +93,8 @@ __all__ = [
     "HaloSums",
     "HaloLayout",
     "LiveColumns",
-    "column_block",
     "row_edges",
+    "sorted_distinct",
 ]
 
 Key = Tuple[int, int]
@@ -562,6 +563,19 @@ class ResidentSums:
             cache.pop(size, None)
 
 
+def sorted_distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of the index array ``values``.
+
+    ``slot`` is scratch covering the values' range, its contents
+    irrelevant: each value's slot keeps one entry's position, so one
+    entry per value survives and only the distinct values are sorted —
+    not the repeats, as ``np.unique`` would.
+    """
+    order = np.arange(values.size, dtype=np.int64)
+    slot[values] = order
+    return np.sort(values[slot[values] == order])
+
+
 def row_edges(
     indptr: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -580,41 +594,40 @@ def row_edges(
     return local_ptr, positions
 
 
-def column_block(
-    layer: LayerView, cols: np.ndarray, key_rows: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Dense float64 block of a layer at the columns ``cols``.
-
-    All key rows, or only ``key_rows``.  Dense layers gather; succinct
-    layers scatter their CSR vertex records for exactly the requested
-    columns — no full densification either way.
-    """
-    if layer.layout == "dense":
-        counts = layer.counts
-        if key_rows is not None:
-            return np.ascontiguousarray(
-                counts[np.ix_(key_rows, cols)], dtype=np.float64
-            )
-        return np.ascontiguousarray(counts[:, cols], dtype=np.float64)
-    local_ptr, positions = row_edges(layer.indptr, cols)
-    block = np.zeros((layer.num_keys, cols.size), dtype=np.float64)
-    block[
-        np.asarray(layer.key_row[positions], dtype=np.int64),
-        np.repeat(np.arange(cols.size, dtype=np.int64), np.diff(local_ptr)),
-    ] = layer.values[positions]
-    return block if key_rows is None else block[key_rows]
-
-
 class LiveColumns:
     """Column reads from the resident layers of a table.
 
     The :class:`HaloSums` column source of updates and of the in-memory
     zero-rooted level: a single source shard spanning every vertex.
+    Dense layers are read in place.  A succinct layer is read from its
+    entry in ``blocks``: its dense float64 records over the sorted
+    column ``window``, one ``num_keys`` row per window vertex, and the
+    window holds every column the reads ask for.  An update decodes
+    each succinct layer once over its read window (:meth:`decode`) and
+    patches each successor layer's block from the level output, so no
+    level decodes a record twice.
     """
 
-    def __init__(self, table: CountTable):
+    def __init__(self, table: CountTable, window: Optional[np.ndarray] = None):
         self.table = table
+        self.window = window
+        self.blocks: Dict[int, np.ndarray] = {}
         self.bounds = np.asarray([0, table.num_vertices], dtype=np.int64)
+
+    def decode(self, layer: LayerView) -> np.ndarray:
+        """A succinct layer's block over the window: the CSR records of
+        exactly the window's vertices scattered in record order, no full
+        densification."""
+        window = self.window
+        local_ptr, positions = row_edges(layer.indptr, window)
+        block = np.zeros((window.size, layer.num_keys), dtype=np.float64)
+        flat = np.repeat(
+            np.arange(window.size, dtype=np.int64) * layer.num_keys,
+            np.diff(local_ptr),
+        )
+        flat += layer.key_row[positions]
+        block.ravel()[flat] = layer.values[positions]
+        return block
 
     def read(
         self,
@@ -623,7 +636,17 @@ class LiveColumns:
         verts: np.ndarray,
         key_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        return column_block(self.table.layer(size), verts, key_rows)
+        """Layer ``size`` at the ascending vertices ``verts``: float64,
+        all key rows or only ``key_rows`` by ``len(verts)`` — C-ordered
+        from a dense layer, the transpose of a C-ordered block from a
+        succinct one."""
+        layer = self.table.layer(size)
+        if layer.layout == "dense":
+            if key_rows is not None:
+                return layer.counts[np.ix_(key_rows, verts)]
+            return layer.counts[:, verts]
+        records = self.blocks[size][np.searchsorted(self.window, verts)]
+        return (records if key_rows is None else records[:, key_rows]).T
 
 
 class HaloLayout:
@@ -651,13 +674,15 @@ class HaloLayout:
         """The layout of ``rows`` (ascending) over source shards
         ``bounds``."""
         local_ptr, positions = row_edges(adjacency.indptr, rows)
-        halo, halo_cols = np.unique(
-            adjacency.indices[positions], return_inverse=True
-        )
+        neighbors = adjacency.indices[positions]
+        column = np.empty(adjacency.shape[1], dtype=np.int64)
+        halo = sorted_distinct(neighbors, column)
+        column[halo] = np.arange(halo.size, dtype=np.int64)
         index = (
             np.int32 if max(positions.size, halo.size) < 2**31 else np.int64
         )
-        halo_cols = halo_cols.reshape(-1).astype(index)
+        halo_cols = column[neighbors].astype(index)
+        del neighbors
         data = adjacency.data[positions]
         del positions
         cuts = np.searchsorted(halo, bounds)

@@ -144,6 +144,49 @@ _SPLIT_EPS = 1e-300
 #: ``MotivoConfig.descent_cache_bytes`` / ``--descent-cache-bytes``).
 DEFAULT_DESCENT_CACHE_BYTES = 256 * 1024 * 1024
 
+#: The gathered rows one wave reads: ``(matrix, slot_of, built)``, see
+#: :meth:`TreeletUrn._gathered_rows`.
+_WaveRows = Tuple[
+    np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]
+]
+
+
+def _split_rows(
+    rows: _WaveRows, gks: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """The reads of gathered keys ``gks`` grouped by the matrix holding
+    their rows: ``(matrix, row indices, where)`` per matrix, ``where``
+    selecting the entries of ``gks`` it serves (``None``: all)."""
+    matrix, slot, built = rows
+    slots = slot[gks]
+    if built is None:
+        return [(matrix, slots, None)]
+    transient, built_of = built
+    cached = slots >= 0
+    return [
+        (matrix, slots[cached], cached),
+        (transient, built_of[gks[~cached]], ~cached),
+    ]
+
+
+def _segment_sums(
+    rows: _WaveRows, gks: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Neighbor totals ``S`` of the gathered keys ``gks`` (candidates ×
+    lanes) over each lane's adjacency segment ``starts``..``ends``:
+    differences of the running sums at the segment ends, exact in
+    int64."""
+    totals = np.empty(gks.shape, dtype=np.int64)
+    for matrix, slots, where in _split_rows(rows, gks):
+        if where is None:
+            totals[:] = matrix[slots, ends] - matrix[slots, starts]
+        else:
+            totals[where] = (
+                matrix[slots, np.broadcast_to(ends, gks.shape)[where]]
+                - matrix[slots, np.broadcast_to(starts, gks.shape)[where]]
+            )
+    return totals
+
 
 class _UniformRow:
     """Sequential reader over one sample's row of the uniform matrix.
@@ -800,11 +843,10 @@ class TreeletUrn:
             )
             np.cumsum(running, dtype=out.dtype, out=running)
 
-    def _gathered_rows(
-        self, gkids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _gathered_rows(self, gkids: np.ndarray) -> _WaveRows:
         """Gathered-cumulative rows for gathered-key ids: ``(matrix,
-        slot_of)`` with ``matrix[slot_of[gk]]`` holding key ``gk``'s row.
+        slot_of, built)`` with ``matrix[slot_of[gk]]`` holding key
+        ``gk``'s row wherever ``slot_of[gk] >= 0``.
 
         For any vertex ``v`` the slice ``[indptr[v]+1 : indptr[v+1]+1]``
         minus the entry at ``indptr[v]`` is exactly the per-neighbor
@@ -815,15 +857,18 @@ class TreeletUrn:
         Rows are built once (one ``O(m)`` pass each) into the global
         store shared by all layers, capped at ``descent_cache_bytes``;
         once full — or once a successor took the store over
-        (:meth:`take_gathered`) — waves touching uncached keys get a
-        transient per-call matrix instead (same arithmetic, nothing
+        (:meth:`take_gathered`) — the rows a wave misses are built into
+        a transient per-call matrix instead (same arithmetic, nothing
         retained, counted as ``gathered_budget_fallbacks``), so
-        resident memory stays bounded on paper-scale graphs.
+        resident memory stays bounded on paper-scale graphs: ``built``
+        is then ``(transient, built_of)`` with ``transient[built_of[gk]]``
+        holding those rows, else ``None``.  The cached rows are read
+        from the store in place either way.
         """
         self._ensure_gathered()
         slot = self._gath_slot
         if not (slot[gkids] < 0).any():
-            return self._gath_matrix, slot
+            return self._gath_matrix, slot, None
         with self.instrumentation.timer("sample_gather"), \
                 _trace_span("sample.gather"):
             flat = gkids.ravel()
@@ -844,24 +889,18 @@ class TreeletUrn:
                 )
             if to_cache.size < missing.size:
                 self.instrumentation.count("gathered_budget_fallbacks")
-                wanted = np.unique(flat)
-                build = wanted[slot[wanted] < 0]
-                kept = wanted[slot[wanted] >= 0]
+                build = missing[to_cache.size:]
                 transient = np.empty(
-                    (wanted.size, matrix.shape[1]), dtype=matrix.dtype
+                    (build.size, matrix.shape[1]), dtype=matrix.dtype
                 )
-                self._fill_gathered_rows(build, transient[: build.size])
-                transient[build.size:] = matrix[slot[kept]]
-                tmp_slot = np.full(slot.size, -1, dtype=np.int64)
-                tmp_slot[build] = np.arange(build.size, dtype=np.int64)
-                tmp_slot[kept] = np.arange(
-                    build.size, wanted.size, dtype=np.int64
-                )
+                self._fill_gathered_rows(build, transient)
+                built_of = np.full(slot.size, -1, dtype=np.int64)
+                built_of[build] = np.arange(build.size, dtype=np.int64)
                 self.instrumentation.count(
                     "gathered_transient_builds", int(build.size)
                 )
-                return transient, tmp_slot
-        return matrix, slot
+                return matrix, slot, (transient, built_of)
+        return matrix, slot, None
 
     # -- segment store (stale reads of a carried store) -------------------
 
@@ -1077,26 +1116,21 @@ class TreeletUrn:
                 stale = None
         indptr = self._gath_graph.indptr
         if stale is None:
-            gathered, slot = self._gathered_rows(second_gk)
-            sl = slot[second_gk]
+            rows = self._gathered_rows(second_gk)
             starts = indptr[verts]
             ends = indptr[verts + 1]
-            s_vals = (
-                gathered[sl, ends[None, :]] - gathered[sl, starts[None, :]]
-            ).astype(np.int64)
+            s_vals = _segment_sums(rows, second_gk, starts, ends)
         else:
             clean = np.flatnonzero(~stale)
             dirty = np.flatnonzero(stale)
             s_vals = np.zeros(cand.shape, dtype=np.int64)
             if clean.size:
                 clean_gk = second_gk[:, clean]
-                gathered, slot = self._gathered_rows(clean_gk)
-                sl = slot[clean_gk]
+                rows = self._gathered_rows(clean_gk)
                 starts = indptr[verts[clean]]
                 ends = indptr[verts[clean] + 1]
-                s_vals[:, clean] = (
-                    gathered[sl, ends[None, :]]
-                    - gathered[sl, starts[None, :]]
+                s_vals[:, clean] = _segment_sums(
+                    rows, clean_gk, starts, ends
                 )
             # Only candidates with a positive prime factor can weigh
             # anything, so only their segments are read (or filled).
@@ -1148,25 +1182,19 @@ class TreeletUrn:
         # int64 threshold against the absolute running sums.
         offsets = np.floor(child_u * chosen_s).astype(np.int64)
         if stale is None:
-            chosen_slots = sl[position, lanes]
-            thresholds = (
-                gathered[chosen_slots, starts].astype(np.int64) + offsets
-            )
             children = self._invert_children(
-                gathered, chosen_slots, starts, ends, thresholds
+                rows, second_gk[position, lanes], starts, ends, offsets
             )
         else:
             children = np.empty(verts.size, dtype=np.int64)
             if clean.size:
-                chosen_slots = sl[
-                    position[clean], np.arange(clean.size, dtype=np.int64)
-                ]
-                thresholds = (
-                    gathered[chosen_slots, starts].astype(np.int64)
-                    + offsets[clean]
-                )
                 children[clean] = self._invert_children(
-                    gathered, chosen_slots, starts, ends, thresholds
+                    rows,
+                    clean_gk[
+                        position[clean],
+                        np.arange(clean.size, dtype=np.int64),
+                    ],
+                    starts, ends, offsets[clean],
                 )
             # The segment store is one nondecreasing running sum, so
             # one search inverts every stale lane; the clamp mirrors
@@ -1187,34 +1215,44 @@ class TreeletUrn:
 
     def _invert_children(
         self,
-        gathered: np.ndarray,
-        slots: np.ndarray,
+        rows: _WaveRows,
+        gks: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
-        thresholds: np.ndarray,
+        offsets: np.ndarray,
     ) -> np.ndarray:
         """Per-sample bisection over gathered rows: the child endpoint.
 
-        Finds, per sample, the first position in the adjacency segment
-        ``[starts+1, ends+1)`` of its gathered row whose running sum
-        exceeds the integer threshold — ``O(n · log Δ)`` full-array
-        passes instead of the ``O(Σ deg)`` flattened sweep, with every
-        comparison exact in int64.  The clamp keeps the midpoint in
-        bounds for already-converged lanes; the final clamp mirrors the
-        scalar ``min(position, d - 1)`` guard.
+        Lane ``i`` inverts the running sums of its chosen gathered key
+        ``gks[i]`` at the integer threshold ``G[starts[i]] +
+        offsets[i]``, finding the first position in the adjacency
+        segment ``[starts+1, ends+1)`` whose running sum exceeds it —
+        ``O(n · log Δ)`` full-array passes instead of the ``O(Σ deg)``
+        flattened sweep, with every comparison exact in int64.  Lanes
+        are split once by the matrix holding their row.  The clamp
+        keeps the midpoint in bounds for already-converged lanes; the
+        final clamp mirrors the scalar ``min(position, d - 1)`` guard.
         """
-        lo = starts + 1
-        hi = ends + 1
-        limit = gathered.shape[1] - 1
-        active = lo < hi
-        while active.any():
-            mid = np.minimum((lo + hi) >> 1, limit)
-            below = gathered[slots, mid] <= thresholds
-            lo = np.where(active & below, mid + 1, lo)
-            hi = np.where(active & ~below, mid, hi)
+        children = np.empty(gks.size, dtype=np.int64)
+        for gathered, slots, where in _split_rows(rows, gks):
+            lanes = slice(None) if where is None else where
+            first, last = starts[lanes], ends[lanes]
+            thresholds = (
+                gathered[slots, first].astype(np.int64) + offsets[lanes]
+            )
+            lo = first + 1
+            hi = last + 1
+            limit = gathered.shape[1] - 1
             active = lo < hi
-        positions = np.minimum(lo - starts - 1, ends - starts - 1)
-        return self._gath_graph.indices[starts + positions]
+            while active.any():
+                mid = np.minimum((lo + hi) >> 1, limit)
+                below = gathered[slots, mid] <= thresholds
+                lo = np.where(active & below, mid + 1, lo)
+                hi = np.where(active & ~below, mid, hi)
+                active = lo < hi
+            positions = np.minimum(lo - first - 1, last - first - 1)
+            children[lanes] = self._gath_graph.indices[first + positions]
+        return children
 
     # ------------------------------------------------------------------
     # Copy materialization (§2.2 recursion)

@@ -278,7 +278,7 @@ class DenseLayer(LayerView):
 
     __slots__ = (
         "size", "keys", "key_rows", "counts", "_cumulative", "_totals",
-        "_tarr", "_row_totals",
+        "_tarr", "_row_totals", "_max",
     )
 
     def __init__(self, size: int, keys: Sequence[Key], counts: np.ndarray):
@@ -301,6 +301,7 @@ class DenseLayer(LayerView):
         self._totals: Optional[np.ndarray] = None
         self._tarr: Optional[np.ndarray] = None
         self._row_totals: Optional[np.ndarray] = None
+        self._max: Optional[float] = None
 
     @property
     def num_vertices(self) -> int:
@@ -324,7 +325,9 @@ class DenseLayer(LayerView):
         return float(self.counts[row, v])
 
     def max_value(self) -> float:
-        return float(self.counts.max()) if self.counts.size else 0.0
+        if self._max is None:
+            self._max = float(self.counts.max()) if self.counts.size else 0.0
+        return self._max
 
     def totals(self) -> np.ndarray:
         if self._totals is None:
@@ -351,18 +354,46 @@ class DenseLayer(LayerView):
         All patched caches stay exactly what a fresh recompute would
         produce: counts are integer-valued floats, sums and cumsums of
         them are exact, and ``cumulative()`` is columnwise-independent.
+        The largest count stays known unless the patch lowered it;
+        then :meth:`max_value` finds it again when next asked.
         """
         if not self.counts.flags.writeable:
             raise TableError("patch_columns needs a writable counts matrix")
-        if self._row_totals is not None:
-            self._row_totals += block.sum(axis=1) - self.counts[:, cols].sum(
-                axis=1
-            )
+        if self._row_totals is not None or self._max is not None:
+            old = self.counts[:, cols]
+            if self._row_totals is not None:
+                self._row_totals += block.sum(axis=1) - old.sum(axis=1)
+            if self._max is not None and old.size:
+                raised = float(block.max())
+                if raised >= self._max:
+                    self._max = raised
+                elif old.max() >= self._max:
+                    self._max = None
         self.counts[:, cols] = block
         if self._totals is not None:
             self._totals[cols] = block.sum(axis=0)
         if self._cumulative is not None:
             self._cumulative[:, cols] = np.cumsum(block, axis=0)
+
+    def patched(self, cols: np.ndarray, block: np.ndarray) -> "DenseLayer":
+        """A copy of the layer with the columns ``cols`` set to ``block``.
+
+        The copying counterpart of :meth:`patch_columns`: one contiguous
+        copy of the matrix (writable even when this one is memory-mapped),
+        then :meth:`patch_columns` on the copy, so the row and vertex
+        totals and the largest count known so far carry over patched
+        instead of being recomputed by a scan of the successor.
+        """
+        successor = DenseLayer(
+            self.size, self.keys, np.array(self.counts, dtype=np.float64)
+        )
+        if self._row_totals is not None:
+            successor._row_totals = self._row_totals.copy()
+        if self._totals is not None:
+            successor._totals = self._totals.copy()
+        successor._max = self._max
+        successor.patch_columns(cols, block)
+        return successor
 
     def cumulative(self) -> np.ndarray:
         """Per-vertex running sums over *all* keys (zeros included).
@@ -517,6 +548,64 @@ class SuccinctLayer(LayerView):
         values = counts[rows, verts]
         indptr = csr_offsets(verts, counts.shape[1])
         return cls(layer.size, layer.keys, indptr, rows, values)
+
+    def spliced(
+        self,
+        keys: Sequence[Key],
+        remap: Optional[np.ndarray],
+        cols: np.ndarray,
+        block: np.ndarray,
+    ) -> "SuccinctLayer":
+        """The layer with the records of ``cols`` replaced by ``block``.
+
+        ``keys`` is the successor's sorted key list, ``block`` its
+        ``len(keys) × len(cols)`` counts at the ascending columns
+        ``cols``, and ``remap`` maps this layer's key rows onto
+        ``keys`` (``None`` when the key list is unchanged).  Every other
+        record is carried over with its key rows remapped, so ``remap``
+        must be monotone over the rows those records hold.
+
+        The successor's ``indptr`` is the running sum of its record
+        lengths — the old ones off ``cols``, the block's nonzeros per
+        column on them — and the carried records move through two masks,
+        off-``cols`` repeated over the old and the new lengths: no sort
+        and no search over the stored pairs.  The arrays equal what
+        :meth:`from_dense` seals from the successor's full matrix.
+        """
+        n = self.num_vertices
+        # The records of ``cols`` in vertex order, key rows ascending in
+        # each: the nonzeros of the block's transpose in memory order.
+        records = np.ascontiguousarray(block.T)
+        stored = records != 0.0
+        flat = np.flatnonzero(stored)
+        fresh = _pack_counts(records.ravel()[flat])
+        old_lengths = np.diff(self.indptr)
+        lengths = old_lengths.copy()
+        lengths[cols] = np.count_nonzero(stored, axis=1)
+        # A flat index minus its record's start is the key row.
+        fresh_rows = flat - np.repeat(
+            np.arange(cols.size, dtype=np.int64) * records.shape[1],
+            lengths[cols],
+        )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        carried = np.ones(n, dtype=bool)
+        carried[cols] = False
+        carried_from = np.repeat(carried, old_lengths)
+        carried_to = np.repeat(carried, lengths)
+        key_row = np.empty(
+            int(indptr[-1]), dtype=_uint_dtype(max(len(keys) - 1, 0))
+        )
+        old_rows = self.key_row[carried_from]
+        key_row[carried_to] = old_rows if remap is None else remap[old_rows]
+        key_row[~carried_to] = fresh_rows
+        values = np.empty(
+            key_row.size,
+            dtype=np.promote_types(self.values.dtype, fresh.dtype),
+        )
+        values[carried_to] = self.values[carried_from]
+        values[~carried_to] = fresh
+        return SuccinctLayer(self.size, keys, indptr, key_row, values)
 
     @property
     def num_vertices(self) -> int:

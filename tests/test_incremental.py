@@ -82,6 +82,9 @@ def _mixed_batch(rng, graph: Graph, inserts: int, deletes: int):
 
 
 def _assert_tables_equal(reference, table, k):
+    """Same layers, keys and counts; where both layers are succinct,
+    also the same ``indptr``, ``key_row`` and ``values`` bytes and
+    dtypes — the arrays the artifact codec writes."""
     ref_sizes = [s for s in range(1, k + 1) if reference.has_layer(s)]
     got_sizes = [s for s in range(1, k + 1) if table.has_layer(s)]
     assert got_sizes == ref_sizes
@@ -93,6 +96,11 @@ def _assert_tables_equal(reference, table, k):
             np.asarray(layer.dense_counts()),
             np.asarray(ref_layer.dense_counts()),
         )
+        if layer.layout == ref_layer.layout == "succinct":
+            for name in ("indptr", "key_row", "values"):
+                got, want = getattr(layer, name), getattr(ref_layer, name)
+                assert got.dtype == want.dtype, (size, name)
+                assert got.tobytes() == want.tobytes(), (size, name)
 
 
 def _digest(table, k: int) -> str:
@@ -243,6 +251,82 @@ class TestDeltaBitIdentity:
         _assert_tables_equal(copied.table, patched.table, k)
         assert copied.dirty_radii is not None
         assert np.array_equal(copied.dirty_radii, patched.dirty_radii)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_keys_born_and_dying_remap_the_layer(self, layout, in_place):
+        n, k = 14, 4
+        graph = Graph.from_edges(powerlaw_edges(n, 14, seed=57), n)
+        coloring = ColoringScheme.uniform(n, k, rng=57)
+        table = build_table(
+            graph, coloring, layout=layout, zero_rooting=False
+        )
+        old_keys = set(table.layer(2).keys)
+        result = apply_edge_updates(
+            table, graph, [("-", 0, 1), ("+", 9, 11)], coloring,
+            in_place=in_place,
+        )
+        new_keys = set(result.table.layer(2).keys)
+        assert old_keys - new_keys and new_keys - old_keys
+        fresh = build_table(
+            result.graph, coloring, layout=layout, zero_rooting=False
+        )
+        _assert_tables_equal(fresh, result.table, k)
+
+    def test_count_widens_the_packed_dtype(self):
+        """A star's size-3 counts cross 255 when it gains a leaf: the
+        spliced records widen from uint8 to uint16, as a fresh seal
+        does."""
+        leaves = 31
+        n, k = leaves + 2, 3
+        graph = Graph.from_edges([(0, i) for i in range(1, leaves + 1)], n)
+        colors = np.asarray([0] + [1 + i % 2 for i in range(1, n)])
+        coloring = ColoringScheme(k=k, colors=colors)
+        table = build_table(
+            graph, coloring, layout="succinct", zero_rooting=False
+        )
+        assert table.layer(3).values.dtype == np.uint8
+        result = apply_edge_updates(
+            table, graph, [("+", 0, n - 1)], coloring
+        )
+        assert result.table.layer(3).values.dtype == np.uint16
+        fresh = build_table(
+            result.graph, coloring, layout="succinct", zero_rooting=False
+        )
+        _assert_tables_equal(fresh, result.table, k)
+
+    def test_chained_copies_carry_exact_caches(self):
+        n, m, k = 60, 150, 5
+        graph = erdos_renyi(n, m, rng=31)
+        coloring = ColoringScheme.uniform(n, k, rng=32)
+        table = build_table(graph, coloring)
+        for h in range(1, k + 1):
+            table.layer(h).max_value()  # cached, then patched
+        rng = np.random.default_rng(33)
+        hub = int(np.argmax(np.diff(graph.indptr)))
+        # The hub loses edges first, so the largest counts drop too.
+        batches = [[("-", hub, int(v)) for v in graph.neighbors(hub)[:3]]]
+        for _round in range(3):
+            batch = batches.pop() if batches else _mixed_batch(
+                rng, graph, inserts=2, deletes=1
+            )
+            result = apply_edge_updates(
+                table, graph, batch, coloring, in_place=False
+            )
+            graph, table = result.graph, result.table
+        _assert_tables_equal(build_table(graph, coloring), table, k)
+        cols = np.arange(0, n, 7)
+        for h in range(1, k + 1):
+            layer = table.layer(h)
+            assert np.array_equal(
+                layer.row_totals(), layer.counts.sum(axis=1)
+            )
+            assert layer.max_value() == float(layer.counts.max())
+            # A copy carries the caches over patched, with no rescan.
+            copy = layer.patched(cols, layer.counts[:, cols] + 1.0)
+            assert copy._row_totals is not None and copy._max is not None
+            assert np.array_equal(copy.row_totals(), copy.counts.sum(axis=1))
+            assert copy.max_value() == float(copy.counts.max())
 
     def test_isolated_vertex_gains_first_edge(self):
         n, k = 20, 3
@@ -604,6 +688,57 @@ class TestGatheredStoreRetention:
         urn.sample_batch(512, np.random.default_rng(0))
         assert "gathered_segment_fills" not in urn.instrumentation.counters
         assert urn._segments is None
+
+    def test_frozen_store_builds_only_missing_rows(self):
+        """An urn that handed its store over keeps answering in-flight
+        draws: each wave builds the rows it misses into a transient
+        matrix of exactly those rows and reads the cached ones from the
+        shared store in place."""
+        graph = self._hub_graph()
+        coloring = ColoringScheme.uniform(self.HUB_N, self.K, rng=23)
+        table = build_table(graph, coloring)
+        urn = TreeletUrn(graph, table, coloring)
+        urn.sample_batch(16, np.random.default_rng(0))
+        handed = urn._gathered_cached_rows
+        result = apply_edge_updates(
+            table, graph,
+            _mixed_batch(np.random.default_rng(7), graph, 1, 0), coloring,
+        )
+        successor = urn.successor(result.graph, result.table)
+        assert successor.take_gathered(urn, result.dirty_radii)
+
+        waves = []
+        gathered_rows = urn._gathered_rows
+
+        def recording(gkids):
+            rows = gathered_rows(gkids)
+            waves.append((np.unique(gkids), rows))
+            return rows
+
+        urn._gathered_rows = recording
+        uniforms = np.random.default_rng(3).random((768, urn.draw_width))
+        self._assert_draws(
+            urn, TreeletUrn(graph, table, coloring), uniforms, loop_rows=192
+        )
+        assert urn._gathered_cached_rows == handed
+        built_rows = 0
+        for wanted, (matrix, slot, built) in waves:
+            assert matrix is urn._gath_matrix
+            missing = wanted[slot[wanted] < 0]
+            if built is None:
+                assert missing.size == 0
+                continue
+            transient, built_of = built
+            assert transient.shape[0] == missing.size
+            assert np.array_equal(
+                built_of[missing], np.arange(missing.size)
+            )
+            built_rows += missing.size
+        # Pinned: building only the missing rows builds as many rows as
+        # a transient holding every row the wave reads did.
+        counters = urn.instrumentation.counters
+        assert counters["gathered_transient_builds"] == built_rows == 14
+        assert counters["gathered_budget_fallbacks"] == 2
 
     @given(
         st.integers(min_value=0, max_value=2**16),

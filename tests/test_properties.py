@@ -145,10 +145,15 @@ class TestPartialLayers:
                     )
         for table in tables:
             assert_matches_oracle(table, graph, coloring, zero_rooting)
-        result = apply_edge_updates(tables[0], graph, updates, coloring)
-        assert_matches_oracle(
-            result.table, result.graph, coloring, zero_rooting
-        )
+        for table in tables:
+            # The in-place run relinquishes the table, so it goes last.
+            for in_place in (False, True):
+                result = apply_edge_updates(
+                    table, graph, updates, coloring, in_place=in_place
+                )
+                assert_matches_oracle(
+                    result.table, result.graph, coloring, zero_rooting
+                )
 
 
 class TestUrnSigmaConsistency:
