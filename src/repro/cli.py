@@ -198,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument(
         "--batch-size", type=_batch_size, default=DEFAULT_BATCH_SIZE,
-        help="samples per vectorized sampling chunk, at least 1; naive "
-             "estimates do not depend on it, AGS checks coverage once "
-             f"per chunk (default {DEFAULT_BATCH_SIZE})",
+        help="cap on the samples per vectorized sampling chunk, at "
+             "least 1 and raised to the default; no estimate depends "
+             f"on it (default {DEFAULT_BATCH_SIZE})",
     )
     count.add_argument(
         "--table-layout", choices=["dense", "succinct"], default="dense",
@@ -361,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sample.add_argument(
         "--batch-size", type=_batch_size, default=None,
-        help="samples per vectorized sampling chunk, at least 1 "
-             "(default: the value recorded at build time, which keeps "
-             "AGS bit-identical to count; naive estimates do not depend "
-             "on it)",
+        help="cap on the samples per vectorized sampling chunk, at "
+             "least 1 (default: the value recorded at build time); no "
+             "estimate depends on it",
     )
     sample.add_argument(
         "--table-layout", choices=["dense", "succinct"], default=None,
@@ -728,7 +727,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         # The engine restores each member's recorded build/sampling
         # parameters from its own manifest — that fidelity is what keeps
         # `sample` bit-identical to the live ensemble; --batch-size is an
-        # explicit override.
+        # explicit override of the chunk cap, which no estimate reads.
         engine = PipelineEngine(
             graph,
             MotivoConfig(
@@ -763,8 +762,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             table_layout=args.table_layout,
         )
         counter.configure_telemetry(_telemetry_config(args))
-        # from_artifact restored the recorded batch_size; only an
-        # explicit flag overrides it (AGS checks coverage per chunk).
+        # from_artifact restored the recorded batch_size; an explicit
+        # flag overrides it (it only caps the chunk size).
         if args.batch_size is not None:
             counter.config.batch_size = args.batch_size
         if mode == "ags":

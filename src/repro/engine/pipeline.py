@@ -321,9 +321,8 @@ class PipelineEngine:
         member's build/sampling parameters then come from the bundle's
         manifests, making the result bit-identical to the live ensemble
         that built it.  ``batch_size`` explicitly overrides the sampling
-        chunk size per member (naive estimates do not depend on it; AGS
-        checks coverage once per chunk, so its bit-identity guarantee
-        only holds without an override);
+        chunk cap per member (no estimate depends on it, so the guarantee
+        holds with an override too);
         ``table_layout`` overrides each reopened member's in-memory
         layout (representation only — estimates are identical, so this
         never threatens the guarantee).

@@ -101,12 +101,12 @@ class MotivoConfig:
     sigma_cache_dir:
         When set, σ_ij tables are cached on disk (§3.3).
     batch_size:
-        Samples per vectorized sampling chunk (naive chunks, AGS adaptive
-        chunk cap); at least 1, or sampling raises
-        :class:`~repro.errors.SamplingError`.  Naive estimates do not
-        depend on it, so naive chunks never drop below
-        ``DEFAULT_BATCH_SIZE``; AGS checks coverage once per chunk, so
-        its estimates are reproducible per ``(seed, batch_size)``.
+        Cap on the samples per vectorized sampling chunk (naive chunks,
+        AGS chunks); at least 1, or sampling raises
+        :class:`~repro.errors.SamplingError`.  Neither estimator's
+        result depends on it — AGS switches shapes right after the
+        covering sample at any chunk size — so both raise it to
+        ``DEFAULT_BATCH_SIZE``.
     table_layout:
         In-memory count-table layout: ``"dense"`` (the build-up's
         matrix form, the default) or ``"succinct"`` (the paper's CSR

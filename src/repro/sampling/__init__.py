@@ -12,7 +12,8 @@
     Adaptive graphlet sampling: the online greedy fractional-set-cover
     strategy that switches treelet shapes as graphlets get covered,
     yielding multiplicative guarantees for rare graphlets; draws run in
-    adaptive chunks between set-cover checks.
+    chunks sized by the next expected covering event and cut at the
+    sample that switches shapes.
 ``estimates``
     The result container plus the paper's error metrics: per-graphlet
     count error err_H (Equation 4), ℓ1 distance of the graphlet frequency

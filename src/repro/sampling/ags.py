@@ -23,22 +23,25 @@ time get their tables from one batched build-up run
 (:func:`~repro.graphlets.spanning.spanning_tree_shape_counts_batch`,
 traced as ``ags.sigma``).
 
-Chunked draws.  Draws run in *adaptive chunks* between set-cover
-checks: a chunk of up to ``batch_size`` copies of the current shape is
-drawn with one
-:meth:`~repro.colorcoding.urn.TreeletUrn.sample_shape_batch` call, hits
-are tallied, and only then is coverage re-evaluated (one shape switch per
-chunk at most).  Chunks start small and double while no graphlet gets
-covered, resetting after a switch — so the early exploratory phase stays
-close to the paper's per-sample switching while the steady state runs at
-full batch width.  Every sample is attributed to the shape it was
-actually drawn with, so the importance weights ``w_i`` (and hence the
-estimator) remain exact under chunking; the only deviation from the
-paper's pseudocode is that a switch can lag the covering sample by at
-most one chunk; ``batch_size=1`` checks coverage after every sample, as
-the pseudocode does.  The chunk cadence decides when switches happen,
-so runs are deterministic per ``(seed, batch_size)``.  (The estimator
-math is derived in ``docs/estimators.md``.)
+Chunked draws, per-sample switching.  The pseudocode re-picks the
+shape after every sample; the loop here draws in chunks yet follows it
+one sample at a time.  A chunk saves the generator state, draws its
+copies with one
+:meth:`~repro.colorcoding.urn.TreeletUrn.sample_shape_batch` call,
+classifies them, and walks them in order: hits, the per-shape tallies
+and the usage ``n_j`` advance sample by sample, and each covering event
+re-picks the shape from the state right after its sample.  At the first
+event that changes the shape the chunk is cut: the samples past it are
+discarded (counted as ``ags_discarded_samples`` on the urn's
+instrumentation), the generator is restored and exactly the kept rows
+are re-drawn.  Every sample owns one row of the uniform stream, so the
+stream then stands where a sample-at-a-time run leaves it, and the
+output — estimates, usage, covered set, switches and the generator's
+final state — depends on the seed alone.  Chunks are sized from the
+current shape's tally: 1.25 times the expected number of samples until
+the nearest uncovered graphlet it has seen reaches ``c̄``, clipped to
+``[32, max(batch_size, DEFAULT_BATCH_SIZE)]``; ``batch_size`` only caps
+the chunk.  (The estimator math is derived in ``docs/estimators.md``.)
 
 This yields multiplicative (1±ε) guarantees for *all* graphlets at once
 (Theorem 4) at O(k²) times the clairvoyant-optimal sample count
@@ -66,9 +69,13 @@ from repro.util.rng import RngLike, ensure_rng
 
 __all__ = ["ags_estimate", "AGSResult", "covering_threshold"]
 
-#: First chunk size after a shape switch (and at startup): small enough
-#: that early covering events still switch shapes promptly.
+#: Chunk size for a shape that has drawn nothing yet: a probe whose
+#: hits size the shape's next chunk.
 _MIN_CHUNK = 32
+
+#: Head-room over the nearest expected covering event, so a chunk
+#: usually reaches that event instead of stopping just short of it.
+_CHUNK_SLACK = 1.25
 
 
 def covering_threshold(epsilon: float, delta: float, k: int) -> int:
@@ -119,14 +126,16 @@ def ags_estimate(
     sigma_cache:
         Optional disk-backed σ_ij cache shared across runs.
     batch_size:
-        Upper bound on the adaptive chunk size, at least 1 (see the
-        module docstring).  Runs are deterministic per ``(seed,
-        batch_size)``.
+        Upper bound on the chunk size, at least 1, raised to
+        :data:`~repro.sampling.naive.DEFAULT_BATCH_SIZE`; it never
+        changes the result (see the module docstring).
     draw_shape:
         Optional chunk-draw hook replacing ``urn.sample_shape_batch(
         shape, size, rng)`` — the serving layer routes chunks through
         its request coalescer here.  A hook that consumes the generator
-        exactly like ``sample_shape_batch`` keeps the run bit-identical.
+        exactly like ``sample_shape_batch`` (one ``rng.random((size,
+        urn.draw_width))`` block) keeps the run bit-identical; a cut
+        chunk restores ``rng``'s state and re-draws the kept rows.
     """
     if budget < 1:
         raise SamplingError("need a positive sampling budget")
@@ -151,9 +160,14 @@ def ags_estimate(
     current = max(shapes, key=lambda shape: shape_totals[shape])
     usage: Dict[int, int] = {shape: 0 for shape in shapes}
     hits: Dict[int, int] = {}
+    # shape → graphlet → hits among the samples drawn with that shape
+    tallies: Dict[int, Dict[int, int]] = {shape: {} for shape in shapes}
     sigma_tables: Dict[int, Dict[int, int]] = {}
     covered: "set[int]" = set()
     switches = 0
+    cap = max(batch_size, DEFAULT_BATCH_SIZE)
+    if draw_shape is None:
+        draw_shape = urn.sample_shape_batch
 
     def weight_of(bits: int) -> float:
         """w_i = Σ_j n_j σ_ij / r_j for one observed graphlet."""
@@ -183,38 +197,67 @@ def ags_estimate(
                 best_shape = shape
         return best_shape
 
-    drawn = 0
-    chunk = _MIN_CHUNK
-    while drawn < budget:
-        size = min(chunk, batch_size, budget - drawn)
-        usage[current] += size
-        matrix, _treelets, _masks = (
-            urn.sample_shape_batch(current, size, rng)
-            if draw_shape is None
-            else draw_shape(current, size, rng)
+    def chunk_size() -> int:
+        """1.25 × the fewest samples of ``current`` expected to cover a
+        graphlet it has hit: (c̄ − x_i) · n_j / h_ij, h_ij being the
+        hits on ``H_i`` of the n_j samples drawn with it."""
+        tally = tallies[current]
+        if not tally:
+            return _MIN_CHUNK
+        nearest = min(
+            (
+                (cover_threshold - hits[bits]) / shape_hits
+                for bits, shape_hits in tally.items()
+                if bits not in covered
+            ),
+            default=None,
         )
+        if nearest is None:
+            return cap
+        size = ceil(nearest * usage[current] * _CHUNK_SLACK)
+        return min(max(size, _MIN_CHUNK), cap)
+
+    drawn = 0
+    while drawn < budget:
+        size = min(chunk_size(), budget - drawn)
+        saved = rng.bit_generator.state
+        matrix, _treelets, _masks = draw_shape(current, size, rng)
         codes = classifier.classify_batch(matrix).tolist()
-        drawn += size
         unseen = sorted({bits for bits in codes if bits not in sigma_tables})
         if unseen:
             with _trace_span("ags.sigma", graphlets=len(unseen)):
                 sigma_tables.update(spanning_tree_shape_counts_batch(
                     unseen, k, registry, cache=sigma_cache
                 ))
-        newly_covered = False
-        for bits in codes:
-            hits[bits] = hits.get(bits, 0) + 1
-            if hits[bits] >= cover_threshold and bits not in covered:
-                covered.add(bits)
-                newly_covered = True
-        if newly_covered:
+        # Walk the chunk as the pseudocode walks samples; cut it at the
+        # first covering event that switches shapes.
+        tally = tallies[current]
+        before = usage[current]
+        kept = size
+        next_shape = current
+        for index, bits in enumerate(codes, 1):
+            count = hits.get(bits, 0) + 1
+            hits[bits] = count
+            tally[bits] = tally.get(bits, 0) + 1
+            if count < cover_threshold or bits in covered:
+                continue
+            covered.add(bits)
+            usage[current] = before + index
             next_shape = pick_next_shape()
             if next_shape != current:
-                switches += 1
-                current = next_shape
-                chunk = _MIN_CHUNK  # a switch restarts chunk growth
-            continue
-        chunk = min(chunk * 2, batch_size)
+                kept = index
+                break
+        usage[current] = before + kept
+        drawn += kept
+        if kept < size:
+            # Put the stream back where a sample-at-a-time run stands:
+            # the kept samples consumed exactly their own rows.
+            urn.instrumentation.count("ags_discarded_samples", size - kept)
+            rng.bit_generator.state = saved
+            rng.random((kept, urn.draw_width))
+        if next_shape != current:
+            switches += 1
+            current = next_shape
 
     if sigma_cache is not None:
         sigma_cache.flush()

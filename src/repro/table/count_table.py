@@ -605,7 +605,46 @@ class SuccinctLayer(LayerView):
         )
         values[carried_to] = self.values[carried_from]
         values[~carried_to] = fresh
-        return SuccinctLayer(self.size, keys, indptr, key_row, values)
+        return SuccinctLayer._assembled(
+            self.size, keys, indptr, key_row, values
+        )
+
+    @classmethod
+    def _assembled(
+        cls,
+        size: int,
+        keys: Sequence[Key],
+        indptr: np.ndarray,
+        key_row: np.ndarray,
+        values: np.ndarray,
+    ) -> "SuccinctLayer":
+        """A layer over arrays that are valid by construction.
+
+        :meth:`spliced` builds a sorted ``keys`` list, an int64
+        ``indptr``, strictly ascending records and ``key_row`` at its
+        narrowest dtype, so none of the constructor's checks or copies
+        apply.  Only ``values`` still narrows to the dtype a fresh seal
+        picks: unsigned counts by one ``max``, anything else through
+        :func:`_pack_counts`.  Arrays read from disk go through the
+        validating constructor instead.
+        """
+        layer = cls.__new__(cls)
+        layer.size = size
+        layer.keys = list(keys)
+        layer.key_rows = {key: row for row, key in enumerate(layer.keys)}
+        layer.indptr = indptr
+        layer.key_row = key_row
+        if values.dtype.kind == "u" and values.size:
+            values = values.astype(_uint_dtype(int(values.max())), copy=False)
+        else:
+            values = _pack_counts(values)
+        layer.values = values
+        layer._cum = None
+        layer._aug = None
+        layer._totals = None
+        layer._tarr = None
+        layer._kmaj = None
+        return layer
 
     @property
     def num_vertices(self) -> int:

@@ -3,13 +3,17 @@
 The headline behavior: on star-dominated graphs (the Yelp regime) naive
 sampling sees almost nothing but the star, while AGS switches treelet
 shapes once the star is covered and recovers the rare graphlets with
-multiplicative accuracy.
+multiplicative accuracy.  The chunked draw loop must equal the
+pseudocode run one sample at a time (``support/ags_reference.py``),
+whatever its ``batch_size``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SamplingError
 from repro.colorcoding.buildup import build_table
@@ -23,6 +27,7 @@ from repro.graphlets.spanning import SigmaCache
 from repro.sampling.ags import ags_estimate, covering_threshold
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
+from support.ags_reference import ags_reference, assert_same_run
 
 
 def build_pipeline(graph, k, seed):
@@ -93,6 +98,59 @@ class TestBasicBehavior:
         import os
 
         assert os.path.exists(tmp_path / "sigma" / "sigma_k4.json")
+
+
+class TestPerSampleSwitching:
+    """AGS re-picks the shape after every covering sample: a chunk is cut
+    at the first covering event that switches shapes, its later samples
+    are discarded and the generator is put back by re-drawing the kept
+    rows, so ``batch_size`` only caps the chunk size."""
+
+    @given(
+        n=st.integers(min_value=8, max_value=30),
+        density=st.floats(min_value=1.0, max_value=3.0),
+        k=st.integers(min_value=3, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+        cover_threshold=st.integers(min_value=1, max_value=60),
+        budget=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_equals_the_per_sample_oracle(
+        self, n, density, k, seed, cover_threshold, budget
+    ):
+        m = min(int(n * density), n * (n - 1) // 2)
+        graph = erdos_renyi(n, m, rng=seed)
+        coloring = ColoringScheme.uniform(n, k, rng=seed + 1)
+        try:
+            urn = TreeletUrn(graph, build_table(graph, coloring), coloring)
+        except SamplingError:
+            assume(False)  # no colorful k-treelet: nothing to sample
+        classifier = GraphletClassifier(graph, k)
+        oracle_rng = np.random.default_rng(seed)
+        reference = ags_reference(
+            urn, classifier, budget, cover_threshold, oracle_rng
+        )
+        for batch_size in (1, 7, 4096, 5000):
+            rng = np.random.default_rng(seed)
+            result = ags_estimate(
+                urn, classifier, budget, cover_threshold, rng,
+                batch_size=batch_size,
+            )
+            assert_same_run(result, reference)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_discarded_samples_are_counted(self):
+        urn, classifier, _ = build_pipeline(
+            erdos_renyi(50, 160, rng=10), 4, seed=41
+        )
+        result = ags_estimate(
+            urn, classifier, 1500, cover_threshold=60,
+            rng=np.random.default_rng(9),
+        )
+        drawn = urn.instrumentation["batched_shape_samples"]
+        discarded = urn.instrumentation["ags_discarded_samples"]
+        assert result.switches >= 1 and discarded > 0
+        assert drawn - discarded == 1500
 
 
 class TestRareGraphletRecoverySmall:

@@ -52,6 +52,7 @@ from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService, serve_http
 
 from support.graphgen import powerlaw_edges
+from support.oracle import assert_layers_revalidate
 
 
 def _edge_list(graph: Graph):
@@ -84,7 +85,8 @@ def _mixed_batch(rng, graph: Graph, inserts: int, deletes: int):
 def _assert_tables_equal(reference, table, k):
     """Same layers, keys and counts; where both layers are succinct,
     also the same ``indptr``, ``key_row`` and ``values`` bytes and
-    dtypes — the arrays the artifact codec writes."""
+    dtypes — the arrays the artifact codec writes.  ``table``'s succinct
+    layers must also pass the validating constructor unchanged."""
     ref_sizes = [s for s in range(1, k + 1) if reference.has_layer(s)]
     got_sizes = [s for s in range(1, k + 1) if table.has_layer(s)]
     assert got_sizes == ref_sizes
@@ -101,6 +103,7 @@ def _assert_tables_equal(reference, table, k):
                 got, want = getattr(layer, name), getattr(ref_layer, name)
                 assert got.dtype == want.dtype, (size, name)
                 assert got.tobytes() == want.tobytes(), (size, name)
+    assert_layers_revalidate(table)
 
 
 def _digest(table, k: int) -> str:
@@ -295,6 +298,28 @@ class TestDeltaBitIdentity:
         )
         _assert_tables_equal(fresh, result.table, k)
 
+    def test_count_narrows_the_packed_dtype(self):
+        """Deleting a leaf takes the star's size-3 counts back under 256:
+        the spliced records narrow from uint16 to uint8, as a fresh seal
+        does."""
+        leaves = 32
+        n, k = leaves + 1, 3
+        graph = Graph.from_edges([(0, i) for i in range(1, leaves + 1)], n)
+        colors = np.asarray([0] + [1 + i % 2 for i in range(1, n)])
+        coloring = ColoringScheme(k=k, colors=colors)
+        table = build_table(
+            graph, coloring, layout="succinct", zero_rooting=False
+        )
+        assert table.layer(3).values.dtype == np.uint16
+        result = apply_edge_updates(
+            table, graph, [("-", 0, leaves)], coloring
+        )
+        assert result.table.layer(3).values.dtype == np.uint8
+        fresh = build_table(
+            result.graph, coloring, layout="succinct", zero_rooting=False
+        )
+        _assert_tables_equal(fresh, result.table, k)
+
     def test_chained_copies_carry_exact_caches(self):
         n, m, k = 60, 150, 5
         graph = erdos_renyi(n, m, rng=31)
@@ -374,6 +399,7 @@ class TestCounterUpdateAcrossStores:
         assert stats["updates_applied"] == len(batch)
         assert stats["rows_touched"] > 0
 
+        assert_layers_revalidate(counter.table)
         fresh = MotivoCounter(counter.graph, MotivoConfig(k=4, seed=21))
         fresh.build()
         assert _digest(counter.table, 4) == _digest(fresh.table, 4)
@@ -656,6 +682,7 @@ class TestGatheredStoreRetention:
         for step in range(3):
             batch = _mixed_batch(rng, graph, inserts=2, deletes=1)
             result = apply_edge_updates(table, graph, batch, coloring)
+            assert_layers_revalidate(result.table)
             successor = urn.successor(result.graph, result.table)
             assert successor.take_gathered(urn, result.dirty_radii)
             assert successor._gath_matrix is urn._gath_matrix

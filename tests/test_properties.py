@@ -28,7 +28,11 @@ from repro.graphlets.spanning import spanning_tree_count, spanning_tree_shape_co
 from repro.table.layer_store import ShardedStore
 from repro.treelets.encoding import canonical_free
 from repro.treelets.registry import TreeletRegistry
-from support.oracle import assert_matches_oracle, has_partial_layer
+from support.oracle import (
+    assert_layers_revalidate,
+    assert_matches_oracle,
+    has_partial_layer,
+)
 
 
 @st.composite
@@ -154,6 +158,7 @@ class TestPartialLayers:
                 assert_matches_oracle(
                     result.table, result.graph, coloring, zero_rooting
                 )
+                assert_layers_revalidate(result.table)
 
 
 class TestUrnSigmaConsistency:

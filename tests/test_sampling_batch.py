@@ -6,8 +6,9 @@ read the same uniform matrix and must return **bit-identical** samples —
 on ordinary graphs, hub graphs, degenerate colorings whose layers realize
 only part of the key universe, and the k=2 edge case.  On top of that:
 batched classification must agree element-wise with the scalar
-classifier, the rewired estimators must be deterministic per
-``(seed, batch_size)``, and AGS chunked draws must reproduce themselves.
+classifier, and the rewired estimators must depend on the seed alone:
+``batch_size`` only caps their chunks, so naive and AGS estimates are
+the same at every value.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.sampling.ags import ags_estimate
 from repro.sampling.naive import naive_estimate, naive_hit_counts
 from repro.sampling.occurrences import GraphletClassifier
 from repro.treelets.registry import TreeletRegistry
+from support.ags_reference import assert_same_run
 
 
 def make_urn(graph, k, seed=None, coloring=None, **kwargs):
@@ -252,19 +254,27 @@ class TestRewiredEstimators:
         assert sum(first.shape_usage.values()) == 1500
 
     def test_ags_scalar_fallback_still_switches(self):
-        """``batch_size=1`` checks coverage after every sample."""
+        """``batch_size=1`` no longer draws one sample per chunk: it is
+        raised to the default cap, and the run still switches right
+        after the covering sample — the same run as the default's."""
         urn = make_urn(erdos_renyi(50, 160, rng=10), 4, seed=41)
         classifier = GraphletClassifier(urn.graph, 4)
-        result = ags_estimate(
-            urn,
-            classifier,
-            800,
-            cover_threshold=50,
-            rng=np.random.default_rng(3),
-            batch_size=1,
-        )
+        runs = [
+            ags_estimate(
+                urn,
+                classifier,
+                800,
+                cover_threshold=50,
+                rng=np.random.default_rng(3),
+                batch_size=batch_size,
+            )
+            for batch_size in (1, 4096)
+        ]
+        result, default = runs
         assert sum(result.shape_usage.values()) == 800
         assert result.covered  # small graph: something gets covered
+        assert result.switches >= 1
+        assert_same_run(result, default)
 
     def test_naive_refuses_batch_size_below_one(self):
         urn = make_urn(erdos_renyi(40, 120, rng=9), 3, seed=32)

@@ -37,6 +37,7 @@ from repro.serve import SamplingService, serve_http, session_seed
 from repro.serve.http import _as_int, _opt_int
 from repro.util.rng import ensure_rng
 
+from support.ags_reference import ags_reference
 from support.graphgen import powerlaw_edges
 
 
@@ -210,6 +211,110 @@ class TestServiceDeterminism:
             service.count(samples=100, session="fixed", seed=6)
         # Same seed again is fine (idempotent declaration).
         service.count(samples=100, session="fixed", seed=5)
+
+
+def _metric(service, name: str) -> float:
+    """One counter's value on a ``/metrics`` scrape (0 when absent)."""
+    for line in service.metrics_text().splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
+class TestServedAgsSwitching:
+    """AGS cuts a chunk at its switching sample, restores the session
+    stream and re-draws the kept rows.  Through the coalescer that must
+    leave each session exactly where a single-threaded replay does."""
+
+    def test_concurrent_sessions_resume_where_a_replay_does(
+        self, host, cache_root, service
+    ):
+        plans = {
+            "ags-a": (701, [("ags", 900, 40), ("naive", 300)]),
+            "ags-b": (702, [("ags", 900, 40), ("naive", 300)]),
+            "naive": (703, [("naive", 900), ("naive", 300)]),
+        }
+        barrier = threading.Barrier(len(plans))
+        results: dict = {}
+
+        def worker(session: str) -> None:
+            seed, plan = plans[session]
+            barrier.wait()
+            results[session] = [
+                service.count(
+                    estimator=step[0], samples=step[1], session=session,
+                    seed=seed, **(
+                        {"cover_threshold": step[2]} if len(step) > 2
+                        else {}
+                    ),
+                )
+                for step in plan
+            ]
+
+        threads = [
+            threading.Thread(target=worker, args=(session,))
+            for session in plans
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for session, (seed, plan) in plans.items():
+            # The replay runs AGS as the per-sample oracle, so a chunk
+            # cut that left the stream misplaced shows in the next step.
+            counter = MotivoCounter.from_artifact(
+                host, ArtifactCache(cache_root).path(_key(cache_root)),
+                reseed=seed,
+            )
+            for got, step in zip(results[session], plan):
+                if step[0] == "ags":
+                    want = ags_reference(
+                        counter.urn, counter.classifier, step[1], step[2],
+                        counter._rng,
+                    ).estimates
+                else:
+                    want = counter.sample_naive(step[1])
+                assert _same(got.estimates, want), (session, step)
+        assert results["ags-a"][0].extras["switches"] >= 1
+        assert results["ags-b"][0].extras["switches"] >= 1
+        assert _metric(service, "motivo_ags_discarded_samples_total") > 0
+
+    def test_recorded_batch_size_one_draws_few_chunks(
+        self, host, tmp_path, monkeypatch
+    ):
+        """An artifact recording ``batch_size`` 1 serves AGS in chunks
+        (a per-sample loop would make 20,000 draws), and the answer
+        equals the facade's replay."""
+        from repro.serve.service import TableHandle
+
+        root, slot = _served_artifact(tmp_path, host, "dense", batch_size=1)
+        sizes = []
+        draw_shape = TableHandle.draw_shape
+
+        def counting(self, shape, n, rng):
+            sizes.append(n)
+            return draw_shape(self, shape, n, rng)
+
+        monkeypatch.setattr(TableHandle, "draw_shape", counting)
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            served = service.count(
+                estimator="ags", samples=20_000, session="big", seed=8,
+                cover_threshold=300,
+            )
+            drawn = _metric(service, "motivo_batched_shape_samples_total")
+            discarded = _metric(
+                service, "motivo_ags_discarded_samples_total"
+            )
+        assert max(sizes) == 4096
+        assert len(sizes) <= 2 * served.extras["switches"] + 20_000 // 4096 + 8
+        assert sum(sizes) == drawn
+        assert drawn - discarded == 20_000
+        counter = MotivoCounter.from_artifact(host, slot, reseed=8)
+        assert counter.config.batch_size == 1
+        assert _same(
+            served.estimates, counter.sample_ags(20_000, 300).estimates
+        )
 
 
 class TestServiceLifecycle:
