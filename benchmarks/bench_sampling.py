@@ -20,6 +20,12 @@ least interference.  Results land as ``BENCH_sampling.json`` at the
 repository root so the perf trajectory is tracked across PRs, plus the
 usual text table under ``benchmarks/results/``.
 
+The payload also records how many gathered-cumulative rows the urn
+built over every draw (``gathered_rows_built``) against the gathered-key
+universe (``gathered_keys``): only keys at admissible candidates with a
+positive prime factor can be chosen, so a kernel that builds a row for
+every key fails the ``gathered_rows_built < gathered_keys`` gate.
+
 Alongside the timing comparison the payload carries a ``plan_cache``
 section: the compiled descent program is saved into a throwaway table
 artifact, reopened, and sampled from — asserting that the warm open
@@ -201,6 +207,11 @@ def run_sampling_comparison(
         ) >= target_speedup,
     )
     best = best_epoch(epoch_stats, "loop", "batched")
+    counters = urn.instrumentation
+    gathered_rows_built = int(
+        counters["gathered_cumulative_builds"]
+        + counters["gathered_transient_builds"]
+    )
     plan_cache = _plan_cache_check(graph, table, coloring, urn, samples)
     return {
         "workload": {
@@ -230,6 +241,8 @@ def run_sampling_comparison(
         "best_round_speedup": best["loop"] / best["batched"],
         "all_epochs": epoch_stats,
         "bit_identical": bool(bit_identical),
+        "gathered_rows_built": gathered_rows_built,
+        "gathered_keys": urn.descent_program().num_gathered_keys,
         "plan_cache": plan_cache,
     }
 
@@ -277,6 +290,7 @@ def main(argv=None) -> None:
     )
     assert payload["speedup"] >= target, payload
     assert payload["bit_identical"], payload
+    assert payload["gathered_rows_built"] < payload["gathered_keys"], payload
     plan_cache = payload["plan_cache"]
     assert plan_cache["plan_loaded_from_artifact"], payload
     assert plan_cache["reopen_plan_compiles"] == 0, payload

@@ -62,12 +62,19 @@ loop over ``(T', T'', C)`` groups: group bounds come from one dense (or
 binary-searched) lookup, all candidates pad to a ``(Lmax, wave)`` matrix
 whose padded lanes get exact-0.0 weights (padding cannot perturb the
 prefix sums), and the child endpoint inverts the gathered running sums
-by vectorized bisection.  Programs are pure table metadata: artifacts
+by vectorized bisection.  A wave reads only what a split can weigh.  A
+candidate is *admissible* when its ``C''`` leaves out ``v``'s own color:
+every copy of ``T'_{C∖C''}`` rooted at ``v`` contains ``v``, so anywhere
+else the prime factor is zero.  The prime factor is looked up at
+admissible candidates only, and ``S(T''_{C''}, v)`` is read only where
+it is positive; every other entry weighs an exact ``+0.0``, the split
+the scalar recursion skips.  Programs are pure table metadata: artifacts
 cache them (``descent_plan.npz``) and hand them back via the
 ``program=`` constructor argument, so warm opens never compile.
 
 The gathered-cumulative matrix is a single global store (one ``O(m)``
-row per ``(T'', C'')`` key the descent actually visits, shared across
+row per ``(T'', C'')`` key a draw can choose — a key some wave reads at
+an admissible candidate with a positive prime factor — shared across
 layers and batches, allocated once up to the row budget) held at the
 narrowest **exact integer dtype** — uint32 when ``max_count · 2m <
 2^32``, else int64 — halving memory traffic versus float64 rows.
@@ -172,18 +179,16 @@ def _split_rows(
 def _segment_sums(
     rows: _WaveRows, gks: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Neighbor totals ``S`` of the gathered keys ``gks`` (candidates ×
-    lanes) over each lane's adjacency segment ``starts``..``ends``:
-    differences of the running sums at the segment ends, exact in
-    int64."""
+    """Neighbor totals ``S`` of the gathered keys ``gks`` over the
+    adjacency segments ``starts[i]``..``ends[i]``: differences of the
+    running sums at the segment ends, exact in int64."""
     totals = np.empty(gks.shape, dtype=np.int64)
     for matrix, slots, where in _split_rows(rows, gks):
         if where is None:
             totals[:] = matrix[slots, ends] - matrix[slots, starts]
         else:
             totals[where] = (
-                matrix[slots, np.broadcast_to(ends, gks.shape)[where]]
-                - matrix[slots, np.broadcast_to(starts, gks.shape)[where]]
+                matrix[slots, ends[where]] - matrix[slots, starts[where]]
             )
     return totals
 
@@ -1064,14 +1069,19 @@ class TreeletUrn:
         Mirrors the scalar recursion decision by decision, but across
         every ``(T', T'', mask)`` group of the frontier at once: group
         candidate lists pad to a ``(Lmax, wave)`` matrix (padded lanes
-        duplicate a group's last real candidate, then get exact-0.0
-        weight via the validity mask, so prefix sums are untouched);
-        weights are ``c(T'_{C\\C''}, v) · S(T''_{C''}, v)`` with the
-        prime factor point-gathered per layer (``pairs_at``) and the
-        second factor read as integer endpoint differences off the
-        gathered store; the winner is the first included candidate whose
+        duplicate a group's last real candidate, then keep exact-0.0
+        weight, so prefix sums are untouched); weights are
+        ``c(T'_{C\\C''}, v) · S(T''_{C''}, v)``.  Only *admissible*
+        candidates — real lanes whose ``C''`` leaves out ``v``'s own
+        color — can have a positive prime factor, so the prime factor
+        is point-gathered per layer (``pairs_at``) at those alone, and
+        the second factor is read as integer endpoint differences off
+        the gathered store only where the prime factor is positive:
+        :meth:`_gathered_rows` is asked for those keys alone, and every
+        other entry keeps the exact ``+0.0`` the scalar recursion skips
+        it with.  The winner is the first included candidate whose
         running weight reaches ``u · total`` (same ``1e-300`` tie
-        epsilon); and the child endpoint inverts the gathered running
+        epsilon), and the child endpoint inverts the gathered running
         sums by bisection against the exact integer threshold
         ``G[start] + floor(u · s)`` — identical, comparison by
         comparison, to the scalar ``searchsorted`` rule.  On a carried
@@ -1092,17 +1102,33 @@ class TreeletUrn:
         valid = lane < length[None, :]
         cand = start[None, :] + np.minimum(lane, (length - 1)[None, :])
 
-        prime_rows = program.cand_prime_row[cand]
+        # Admissible candidates: real lanes whose C'' leaves out v's own
+        # color.  Every copy of T'_{C\C''} rooted at v contains v, so
+        # anywhere else the prime factor is zero and the split cannot
+        # weigh.  ``pairs`` are their flat positions in the (Lmax, wave)
+        # matrices.
+        own = np.left_shift(np.int64(1), self.coloring.colors[verts])
+        pairs = np.flatnonzero(
+            valid & ((program.cand_sub[cand] & own) == 0)
+        )
+        pair_lane = pairs % verts.size
+        pair_cand = cand.ravel()[pairs]
+        prime_rows = program.cand_prime_row[pair_cand]
         prime_sizes = program.op_prime_size[ops]
-        prime_vals = np.empty(cand.shape, dtype=np.float64)
-        for size in np.unique(prime_sizes):
-            sel = prime_sizes == size
-            prime_vals[:, sel] = self.table.layer(int(size)).pairs_at(
-                prime_rows[:, sel],
-                np.broadcast_to(verts[sel], (lmax, int(sel.sum()))),
+        pair_sizes = prime_sizes[pair_lane]
+        prime = np.empty(pairs.size, dtype=np.float64)
+        for size in np.unique(prime_sizes).tolist():
+            sel = pair_sizes == size
+            prime[sel] = self.table.layer(size).pairs_at(
+                prime_rows[sel], verts[pair_lane[sel]]
             )
+        # Only a positive prime factor can weigh anything, so only those
+        # pairs read (or build, or fill) the second factor S.
+        hot = prime > 0.0
+        pairs, pair_lane, prime = pairs[hot], pair_lane[hot], prime[hot]
+        pair_verts = verts[pair_lane]
+        second_gk = program.cand_second_gkid[pair_cand[hot]]
 
-        second_gk = program.cand_second_gkid[cand]
         # Gathered rows are pinned to the snapshot graph: segment bounds
         # and (later) child positions must come from the SAME arrays the
         # rows were accumulated over.  On a carried store, lanes whose
@@ -1117,42 +1143,34 @@ class TreeletUrn:
         indptr = self._gath_graph.indptr
         if stale is None:
             rows = self._gathered_rows(second_gk)
-            starts = indptr[verts]
-            ends = indptr[verts + 1]
-            s_vals = _segment_sums(rows, second_gk, starts, ends)
+            s_pairs = _segment_sums(
+                rows, second_gk, indptr[pair_verts], indptr[pair_verts + 1]
+            )
         else:
-            clean = np.flatnonzero(~stale)
-            dirty = np.flatnonzero(stale)
-            s_vals = np.zeros(cand.shape, dtype=np.int64)
-            if clean.size:
-                clean_gk = second_gk[:, clean]
-                rows = self._gathered_rows(clean_gk)
-                starts = indptr[verts[clean]]
-                ends = indptr[verts[clean] + 1]
-                s_vals[:, clean] = _segment_sums(
-                    rows, clean_gk, starts, ends
-                )
-            # Only candidates with a positive prime factor can weigh
-            # anything, so only their segments are read (or filled).
-            dirty_verts = verts[dirty]
-            cand_at, lane_at = np.nonzero(
-                valid[:, dirty] & (prime_vals[:, dirty] > 0.0)
+            s_pairs = np.empty(pairs.size, dtype=np.int64)
+            dirty_pair = stale[pair_lane]
+            clean_pair = ~dirty_pair
+            clean_gk = second_gk[clean_pair]
+            clean_verts = pair_verts[clean_pair]
+            rows = self._gathered_rows(clean_gk)
+            s_pairs[clean_pair] = _segment_sums(
+                rows, clean_gk, indptr[clean_verts], indptr[clean_verts + 1]
             )
+            dirty_verts = pair_verts[dirty_pair]
             pair_bases = self._segment_bases(
-                second_gk[cand_at, dirty[lane_at]], dirty_verts[lane_at]
+                second_gk[dirty_pair], dirty_verts
             )
-            live_start = self.graph.indptr[dirty_verts]
-            degrees = self.graph.indptr[dirty_verts + 1] - live_start
+            degrees = (
+                self.graph.indptr[dirty_verts + 1]
+                - self.graph.indptr[dirty_verts]
+            )
             cum = self._segments.cum
-            s_vals[cand_at, dirty[lane_at]] = (
-                cum[pair_bases + degrees[lane_at]] - cum[pair_bases]
-            )
+            s_pairs[dirty_pair] = cum[pair_bases + degrees] - cum[pair_bases]
 
-        weights = np.where(
-            valid & (prime_vals > 0.0) & (s_vals > 0),
-            prime_vals * s_vals.astype(np.float64),
-            0.0,
-        )
+        s_vals = np.zeros(cand.shape, dtype=np.int64)
+        s_vals.ravel()[pairs] = s_pairs
+        weights = np.zeros(cand.shape, dtype=np.float64)
+        weights.ravel()[pairs] = prime * s_pairs.astype(np.float64)
         included = weights > 0.0
         cumulative = np.cumsum(weights, axis=0)
         totals = cumulative[-1]
@@ -1181,27 +1199,28 @@ class TreeletUrn:
         # are integers, so that equals counting <= floor(u·s) — an exact
         # int64 threshold against the absolute running sums.
         offsets = np.floor(child_u * chosen_s).astype(np.int64)
+        chosen_gk = program.cand_second_gkid[chosen]
         if stale is None:
             children = self._invert_children(
-                rows, second_gk[position, lanes], starts, ends, offsets
+                rows, chosen_gk, indptr[verts], indptr[verts + 1], offsets
             )
         else:
             children = np.empty(verts.size, dtype=np.int64)
+            clean = np.flatnonzero(~stale)
             if clean.size:
+                clean_verts = verts[clean]
                 children[clean] = self._invert_children(
-                    rows,
-                    clean_gk[
-                        position[clean],
-                        np.arange(clean.size, dtype=np.int64),
-                    ],
-                    starts, ends, offsets[clean],
+                    rows, chosen_gk[clean], indptr[clean_verts],
+                    indptr[clean_verts + 1], offsets[clean],
                 )
             # The segment store is one nondecreasing running sum, so
             # one search inverts every stale lane; the clamp mirrors
             # the scalar ``min(position, d - 1)`` guard.
-            base = self._segments.find(
-                second_gk[position[dirty], dirty], dirty_verts
-            )
+            dirty = np.flatnonzero(stale)
+            dirty_verts = verts[dirty]
+            live_start = self.graph.indptr[dirty_verts]
+            degrees = self.graph.indptr[dirty_verts + 1] - live_start
+            base = self._segments.find(chosen_gk[dirty], dirty_verts)
             found = np.searchsorted(
                 cum[: self._segments.used],
                 cum[base] + offsets[dirty],

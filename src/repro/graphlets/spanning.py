@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -50,12 +51,15 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=65536)
 def spanning_tree_count(bits: GraphletEncoding, k: int) -> int:
     """Exact number of spanning trees via Kirchhoff / Bareiss.
 
     Deletes the last row/column of the Laplacian and evaluates the
     determinant with fraction-free Gaussian elimination — exact integers
-    throughout, matching the paper's O(k^3) computation.
+    throughout, matching the paper's O(k^3) computation.  Memoized per
+    ``(bits, k)``: the naive estimator asks for σ of every hit graphlet
+    on every call.
     """
     if k < 1:
         raise GraphletError("graphlet size must be positive")

@@ -578,7 +578,16 @@ class SuccinctLayer(LayerView):
         records = np.ascontiguousarray(block.T)
         stored = records != 0.0
         flat = np.flatnonzero(stored)
-        fresh = _pack_counts(records.ravel()[flat])
+        fresh = records.ravel()[flat]
+        top = float(fresh.max()) if fresh.size else 0.0
+        # A level count is a sum of nonnegative integer products divided
+        # by β ≤ size - 1 after accumulation, so below this bound every
+        # step was exact, each fresh count is an integer, and one max
+        # picks the dtype :func:`_pack_counts` would.
+        if top * max(self.size - 1, 1) < _EXACT_FLOAT:
+            fresh = fresh.astype(_uint_dtype(int(top)))
+        else:
+            fresh = _pack_counts(fresh)
         old_lengths = np.diff(self.indptr)
         lengths = old_lengths.copy()
         lengths[cols] = np.count_nonzero(stored, axis=1)

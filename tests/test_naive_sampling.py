@@ -90,6 +90,17 @@ class TestMechanics:
             normal.counts[bits] / 2, rel=0.25
         )
 
+    def test_sigma_computed_once_per_graphlet(self):
+        """Callers pass no ``sigma``, so every call asks for σ of each hit
+        graphlet; the Kirchhoff determinant runs only on the first."""
+        graph = erdos_renyi(20, 50, rng=39)
+        urn, classifier, _ = build_pipeline(graph, 4, seed=40)
+        first = naive_estimate(urn, classifier, 300, rng=0)
+        misses = spanning_tree_count.cache_info().misses
+        again = naive_estimate(urn, classifier, 300, rng=0)
+        assert again.counts == first.counts
+        assert spanning_tree_count.cache_info().misses == misses
+
     def test_estimator_unbiased_over_colorings(self):
         """E[ĝ_i] over colorings ≈ g_i (Theorem on ĝ_i = c_i / p_k)."""
         import numpy as np

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.descent import compile_program
 from repro.colorcoding.incremental import apply_edge_updates
 from repro.colorcoding.sharded import build_table_sharded
 from repro.colorcoding.urn import TreeletUrn
@@ -96,6 +97,54 @@ def partially_colored_case(draw):
         deleted = draw(st.lists(st.sampled_from(edges), max_size=3))
         updates += [("-", u, v) for u, v in deleted]
     return graph, coloring, draw(st.permutations(updates))
+
+
+@st.composite
+def colored_graph_any_k(draw):
+    """A :func:`colored_graph` case at a drawn k = 3–5."""
+    k = draw(st.integers(min_value=3, max_value=5))
+    return draw(colored_graph(k))
+
+
+class TestAdmissibleCandidates:
+    """The fused descent looks a split's prime factor up only at
+    *admissible* candidates, whose ``C''`` leaves out the vertex's own
+    color, and skips the rest as exact zeros.  That is exact only if no
+    other candidate ever has a positive prime factor."""
+
+    @given(
+        colored_graph_any_k(),
+        st.booleans(),
+        st.sampled_from(["dense", "succinct"]),
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.data_too_large],
+    )
+    def test_positive_prime_factor_is_admissible(
+        self, case, zero_rooting, layout
+    ):
+        graph, coloring = case
+        k = coloring.k
+        table = build_table(
+            graph, coloring, zero_rooting=zero_rooting, layout=layout
+        )
+        program = compile_program(TreeletRegistry(k), table)
+        verts = np.arange(graph.num_vertices, dtype=np.int64)
+        own = np.left_shift(np.int64(1), coloring.colors)
+        for gid, first, length in zip(
+            program.grp_ids.tolist(),
+            program.grp_start.tolist(),
+            program.grp_len.tolist(),
+        ):
+            layer = table.layer(int(program.op_prime_size[gid >> k]))
+            for cand in range(first, first + length):
+                prime = layer.pairs_at(
+                    np.full(verts.size, program.cand_prime_row[cand]), verts
+                )
+                inadmissible = (program.cand_sub[cand] & own) != 0
+                assert not (prime[inadmissible] > 0.0).any()
 
 
 class TestDpKirchhoffIdentity:

@@ -164,7 +164,42 @@ class TestGatheredRowReuse:
         inst = Instrumentation()
         urn = TreeletUrn(graph, table, coloring, instrumentation=inst)
         rng = np.random.default_rng(3)
-        for _ in range(2):
-            urn.sample_batch(batch, rng)
-        keys = urn.descent_program().num_gathered_keys
-        assert inst["gathered_cumulative_builds"] == keys == 3
+        urn.sample_batch(batch, rng)
+        first = inst["gathered_cumulative_builds"]
+        urn.sample_batch(batch, rng)
+        assert inst["gathered_cumulative_builds"] == first
+        # The 3 gathered keys are the colors' singletons.  Every split
+        # the descent reaches happens at the center, where the key of
+        # the center's own color is inadmissible, so its row is never
+        # built.
+        assert urn.descent_program().num_gathered_keys == 3
+        assert first == 2
+
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_key_only_at_inadmissible_candidates_is_never_built(
+        self, layout
+    ):
+        """Zero-rooted on a star whose center has color 0, every colorful
+        3-treelet is rooted at the center, so every split happens there.
+        The singleton key of the center's own color is a split candidate,
+        but never an admissible one (its ``C''`` holds the center's
+        color): its row is never built, and the draws still equal the
+        ``method="loop"`` oracle row for row."""
+        graph = star_graph(60)
+        coloring = ColoringScheme.uniform(61, 3, rng=21)
+        assert coloring.colors[0] == 0
+        table = build_table(graph, coloring, layout=layout)
+        urn = TreeletUrn(graph, table, coloring)
+        program = urn.descent_program()
+        row = table.layer(1).row_of(0, 1 << int(coloring.colors[0]))
+        (own,) = np.flatnonzero(
+            (program.gk_size == 1) & (program.gk_row == row)
+        )
+        assert own in program.cand_second_gkid
+        uniforms = np.random.default_rng(5).random((3000, urn.draw_width))
+        batched = urn.sample_batch(3000, uniforms=uniforms)
+        loop = urn.sample_batch(3000, uniforms=uniforms, method="loop")
+        for got, want in zip(batched, loop):
+            assert np.array_equal(got, want)
+        assert urn._gath_slot[own] == -1
+        assert (np.delete(urn._gath_slot, own) >= 0).all()

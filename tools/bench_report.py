@@ -78,7 +78,9 @@ def _row_sampling(p):
         _get(p, "workload", "graph", default="fig3-style"),
         f"{_fmt(_get(p, 'batched_samples_per_second'), '{:,.0f}')} vs "
         f"{_fmt(_get(p, 'loop_samples_per_second'), '{:,.0f}')} samples/s "
-        f"(**{_fmt(_get(p, 'speedup'))}x**)",
+        f"(**{_fmt(_get(p, 'speedup'))}x**); "
+        f"{_fmt(_get(p, 'gathered_rows_built'), '{}')} of "
+        f"{_fmt(_get(p, 'gathered_keys'), '{}')} gathered rows built",
         _get(p, "bit_identical"),
     )
 
