@@ -848,10 +848,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
         counter.close()
     _LOG.info(
         "%s update: %d entries -> %d applied (+%d/-%d), %d rows touched, "
-        "%.3fs propagate, %.2fs total%s",
+        "%d entries changed, %d rebuilds, %.3fs propagate, %.2fs total%s",
         stats["mode"], len(updates), stats["updates_applied"],
         stats["edges_added"], stats["edges_removed"],
-        stats["rows_touched"], stats["propagate_seconds"],
+        stats["rows_touched"], stats["delta_entries"],
+        stats["delta_rebuilds"], stats["propagate_seconds"],
         time.perf_counter() - start,
         "" if folded else " (artifact unchanged)",
     )

@@ -4,54 +4,66 @@ Today's pipeline treats the count table as write-once: any edge change
 invalidates :meth:`~repro.graph.graph.Graph.fingerprint` and forces a
 full color-coding rebuild.  This module instead maintains the table as a
 **materialized view** of the Equation (1) dynamic program: a batch of
-edge insertions/deletions re-runs the batched combination plans only on
-the *touched-column frontier*, and the result is bit-identical to a
-fresh rebuild on the updated graph under the same coloring.
+edge insertions/deletions is pushed through each level as a sparse
+change, and the result is bit-identical to a fresh rebuild on the
+updated graph under the same coloring.
 
-Touched-column frontier.  ``c(T_C, v)`` at level ``h`` reads level
-``h' < h`` counts at ``v`` itself and neighbor sums at ``u ~ v``, so a
-changed edge ``(a, b)`` can only perturb level-``h`` columns within
-distance ``h - 2`` of an endpoint (level 2 changes at the endpoints
-alone; each level adds one hop).  The frontier is grown over the
-**union** of the old and new adjacency: a deleted edge no longer exists
-in the new graph, but the stale contribution it used to carry still
-propagates outward along it, so both incidence structures bound the
-blast radius.  Level 1 (the per-color indicator rows) never changes
-under pure edge updates.
+The delta rule.  Each level is bilinear in its two source layers,
 
-Bit-identity.  Each level is the shared level step
-(:func:`repro.colorcoding.level.execute_level`) run on the frontier
-columns, with neighbor sums gathered from the halo of the live layers
-(:class:`~repro.colorcoding.level.HaloSums`), so the recomputed columns
-hold exactly the bytes a full run puts there (see that module).  Counts
-are nonnegative, so the fresh build's keep test ("row sum > 0")
-decomposes exactly into *any nonzero outside the frontier* (old data,
-unchanged by induction) OR *any nonzero inside* (the recomputed block)
-— the keep sets agree, and with them the layer key lists, the rows
-every later level reads from them, and the sealed CSR records.
+    c(T_C, v) = (1/β) Σ_{C''} c(T'_{C \\ C''}, v) · S(T''_{C''}, v),
+    S(T''_{C''}, v) = Σ_{u ~ v} c(T''_{C''}, u),
 
-Frontier cost.  Untouched columns are untouched bytes, no level sorts
-or searches the whole table, and no update decodes a record twice:
+so its change follows the product rule Δ(a·b) = Δa · b_new + a_old · Δb
+(the incremental-view rule of DBSP):
 
-* the balls grow ring by ring off a visited mask;
-* levels read dense layers in place, and succinct layers from blocks
-  decoded once per update over the *read window* — the widest frontier
-  plus its halo, one ring past the balls — each successor layer's
-  block patched from the level output
-  (:class:`~repro.colorcoding.level.LiveColumns`);
-* a dense level is one contiguous copy of the old matrix with the
-  frontier columns patched (the live matrix itself with ``in_place``),
-  its row totals carried over so the keep test does not rescan it; a
-  level whose keys are born or die then remaps its rows;
-* a succinct level splices its records by length
-  (:meth:`~repro.table.count_table.SuccinctLayer.spliced`): the new
-  ``indptr`` sums the old record lengths off the frontier and the
-  recomputed nonzeros on it, untouched records move over through two
-  masks, and key rows go through the monotone keep map only when the
-  key set changed.
+    β Δc(T_C, v) = Σ_{C''} Δc'(v) · S''_new(v) + c'_old(v) · ΔS''(v),
+    ΔS''(v) = Σ_{u ~new v} Δc''(u) ± Σ_{(u, v) changed} c''_old(u).
+
+A level's change is carried as sparse ``(key row, vertex, Δ)`` triples
+over the level's key universe (level 1, the color indicators, never
+changes).  ``ΔS''`` is the lower level's triples scattered over the new
+adjacency plus the changed edges' endpoint terms; the level's compiled
+plans (:mod:`repro.colorcoding.plans`) are then evaluated on those
+triples alone — selection and contraction groups through per-level
+reverse indices, absent keys as zero rows, the β division after
+accumulation, and the size-``k`` level of a 0-rooted table on color-0
+vertices only.  ``S''_new`` is summed only where a prime factor changed,
+``c'_old`` is point-read only where ``ΔS''`` is nonzero, and a triple
+whose vertex color lies in its key's mask is dropped on the spot: no
+colorful copy rooted at ``v`` can use it (every such copy contains
+``v``).  A changed edge between two vertices of one color therefore
+changes nothing, and the update copies no layer.
+
+Two monotone passes.  A batch runs as its deletions, then its
+insertions, each against the table the previous pass left.  Treelet
+counts are monotone in the edge set, so within a pass every Δ, every
+product and every partial sum has one sign, and each is bounded by
+``β · c`` at the larger of the two tables (the old one for deletions,
+the new one for insertions) — the same bound under which
+:func:`~repro.colorcoding.buildup.build_table` computes integers
+exactly.  Below ``β_max · max count < 2^53`` every step is an exact
+integer operation in any order, so ``old + Δ`` is the fresh build's
+float, and a key stays exactly when its nonzero count (old nonzeros
+plus births minus deaths) is positive.  A level past the bound (checked
+on the old maxima before deletions, and on the new values after
+insertions — rounding is monotone, so an inexact step can only push a
+value past it) or a pass whose expansion volume outgrows what a rebuild
+reads sends the batch to :func:`build_table`, the oracle
+(``delta_rebuilds``).
+
+Patching.  Each pass computes every level's triples first, reading only
+its input table, then rewrites the support columns — the vertices with a
+nonzero Δ — of each changed level: dense layers through
+:meth:`~repro.table.count_table.DenseLayer.patched` (or
+:meth:`~repro.table.count_table.DenseLayer.patch_columns` on a matrix
+the caller gave up or the first pass made), succinct ones through
+:meth:`~repro.table.count_table.SuccinctLayer.spliced`.  A level whose
+Δ is empty keeps its layer object.
 
 Telemetry: ``count.delta_updates_total`` (edge changes applied),
-``count.delta_rows_touched`` (frontier columns summed over levels) and
+``count.delta_rows_touched`` (support columns summed over levels and
+passes), ``count.delta_entries`` (changed ``(key, vertex)`` entries),
+``count.delta_rebuilds`` (batches sent to the oracle) and
 ``time.delta_propagate`` accumulate into the caller's instrumentation —
 names deliberately distinct from the build counters.
 """
@@ -59,26 +71,25 @@ names deliberately distinct from the build counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.level import (
-    HaloSums,
-    LiveColumns,
-    MemoryBudget,
-    execute_level,
-    row_edges,
-    sorted_distinct,
+from repro.colorcoding.level import row_edges, sorted_distinct
+from repro.colorcoding.plans import (
+    CompiledGroup,
+    compile_plans,
+    full_universe_keys,
 )
-from repro.colorcoding.plans import compile_plans, level_source_sizes
 from repro.errors import BuildError
 from repro.graph.graph import Graph, change_rows
 from repro.table.count_table import (
     CountTable,
-    Layer,
+    DenseLayer,
     LayerView,
+    csr_offsets,
 )
 from repro.treelets.registry import TreeletRegistry
 from repro.util.instrument import Instrumentation
@@ -86,6 +97,22 @@ from repro.util.instrument import Instrumentation
 __all__ = ["DeltaResult", "apply_edge_updates", "touched_frontiers"]
 
 Key = Tuple[int, int]
+
+#: Below this float64 holds every integer exactly; see the module
+#: docstring.
+_EXACT_FLOAT = float(1 << 53)
+
+#: A pass whose expansion volume (neighbor-sum terms, plan fan-out and
+#: point reads) exceeds a rebuild's multiply-adds divided by this factor
+#: goes to the rebuild: each delta term costs several numpy passes
+#: (gathers, a sort, a scatter) where a rebuild's SpMM spends one.  At
+#: this ratio single-edge updates on hub graphs and batches of 512 edges
+#: on a degree-5 graph of 50k vertices at k = 7 stay deltas, while a
+#: batch of 2048 there stops at level 3.
+_REBUILD_RATIO = 48
+#: The volume every pass may spend, however small the graph: there the
+#: fixed costs dominate either way.
+_MIN_VOLUME = 1 << 16
 
 
 @dataclass
@@ -100,8 +127,8 @@ class DeltaResult:
     touched:
         Sorted endpoint vertices whose adjacency changed.
     rows_touched:
-        Frontier columns recomputed, summed over levels ``2..k`` — the
-        work measure the update/rebuild speedup scales with.
+        Support columns rewritten — vertices with a nonzero Δ at a
+        level — summed over levels ``2..k`` and both passes.
     updates_applied, edges_added, edges_removed:
         Edge changes the batch actually made (no-op entries excluded).
     dirty_radii:
@@ -114,11 +141,17 @@ class DeltaResult:
         endpoint, so the segment can be stale only where the label is
         below ``h`` (see
         :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).  Read
-        straight off the frontier balls — no search of its own.
+        off the balls of :func:`touched_frontiers`.
     changes:
         The batch's effective edge changes as ``(±1, u, v)`` rows
         (:func:`repro.graph.graph.change_rows`) — what an artifact's
         edge log persists.
+    delta_entries:
+        Changed ``(key, vertex)`` entries, summed over levels and both
+        passes (0 when the batch went to the rebuild).
+    delta_rebuilds:
+        1 when the batch left the exactness bound or outgrew a rebuild
+        and the table is :func:`build_table`'s, else 0.
     """
 
     table: CountTable
@@ -132,6 +165,8 @@ class DeltaResult:
     changes: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 3), dtype=np.int64)
     )
+    delta_entries: int = 0
+    delta_rebuilds: int = 0
 
     def stats(self) -> Dict[str, int]:
         """The batch's counters under the names the update APIs report
@@ -143,6 +178,8 @@ class DeltaResult:
             "edges_removed": self.edges_removed,
             "rows_touched": self.rows_touched,
             "touched_vertices": int(self.touched.size),
+            "delta_entries": self.delta_entries,
+            "delta_rebuilds": self.delta_rebuilds,
         }
 
 
@@ -151,29 +188,21 @@ def touched_frontiers(
 ) -> List[np.ndarray]:
     """Balls of radius ``0 .. k-2`` around the updated endpoints.
 
-    Grown over the union of old and new adjacency (see the module
-    docstring); entry ``r`` is the sorted vertex set within distance
-    ``r``, and level ``h`` of the delta recomputes exactly entry
-    ``h - 2``.
-    """
-    return _balls(old_graph, new_graph, endpoints, max(k - 2, 0))
-
-
-def _balls(
-    old_graph: Graph, new_graph: Graph, endpoints: np.ndarray, radius: int
-) -> List[np.ndarray]:
-    """Balls of radius ``0 .. radius`` over the union adjacency.
-
-    Each ring grows from the newest ring alone: its neighbors not yet
-    in the visited mask form the next ring, merged into the sorted ball
-    — work proportional to the ball's edges, not radius times them.
+    Grown over the union of old and new adjacency: a deleted edge no
+    longer exists in the new graph, but the stale contribution it used
+    to carry still propagates outward along it.  Entry ``r`` is the
+    sorted vertex set within distance ``r``; level ``h`` counts can
+    change only on entry ``h - 2``.  Each ring grows from the newest
+    ring alone: its neighbors not yet in the visited mask form the next
+    ring, merged into the sorted ball — work proportional to the ball's
+    edges, not radius times them.
     """
     ring = np.unique(np.asarray(endpoints, dtype=np.int64))
     visited = np.zeros(new_graph.num_vertices, dtype=bool)
     visited[ring] = True
     slot = np.empty(new_graph.num_vertices, dtype=np.int64)
     balls = [ring]
-    for _radius in range(radius):
+    for _radius in range(max(k - 2, 0)):
         reached = np.concatenate([
             graph.indices[row_edges(graph.indptr, ring)[1]]
             for graph in (old_graph, new_graph)
@@ -197,113 +226,598 @@ def _distance_labels(
     return labels
 
 
-def _remapped(
-    old_counts: np.ndarray,
-    kept_rows: np.ndarray,
-    old_kept: np.ndarray,
-    num_kept: int,
-    cols: np.ndarray,
-    block: np.ndarray,
-) -> np.ndarray:
-    """A successor matrix over a changed key set: the old rows
-    ``old_kept`` moved to rows ``kept_rows``, born keys' rows zero, and
-    the columns ``cols`` set to ``block``."""
-    counts = np.zeros((num_kept, old_counts.shape[1]), dtype=np.float64)
-    if old_kept.size:
-        counts[kept_rows] = old_counts[old_kept]
-    counts[:, cols] = block
-    return counts
+# ----------------------------------------------------------------------
+# Reverse plan indices
+# ----------------------------------------------------------------------
 
 
-def _patched_layer(
-    h: int,
-    old_layer: LayerView,
-    candidate_keys: List[Key],
-    out_block: np.ndarray,
-    cols: np.ndarray,
-    live: LiveColumns,
-    in_place: bool = False,
-) -> LayerView:
-    """Splice the recomputed frontier columns into the level's layer.
+class _Fanout(NamedTuple):
+    """Plan pairs grouped by one factor: CSR ``offsets`` over the lookup
+    key, and per pair the output row and the other factor's row."""
 
-    ``candidate_keys`` is the level's sorted key universe and
-    ``out_block`` its recomputed counts at the frontier ``cols``.  The
-    keep set decomposes exactly (module docstring): a key stays when it
-    has a nonzero off the frontier or one in ``out_block``.
+    offsets: np.ndarray
+    out_rows: np.ndarray
+    other_rows: np.ndarray
 
-    Dense layers are patched first — in place when the caller owns the
-    table (``in_place``, writable matrix), else one contiguous copy
-    patched (:meth:`DenseLayer.patched`) — so the successor's row
-    totals carry over exactly (counts are integer-valued floats) and
-    its keep test is the fresh build's, ``row total > 0``.  A changed
-    key set then remaps the patched rows.  Succinct layers count a
-    key's pairs off the frontier as its stored pairs minus its frontier
-    pairs and splice their records by length
-    (:meth:`SuccinctLayer.spliced`); below size ``k`` — a source of
-    later levels — their block over ``live``'s window is the old
-    layer's, decoded once, with the same rows kept and the frontier
-    columns patched from ``out_block``.
+
+class _GroupIndex(NamedTuple):
+    """One compiled group's pairs, looked up from either factor.
+
+    ``by_second`` is keyed by ``second_row * k + c`` for every color
+    ``c`` of the pair's prime mask — the only vertices whose prime
+    factor can be nonzero — and ``by_prime`` (contraction groups) by
+    the prime row.
     """
-    candidate_rows = {key: i for i, key in enumerate(candidate_keys)}
-    old_cand = np.asarray(
-        [candidate_rows[key] for key in old_layer.keys], dtype=np.int64
-    ).reshape(old_layer.num_keys)
 
-    keep = (out_block > 0.0).any(axis=1)
-    if old_layer.layout == "dense":
-        old_rows = (
-            out_block if old_cand.size == keep.size else out_block[old_cand]
-        )
-        if in_place and old_layer.counts.flags.writeable:
-            # Caller owns the table: patch the live matrix.
-            successor = old_layer
-            successor.patch_columns(cols, old_rows)
-        else:
-            successor = old_layer.patched(cols, old_rows)
-        keep[old_cand] |= successor.row_totals() > 0.0
-    else:
-        num_keys = old_layer.num_keys
-        frontier_pairs = old_layer.key_row[
-            row_edges(old_layer.indptr, cols)[1]
-        ]
-        keep[old_cand] |= (
-            np.bincount(old_layer.key_row, minlength=num_keys)
-            - np.bincount(frontier_pairs, minlength=num_keys)
-        ) > 0
-    kept = np.flatnonzero(keep)
-    kept_keys = [candidate_keys[i] for i in kept]
-    unchanged = kept_keys == old_layer.keys
-    if unchanged and old_layer.layout == "dense":
-        return successor
-    kept_pos = np.full(len(candidate_keys), -1, dtype=np.int64)
-    kept_pos[kept] = np.arange(kept.size, dtype=np.int64)
-    # Old rows of kept keys and their successor rows (monotone).
-    old_kept = np.flatnonzero(keep[old_cand])
-    kept_rows = kept_pos[old_cand[old_kept]]
-    sub = out_block if kept.size == keep.size else out_block[kept]
+    h_prime: int
+    h_second: int
+    by_second: _Fanout
+    by_prime: Optional[_Fanout]
 
-    if old_layer.layout == "dense":
-        return Layer(
-            h, kept_keys,
-            _remapped(
-                successor.counts, kept_rows, old_kept, kept.size, cols, sub
-            ),
-        )
-    if h < live.table.k:
-        block = live.decode(old_layer)
-        local = np.searchsorted(live.window, cols)
-        if unchanged:
-            block[local] = sub.T
-        else:
-            block = np.ascontiguousarray(_remapped(
-                block.T, kept_rows, old_kept, kept.size, local, sub
-            ).T)
-        live.blocks[h] = block
-    # Carried records hold only keys with a nonzero off the frontier,
-    # i.e. kept keys, so the remap never reads a -1.
-    return old_layer.spliced(
-        kept_keys, None if unchanged else kept_pos[old_cand], cols, sub
+
+class _LevelIndex(NamedTuple):
+    betas: np.ndarray
+    beta_max: float
+    pairs: int
+    groups: Tuple[_GroupIndex, ...]
+
+
+def _fanout(keys: np.ndarray, buckets: int, out_rows, other_rows) -> _Fanout:
+    order = np.argsort(keys, kind="stable")
+    return _Fanout(
+        csr_offsets(keys, buckets), out_rows[order], other_rows[order]
     )
+
+
+def _group_index(
+    group: CompiledGroup, k: int, prime_masks: np.ndarray,
+    second_size: int,
+) -> _GroupIndex:
+    out = np.repeat(group.out_rows, group.pairs_per_slot)
+    prime = group.prime_rows.ravel()
+    second = group.second_rows.ravel()
+    pair, color = np.nonzero(
+        (prime_masks[prime][:, None] >> np.arange(k, dtype=np.int64)) & 1
+    )
+    by_second = _fanout(
+        second[pair] * k + color, second_size * k, out[pair], prime[pair]
+    )
+    by_prime = None
+    if group.select_lut is None:
+        by_prime = _fanout(prime, prime_masks.size, out, second)
+    return _GroupIndex(group.h_prime, group.h_second, by_second, by_prime)
+
+
+_INDEX_CACHE: Dict[int, Dict[int, _LevelIndex]] = {}
+
+
+def _plan_index(registry: TreeletRegistry) -> Dict[int, _LevelIndex]:
+    """Per-level reverse indices of the compiled plans, cached per ``k``
+    (plans are a function of ``k`` alone)."""
+    k = registry.k
+    index = _INDEX_CACHE.get(k)
+    if index is None:
+        compiled = compile_plans(registry)
+        masks = {
+            h: np.asarray(
+                [mask for _treelet, mask in full_universe_keys(registry, h)],
+                dtype=np.int64,
+            )
+            for h in range(1, k + 1)
+        }
+        index = {}
+        for h, level in compiled.items():
+            index[h] = _LevelIndex(
+                betas=level.betas,
+                beta_max=float(level.betas.max()) if level.betas.size else 1.0,
+                pairs=sum(g.prime_rows.size for g in level.groups),
+                groups=tuple(
+                    _group_index(
+                        g, k, masks[g.h_prime], masks[g.h_second].size
+                    )
+                    for g in level.groups
+                ),
+            )
+        _INDEX_CACHE[k] = index
+    return index
+
+
+def _expand(fanout: _Fanout, keys: np.ndarray):
+    """``(source, out_rows, other_rows)``: every pair under each lookup
+    key, with the position of the key it came from."""
+    local_ptr, positions = row_edges(fanout.offsets, keys)
+    source = np.repeat(
+        np.arange(keys.size, dtype=np.int64), np.diff(local_ptr)
+    )
+    return source, fanout.out_rows[positions], fanout.other_rows[positions]
+
+
+# ----------------------------------------------------------------------
+# Sparse triples and layer reads
+# ----------------------------------------------------------------------
+
+
+class _Sparse(NamedTuple):
+    """Sorted distinct ``row * n + v`` keys and their nonzero values."""
+
+    flat: np.ndarray
+    values: np.ndarray
+
+
+_EMPTY = _Sparse(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+
+
+def _summed(flat: np.ndarray, values: np.ndarray, space: int) -> _Sparse:
+    """Distinct keys ascending with their summed values, zeros dropped.
+
+    ``space`` bounds the keys.  Within a pass every term has one sign
+    and every partial sum stays below the exactness bound, so the
+    summation order is immaterial: many terms are summed in a dense
+    accumulator over the key space, few by a sort.
+    """
+    if flat.size == 0:
+        return _EMPTY
+    if 4 * flat.size > space:
+        sums = np.bincount(flat, weights=values, minlength=space)
+        keys = np.flatnonzero(sums)
+        return _Sparse(keys, sums[keys])
+    keys, inverse = np.unique(flat, return_inverse=True)
+    sums = np.bincount(inverse, weights=values, minlength=keys.size)
+    nonzero = sums != 0.0
+    return _Sparse(keys[nonzero], sums[nonzero])
+
+
+class _LayerReads:
+    """Reads from one layer of a pass's input table, in universe rows.
+
+    ``held[r]`` is the layer row of universe row ``r`` (``-1`` for a
+    key the layer does not hold: a zero row) and ``universe`` the
+    universe row of each held key.  Layer 1 is read off ``colors``: its
+    universe row ``c`` is the indicator of color ``c``.
+    """
+
+    def __init__(
+        self,
+        layer: LayerView,
+        universe_keys: List[Key],
+        colors: Optional[np.ndarray] = None,
+    ):
+        self.layer = layer
+        self.colors = colors
+        position = {key: row for row, key in enumerate(universe_keys)}
+        self.universe = np.asarray(
+            [position[key] for key in layer.keys], dtype=np.int64
+        )
+        self.held = np.full(len(universe_keys), -1, dtype=np.int64)
+        self.held[self.universe] = np.arange(
+            self.universe.size, dtype=np.int64
+        )
+
+    def block(self, cols: np.ndarray) -> np.ndarray:
+        """The held rows at the ascending vertices ``cols``, float64
+        ``num_keys × len(cols)``: dense columns, or succinct records
+        scattered — the records of ``cols`` only."""
+        layer = self.layer
+        if layer.layout == "dense":
+            return np.array(layer.counts[:, cols], dtype=np.float64)
+        local_ptr, positions = row_edges(layer.indptr, cols)
+        block = np.zeros((layer.num_keys, cols.size), dtype=np.float64)
+        block[
+            layer.key_row[positions].astype(np.int64),
+            np.repeat(
+                np.arange(cols.size, dtype=np.int64), np.diff(local_ptr)
+            ),
+        ] = layer.values[positions]
+        return block
+
+    def records(self, verts: np.ndarray):
+        """Every nonzero at each of ``verts`` (repeats allowed):
+        ``(owner, universe rows, values)``, ``owner`` indexing ``verts``."""
+        layer = self.layer
+        if layer.layout == "dense":
+            rows, owner = np.nonzero(layer.counts[:, verts])
+            values = np.asarray(
+                layer.counts[rows, verts[owner]], dtype=np.float64
+            )
+        else:
+            local_ptr, positions = row_edges(layer.indptr, verts)
+            owner = np.repeat(
+                np.arange(verts.size, dtype=np.int64), np.diff(local_ptr)
+            )
+            rows = layer.key_row[positions].astype(np.int64)
+            values = layer.values[positions].astype(np.float64)
+        return owner, self.universe[rows], values
+
+    def points(self, rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
+        """Counts at ``(rows[i], verts[i])``, universe rows, float64."""
+        if self.colors is not None:
+            return (self.colors[verts] == rows).astype(np.float64)
+        held = self.held[rows]
+        present = held >= 0
+        out = np.zeros(rows.size, dtype=np.float64)
+        held, verts = held[present], verts[present]
+        if held.size == 0:
+            return out
+        layer = self.layer
+        if layer.layout == "dense":
+            out[present] = layer.counts[held, verts]
+            return out
+        # Search the records of the queried vertices only: a local
+        # ``rank · num_keys + key_row`` index over them is sorted, since
+        # records hold ascending key rows.
+        distinct = np.unique(verts)
+        local_ptr, positions = row_edges(layer.indptr, distinct)
+        width = np.int64(layer.num_keys)
+        index = np.repeat(
+            np.arange(distinct.size, dtype=np.int64) * width,
+            np.diff(local_ptr),
+        ) + layer.key_row[positions]
+        if index.size == 0:
+            return out
+        wanted = np.searchsorted(distinct, verts) * width + held
+        at = np.minimum(np.searchsorted(index, wanted), index.size - 1)
+        found = index[at] == wanted
+        values = np.zeros(held.size, dtype=np.float64)
+        values[found] = layer.values[positions[at[found]]]
+        out[present] = values
+        return out
+
+
+# ----------------------------------------------------------------------
+# One monotone pass
+# ----------------------------------------------------------------------
+
+
+class _Patch(NamedTuple):
+    """A level's rewrite: the successor's universe rows, the support
+    columns and their new counts over those rows."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    block: np.ndarray
+    entries: int
+
+
+class _Pass:
+    """One monotone pass: ``before`` → ``after`` by deletions alone or
+    insertions alone (``sign`` −1 or +1), over ``table`` counting
+    ``before``."""
+
+    def __init__(
+        self,
+        table: CountTable,
+        before: Graph,
+        after: Graph,
+        edges: np.ndarray,
+        sign: int,
+        colors: np.ndarray,
+        registry: TreeletRegistry,
+    ):
+        self.table = table
+        self.before, self.after = before, after
+        self.sign = sign
+        self.colors = colors
+        self.k = table.k
+        self.n = table.num_vertices
+        self.index = _plan_index(registry)
+        n = np.int64(self.n)
+        self.ends = np.concatenate([edges // n, edges % n])
+        self.others = np.concatenate([edges % n, edges // n])
+        self.universe = {
+            size: full_universe_keys(registry, size)
+            for size in range(1, self.k + 1)
+        }
+        self.masks = {
+            size: np.asarray(
+                [mask for _treelet, mask in keys], dtype=np.int64
+            )
+            for size, keys in self.universe.items()
+        }
+        self.reads = {
+            size: _LayerReads(
+                table.layer(size), self.universe[size],
+                colors if size == 1 else None,
+            )
+            for size in range(1, self.k + 1)
+        }
+        self.deltas: Dict[int, _Sparse] = {1: _EMPTY}
+        self.neighbor: Dict[int, _Sparse] = {}
+        self.volume = 0
+        self.budgets = self._budgets()
+        self.limit = 0
+
+    def _budgets(self) -> Dict[int, int]:
+        """Per level, the volume the pass may have spent by its end.
+
+        A rebuild's multiply-adds through level ``h`` — the SpMM of
+        layer ``h - 1``, first read there, and the level's contractions
+        (the 0-rooted top level's on a ``1/k`` share of the columns) —
+        over ``_REBUILD_RATIO``, scaled by ``(h - 1) / (k - 1)``: a
+        delta's volume grows by about a degree per level, so a pass
+        that spends its share early is bound to lose, and stops while
+        it has spent little.
+        """
+        budgets: Dict[int, int] = {}
+        total = 0
+        for h, level in self.index.items():
+            columns = self.n
+            if h == self.k and self.table.zero_rooted:
+                columns //= self.k
+            total += (
+                2 * self.before.num_edges * self.table.layer(h - 1).num_keys
+                + level.pairs * columns
+            )
+            budgets[h] = max(
+                total * (h - 1) // ((self.k - 1) * _REBUILD_RATIO),
+                _MIN_VOLUME,
+            )
+        return budgets
+
+    def _charge(self, volume: int) -> bool:
+        self.volume += int(volume)
+        return self.volume <= self.limit
+
+    def run(self) -> Optional[Dict[int, _Patch]]:
+        """Every changed level's patch, or ``None`` when the pass leaves
+        the exactness bound or outgrows a rebuild."""
+        for h in range(2, self.k + 1):
+            bound = self.index[h].beta_max * self.reads[h].layer.max_value()
+            if bound >= _EXACT_FLOAT:
+                return None
+        patches: Dict[int, _Patch] = {}
+        for h in range(2, self.k + 1):
+            self.limit = self.budgets[h]
+            delta = self._level(h)
+            if delta is None:
+                return None
+            self.deltas[h] = delta
+            if delta.flat.size:
+                patch = self._patch(h, delta)
+                if patch is None:
+                    return None
+                patches[h] = patch
+        return patches
+
+    def _split(self, delta: _Sparse, top: bool):
+        """``(rows, verts, values)`` of triples; at the size-``k`` level
+        of a 0-rooted table only color-0 vertices."""
+        n = np.int64(self.n)
+        rows, verts, values = delta.flat // n, delta.flat % n, delta.values
+        if top and self.table.zero_rooted:
+            zero = self.colors[verts] == 0
+            rows, verts, values = rows[zero], verts[zero], values[zero]
+        return rows, verts, values
+
+    def _neighbor_delta(self, size: int) -> Optional[_Sparse]:
+        """``ΔS''`` of layer ``size`` at admissible ``(key, vertex)``
+        pairs (``v``'s color outside the key's mask).  Only the 0-rooted
+        size-``k`` level reads layer ``k - 1``'s, at color-0 vertices, so
+        those sums skip every other neighbor before fanning out."""
+        n = np.int64(self.n)
+        rows, verts, values = self._split(self.deltas[size], False)
+        top = size == self.k - 1 and self.table.zero_rooted
+        # The new adjacency rows of the support, read once per vertex.
+        support, local = self._columns(verts)
+        ptr, positions = row_edges(self.after.indptr, support)
+        neighbors = self.after.indices[positions]
+        if top:
+            zero = self.colors[neighbors] == 0
+            neighbors = neighbors[zero]
+            ptr = np.concatenate(([0], np.cumsum(zero)))[ptr]
+        if not self._charge(
+            positions.size + (ptr[local + 1] - ptr[local]).sum()
+        ):
+            return None
+        local_ptr, positions = row_edges(ptr, local)
+        repeats = np.diff(local_ptr)
+        owner, end_rows, end_values = self.reads[size].records(self.others)
+        rows = np.concatenate([np.repeat(rows, repeats), end_rows])
+        verts = np.concatenate([neighbors[positions], self.ends[owner]])
+        values = np.concatenate([
+            np.repeat(values, repeats), self.sign * end_values
+        ])
+        keep = ((self.masks[size][rows] >> self.colors[verts]) & 1) == 0
+        if top:
+            keep &= self.colors[verts] == 0
+        return _summed(
+            rows[keep] * n + verts[keep], values[keep],
+            self.reads[size].held.size * self.n,
+        )
+
+    def _columns(self, verts: np.ndarray):
+        """``(cols, at)``: the distinct vertices ascending, and each
+        entry's position among them."""
+        mark = np.zeros(self.n, dtype=bool)
+        mark[verts] = True
+        return np.flatnonzero(mark), (np.cumsum(mark) - 1)[verts]
+
+    def _level(self, h: int) -> Optional[_Sparse]:
+        """Level ``h``'s triples, β-divided."""
+        n = np.int64(self.n)
+        top = h == self.k
+        level = self.index[h]
+        flats: List[np.ndarray] = []
+        terms: List[np.ndarray] = []
+        for group in level.groups:
+            second = group.h_second
+            if second not in self.neighbor:
+                found = self._neighbor_delta(second)
+                if found is None:
+                    return None
+                self.neighbor[second] = found
+            # c'_old · ΔS'', read only where ΔS'' is nonzero.
+            rows, verts, values = self._split(self.neighbor[second], top)
+            keys = rows * self.k + self.colors[verts]
+            offsets = group.by_second.offsets
+            if not self._charge((offsets[keys + 1] - offsets[keys]).sum()):
+                return None
+            source, out_rows, prime_rows = _expand(group.by_second, keys)
+            verts, values = verts[source], values[source]
+            if group.h_prime > 1:
+                values = values * self.reads[group.h_prime].points(
+                    prime_rows, verts
+                )
+            flats.append(out_rows * n + verts)
+            terms.append(values)
+            if group.by_prime is None:
+                continue
+            # Δc' · S''_new, summed only where a prime factor changed.
+            rows, verts, values = self._split(
+                self.deltas[group.h_prime], top
+            )
+            if rows.size == 0:
+                continue
+            source, out_rows, second_rows = _expand(group.by_prime, rows)
+            verts, values = verts[source], values[source]
+            sums = self._new_sums(second, second_rows, verts)
+            if sums is None:
+                return None
+            flats.append(out_rows * n + verts)
+            terms.append(values * sums)
+        if not flats:
+            return _EMPTY
+        summed = _summed(
+            np.concatenate(flats), np.concatenate(terms),
+            level.betas.size * self.n,
+        )
+        betas = level.betas[summed.flat // n]
+        divided = betas > 1.0
+        values = summed.values
+        if divided.any():
+            values = values.copy()
+            values[divided] /= betas[divided]
+        return _Sparse(summed.flat, values)
+
+    def _new_sums(
+        self, size: int, rows: np.ndarray, verts: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """``S''_new`` at ``(rows[i], verts[i])``: the input table's
+        neighbor sums over the input graph, plus ``ΔS''``."""
+        n = np.int64(self.n)
+        wanted, inverse = np.unique(rows * n + verts, return_inverse=True)
+        rows, verts = wanted // n, wanted % n
+        indptr = self.before.indptr
+        if not self._charge((indptr[verts + 1] - indptr[verts]).sum()):
+            return None
+        local_ptr, positions = row_edges(indptr, verts)
+        repeats = np.diff(local_ptr)
+        sums = np.bincount(
+            np.repeat(np.arange(wanted.size, dtype=np.int64), repeats),
+            weights=self.reads[size].points(
+                np.repeat(rows, repeats), self.before.indices[positions]
+            ),
+            minlength=wanted.size,
+        ).astype(np.float64, copy=False)
+        change = self.neighbor[size]
+        if change.flat.size:
+            at = np.minimum(
+                np.searchsorted(change.flat, wanted), change.flat.size - 1
+            )
+            hit = change.flat[at] == wanted
+            sums[hit] += change.values[at[hit]]
+        return sums[inverse]
+
+    def _patch(self, h: int, delta: _Sparse) -> Optional[_Patch]:
+        """The support columns' new records and the successor's keys.
+
+        A key stays exactly when its nonzero count stays positive: old
+        nonzeros, plus entries born, minus entries that die.
+        """
+        n = np.int64(self.n)
+        reads = self.reads[h]
+        rows, verts = delta.flat // n, delta.flat % n
+        cols, at = self._columns(verts)
+        old_block = reads.block(cols)
+        held = reads.held[rows]
+        present = held >= 0
+        old = np.zeros(rows.size, dtype=np.float64)
+        old[present] = old_block[held[present], at[present]]
+        new = old + delta.values
+        if self.sign > 0 and (
+            self.index[h].beta_max * float(new.max()) >= _EXACT_FLOAT
+        ):
+            return None
+        died = (old > 0.0) & (new == 0.0)
+        keep = np.zeros(reads.held.size, dtype=bool)
+        keep[reads.universe] = True
+        keep[rows[new > 0.0]] = True
+        if died.any():
+            layer = reads.layer
+            candidates, deaths = np.unique(rows[died], return_counts=True)
+            if layer.layout == "dense":
+                stored = np.count_nonzero(
+                    layer.counts[reads.held[candidates]], axis=1
+                )
+            else:
+                stored = np.bincount(
+                    layer.key_row, minlength=layer.num_keys
+                )[reads.held[candidates]]
+            keep[candidates[stored == deaths]] = False
+        kept = np.flatnonzero(keep)
+        if np.array_equal(kept, reads.universe):
+            block = old_block
+            block[held, at] = new
+        else:
+            position = np.full(keep.size, -1, dtype=np.int64)
+            position[kept] = np.arange(kept.size, dtype=np.int64)
+            block = np.zeros((kept.size, cols.size), dtype=np.float64)
+            carried = keep[reads.universe]
+            block[position[reads.universe[carried]]] = old_block[carried]
+            live = keep[rows]
+            block[position[rows[live]], at[live]] = new[live]
+        return _Patch(kept, cols, block, int(delta.flat.size))
+
+
+def _successor(
+    reads: _LayerReads, universe: List[Key], patch: _Patch, writable: bool
+) -> LayerView:
+    """The layer with ``patch`` applied: the same object patched in place
+    when ``writable`` allows and the keys stay, else a new layer."""
+    layer, held = reads.layer, reads.universe
+    keys = [universe[row] for row in patch.rows]
+    unchanged = np.array_equal(patch.rows, held)
+    if layer.layout == "succinct":
+        remap = None
+        if not unchanged:
+            position = np.full(len(universe), -1, dtype=np.int64)
+            position[patch.rows] = np.arange(patch.rows.size, dtype=np.int64)
+            # Carried records hold only kept keys, so no -1 is read.
+            remap = position[held]
+        return layer.spliced(keys, remap, patch.cols, patch.block)
+    if unchanged:
+        if writable and layer.counts.flags.writeable:
+            layer.patch_columns(patch.cols, patch.block)
+            return layer
+        return layer.patched(patch.cols, patch.block)
+    counts = np.zeros((patch.rows.size, layer.num_vertices), dtype=np.float64)
+    kept = np.isin(held, patch.rows)
+    counts[np.searchsorted(patch.rows, held[kept])] = layer.counts[
+        np.flatnonzero(kept)
+    ]
+    successor = DenseLayer(layer.size, keys, counts)
+    successor.patch_columns(patch.cols, patch.block)
+    return successor
+
+
+def _oracle(
+    table: CountTable,
+    graph: Graph,
+    coloring: ColoringScheme,
+    registry: TreeletRegistry,
+) -> CountTable:
+    """:func:`build_table` on ``graph`` in the layouts ``table`` holds."""
+    layout = table.layout()
+    rebuilt = build_table(
+        graph, coloring, registry, zero_rooting=table.zero_rooted,
+        instrumentation=Instrumentation(),
+        layout="succinct" if layout == "succinct" else "dense",
+    )
+    if layout == "mixed":
+        rebuilt.seal("succinct", sizes=[
+            size for size in range(1, table.k + 1)
+            if table.layer(size).layout == "succinct"
+        ])
+    return rebuilt
 
 
 def apply_edge_updates(
@@ -322,13 +836,14 @@ def apply_edge_updates(
     table:
         The table built on ``graph`` under ``coloring`` (any layout).
         With ``in_place=False`` it is not mutated; the result carries a
-        fresh table sharing the unchanged layer-1 object.  With
-        ``in_place=True`` the caller relinquishes it: dense levels whose
-        key set is unchanged are patched in the live matrices (the
-        steady-state trickle fast path — column-local work instead of
-        matrix copies), so the input table must not be read afterwards.
-        Read-only (memory-mapped) or key-changing levels silently fall
-        back to the copying path either way.
+        fresh table that shares every layer the batch leaves unchanged
+        (layer 1 always).  With ``in_place=True`` the caller
+        relinquishes it, together with any table sharing its layers:
+        dense levels whose key set is unchanged are patched in the live
+        matrices (column-local work instead of matrix copies), so the
+        input table must not be read afterwards.  Read-only
+        (memory-mapped) or key-changing levels silently fall back to
+        the copying path either way.
     graph:
         The graph the table currently counts.
     updates:
@@ -367,60 +882,57 @@ def apply_edge_updates(
         if endpoints.size == 0:
             return DeltaResult(table, graph, endpoints, 0, 0, 0, 0)
         new_graph, _touched = graph.apply_updates(updates)
-        # Succinct source layers are read from blocks over the widest
-        # frontier plus its halo: one ring past the frontier balls.
-        decoded = any(
-            table.layer(size).layout == "succinct" for size in range(1, k)
-        )
-        balls = _balls(
-            graph, new_graph, endpoints, max(k - 2, 0) + int(decoded)
-        )
-        frontiers = balls[: max(k - 1, 1)]
-        adjacency = new_graph.adjacency_csr()
-        compiled = compile_plans(registry)
-
-        new_table = CountTable(k, n, zero_rooted=table.zero_rooted)
-        new_table.set_layer(table.layer(1))
-        live = LiveColumns(new_table, balls[-1] if decoded else None)
-        if new_table.layer(1).layout == "succinct":
-            live.blocks[1] = live.decode(new_table.layer(1))
-        budget = MemoryBudget()
-        rows_touched = 0
-        for h in range(2, k + 1):
-            cols = frontiers[h - 2]
-            rows_touched += cols.size
-            sources = CountTable(k, cols.size, False)
-            for size in level_source_sizes(registry, h):
-                sources.set_layer(Layer(
-                    size, list(new_table.layer(size).keys),
-                    np.ascontiguousarray(live.read(size, 0, cols)),
-                ))
-            out = execute_level(
-                h, registry, table.zero_rooted,
-                np.ascontiguousarray(coloring.colors[cols]), sources,
-                HaloSums(
-                    adjacency, cols, sources, live, budget, instrumentation
-                ),
+        colors = np.asarray(coloring.colors, dtype=np.int64)
+        current, before = table, graph
+        owned: set = set()
+        rows_touched = entries = rebuilds = 0
+        for edges, sign in ((removed, -1), (added, 1)):
+            if edges.size == 0:
+                continue
+            after = new_graph if sign > 0 or added.size == 0 else (
+                graph.apply_updates(change_rows(edges[:0], edges, n))[0]
             )
-            new_table.set_layer(
-                _patched_layer(
-                    h, table.layer(h), list(compiled[h].keys), out, cols,
-                    live, in_place=in_place,
-                )
+            delta_pass = _Pass(
+                current, before, after, edges, sign, colors, registry
             )
-            del out
+            patches = delta_pass.run()
+            if patches is None:
+                current = _oracle(table, new_graph, coloring, registry)
+                rows_touched = entries = 0
+                rebuilds = 1
+                break
+            successor = CountTable(k, n, zero_rooted=table.zero_rooted)
+            for size in range(1, k + 1):
+                layer = current.layer(size)
+                if size in patches:
+                    layer = _successor(
+                        delta_pass.reads[size], delta_pass.universe[size],
+                        patches[size], in_place or size in owned,
+                    )
+                    owned.add(size)
+                    rows_touched += patches[size].cols.size
+                    entries += patches[size].entries
+                successor.set_layer(layer)
+            current, before = successor, after
         instrumentation.count(
             "delta_updates_total", int(added.size + removed.size)
         )
         instrumentation.count("delta_rows_touched", rows_touched)
+        instrumentation.count("delta_entries", entries)
+        instrumentation.count("delta_rebuilds", rebuilds)
     return DeltaResult(
-        new_table,
+        current,
         new_graph,
         endpoints,
         rows_touched,
         int(added.size + removed.size),
         int(added.size),
         int(removed.size),
-        dirty_radii=_distance_labels(frontiers, n, k - 1),
+        dirty_radii=_distance_labels(
+            touched_frontiers(graph, new_graph, endpoints, k), n, k - 1
+        ),
         changes=change_rows(added, removed, n),
+        delta_entries=entries,
+        delta_rebuilds=rebuilds,
     )
+

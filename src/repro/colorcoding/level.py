@@ -5,12 +5,11 @@ The build-up is one dynamic program, and this module is its level step.
 the vertices ``v`` of a *column set* — every vertex for the in-memory
 build (:func:`repro.colorcoding.buildup.build_table`), one vertex-range
 shard for the out-of-core build
-(:func:`repro.colorcoding.sharded.build_table_sharded`), the touched
-frontier ball for an edge update
-(:func:`repro.colorcoding.incremental.apply_edge_updates`).  The callers
+(:func:`repro.colorcoding.sharded.build_table_sharded`).  The callers
 keep only what is specific to their storage: installing and sealing,
-committing shards, splicing the frontier.  In the incremental-view
-sense, an update is the full step run on fewer columns.
+committing shards.  Edge updates do not run the step: they push sparse
+changes through the same compiled plans
+(:func:`repro.colorcoding.incremental.apply_edge_updates`).
 
 The step reads two things per source layer ``s < h``: the layer's own
 counts at the columns (the prime factors ``c(T'_{C'}, v)``, from a
@@ -22,22 +21,22 @@ provider:
     The in-memory build: one full SpMM per source layer, cached for the
     whole build.
 :class:`HaloSums`
-    The sharded build and updates: the rows of the column set multiplied
-    against only the *halo* columns they reference, read source shard by
-    source shard (from the store's files under a :class:`MemoryBudget`,
-    or from the live layers of a table through :class:`LiveColumns`,
-    succinct ones through blocks decoded once over a read window).
+    The sharded build and the in-memory zero-rooted level: the rows of
+    the column set multiplied against only the *halo* columns they
+    reference, read source shard by source shard (from the store's files
+    under a :class:`MemoryBudget`, or from the live dense layers of a
+    table through :class:`LiveColumns`).
 
 Mode.  Every level runs off the compiled plans
 (:mod:`repro.colorcoding.plans`), *zero-rooted* when it is the size-``k``
 level of a 0-rooted build (§3.2: only color-0 columns are computed, SpMMs
 included).  A source layer that holds only part of its key universe — a
-color missing from the graph, an edgeless graph, an update that kills
-keys — runs through the same kernels: :func:`execute_level` maps the
-layer's universe rows onto the rows it holds once per level, and a pair
-with an absent key reads the zero sentinel row of the neighbor sums.  That
-is the zero term Equation (1) gives an absent ``(T, C)`` pair, added as
-an exact ``+0.0`` in its place of the sequential sub-mask sum.
+color missing from the graph, an edgeless graph — runs through the same
+kernels: :func:`execute_level` maps the layer's universe rows onto the
+rows it holds once per level, and a pair with an absent key reads the
+zero sentinel row of the neighbor sums.  That is the zero term
+Equation (1) gives an absent ``(T, C)`` pair, added as an exact ``+0.0``
+in its place of the sequential sub-mask sum.
 
 Bit-identity.  Every builder gets exactly the bytes of the others:
 
@@ -595,39 +594,16 @@ def row_edges(
 
 
 class LiveColumns:
-    """Column reads from the resident layers of a table.
+    """Column reads from the resident dense layers of a table.
 
-    The :class:`HaloSums` column source of updates and of the in-memory
-    zero-rooted level: a single source shard spanning every vertex.
-    Dense layers are read in place.  A succinct layer is read from its
-    entry in ``blocks``: its dense float64 records over the sorted
-    column ``window``, one ``num_keys`` row per window vertex, and the
-    window holds every column the reads ask for.  An update decodes
-    each succinct layer once over its read window (:meth:`decode`) and
-    patches each successor layer's block from the level output, so no
-    level decodes a record twice.
+    The :class:`HaloSums` column source of the in-memory zero-rooted
+    level: a single source shard spanning every vertex, read in place
+    (every source layer is still dense while the size-``k`` level runs).
     """
 
-    def __init__(self, table: CountTable, window: Optional[np.ndarray] = None):
+    def __init__(self, table: CountTable):
         self.table = table
-        self.window = window
-        self.blocks: Dict[int, np.ndarray] = {}
         self.bounds = np.asarray([0, table.num_vertices], dtype=np.int64)
-
-    def decode(self, layer: LayerView) -> np.ndarray:
-        """A succinct layer's block over the window: the CSR records of
-        exactly the window's vertices scattered in record order, no full
-        densification."""
-        window = self.window
-        local_ptr, positions = row_edges(layer.indptr, window)
-        block = np.zeros((window.size, layer.num_keys), dtype=np.float64)
-        flat = np.repeat(
-            np.arange(window.size, dtype=np.int64) * layer.num_keys,
-            np.diff(local_ptr),
-        )
-        flat += layer.key_row[positions]
-        block.ravel()[flat] = layer.values[positions]
-        return block
 
     def read(
         self,
@@ -637,16 +613,11 @@ class LiveColumns:
         key_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Layer ``size`` at the ascending vertices ``verts``: float64,
-        all key rows or only ``key_rows`` by ``len(verts)`` — C-ordered
-        from a dense layer, the transpose of a C-ordered block from a
-        succinct one."""
-        layer = self.table.layer(size)
-        if layer.layout == "dense":
-            if key_rows is not None:
-                return layer.counts[np.ix_(key_rows, verts)]
-            return layer.counts[:, verts]
-        records = self.blocks[size][np.searchsorted(self.window, verts)]
-        return (records if key_rows is None else records[:, key_rows]).T
+        all key rows or only ``key_rows`` by ``len(verts)``."""
+        counts = self.table.layer(size).counts
+        if key_rows is not None:
+            return counts[np.ix_(key_rows, verts)]
+        return counts[:, verts]
 
 
 class HaloLayout:

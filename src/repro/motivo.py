@@ -167,8 +167,8 @@ class MotivoConfig:
         artifact-cache key.
     incremental_updates:
         How :meth:`MotivoCounter.update` maintains the table under edge
-        updates: ``True`` (the default) propagates deltas over the
-        touched-column frontier
+        updates: ``True`` (the default) pushes sparse deltas through
+        each level
         (:func:`repro.colorcoding.incremental.apply_edge_updates`);
         ``False`` falls back to a full in-memory rebuild under the same
         coloring — the incremental path's bit-identity oracle.  Both
@@ -488,8 +488,8 @@ class MotivoCounter:
         """Apply a batch of edge insertions/deletions to the built table.
 
         The graph and table advance together: the count table is
-        maintained as a materialized view of the build-up DP — deltas
-        propagate over the touched-column frontier
+        maintained as a materialized view of the build-up DP — sparse
+        deltas propagate through each level
         (:func:`repro.colorcoding.incremental.apply_edge_updates`)
         instead of rebuilding, and the result is **bit-identical** to a
         fresh build on the updated graph under the same coloring.  The
@@ -515,7 +515,9 @@ class MotivoCounter:
 
         Returns a stats dict: ``mode``, ``updates_applied``,
         ``edges_added``, ``edges_removed``, ``rows_touched``,
-        ``touched_vertices``, ``propagate_seconds``.
+        ``touched_vertices``, ``delta_entries``, ``delta_rebuilds``
+        (see :class:`~repro.colorcoding.incremental.DeltaResult`),
+        ``propagate_seconds``.
         """
         if not self._built or self.coloring is None or self._table is None:
             raise BuildError("call build() before update()")
@@ -548,6 +550,8 @@ class MotivoCounter:
                     "edges_removed": int(removed.size),
                     "rows_touched": 0,
                     "touched_vertices": int(touched.size),
+                    "delta_entries": 0,
+                    "delta_rebuilds": 0,
                 }
                 if touched.size:
                     # Full rebuild under the SAME coloring (always in

@@ -31,7 +31,7 @@ work, so the HTTP layer is a thin JSON codec:
     in-flight requests finish on the old table and the key's sessions
     restart.
     Response: the update stats (``updates_applied``, ``rows_touched``,
-    new ``fingerprint``, ...).
+    ``delta_entries``, ``delta_rebuilds``, new ``fingerprint``, ...).
 
 **Tracing.**  Every request gets a trace id: an inbound ``X-Trace-Id``
 header is honored (sanitized to ``[A-Za-z0-9_.-]``, max 128 chars),

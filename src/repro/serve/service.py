@@ -1055,7 +1055,7 @@ class SamplingService:
         """Apply an edge-update batch to a served artifact.
 
         The engine behind ``POST /update``.  The served table is
-        delta-maintained in memory over the touched-column frontier
+        delta-maintained in memory by sparse per-level changes
         (:func:`repro.colorcoding.incremental.apply_edge_updates` — bit
         identical to a rebuild on the updated graph), without mutating
         the table in-flight requests read.  The sampling machinery
@@ -1118,6 +1118,8 @@ class SamplingService:
         self.instrumentation.count(
             "delta_rows_touched", stats["rows_touched"]
         )
+        self.instrumentation.count("delta_entries", stats["delta_entries"])
+        self.instrumentation.count("delta_rebuilds", stats["delta_rebuilds"])
         self.registry.add_time(
             "delta_propagate", stats["propagate_seconds"]
         )
@@ -1317,6 +1319,8 @@ class SamplingService:
                 "batches": int(counters.get("serve_updates", 0)),
                 "applied": int(counters.get("delta_updates_total", 0)),
                 "rows_touched": int(counters.get("delta_rows_touched", 0)),
+                "delta_entries": int(counters.get("delta_entries", 0)),
+                "delta_rebuilds": int(counters.get("delta_rebuilds", 0)),
                 "propagate_seconds": round(
                     timings.get("delta_propagate", 0.0), 6
                 ),

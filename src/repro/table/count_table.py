@@ -336,9 +336,8 @@ class DenseLayer(LayerView):
 
     def row_totals(self) -> np.ndarray:
         """Per-key totals over all vertices (exact: counts are integer
-        floats, so sums below 2^53 carry no rounding).  The incremental
-        maintainer's keep test reads them instead of scanning the
-        matrix; :meth:`patch_columns` keeps them current."""
+        floats, so sums below 2^53 carry no rounding);
+        :meth:`patch_columns` keeps them current."""
         if self._row_totals is None:
             self._row_totals = self.counts.sum(axis=1)
         return self._row_totals
@@ -347,8 +346,8 @@ class DenseLayer(LayerView):
         """Overwrite the columns ``cols`` with ``block``, in place.
 
         The incremental maintainer's fast path: when an update batch
-        leaves the key set unchanged, the recomputed frontier columns
-        are spliced into the existing matrix and every derived cache is
+        leaves the key set unchanged, the support columns' new counts
+        are written into the existing matrix and every derived cache is
         *patched* rather than dropped — column-local work, where a
         rebuild of ``cumulative()`` alone would rescan the whole table.
         All patched caches stay exactly what a fresh recompute would
@@ -483,7 +482,7 @@ class SuccinctLayer(LayerView):
 
     __slots__ = (
         "size", "keys", "key_rows", "indptr", "key_row", "values",
-        "_cum", "_aug", "_totals", "_tarr", "_kmaj",
+        "_cum", "_aug", "_totals", "_tarr", "_kmaj", "_max",
     )
 
     def __init__(
@@ -537,6 +536,7 @@ class SuccinctLayer(LayerView):
         self._totals: Optional[np.ndarray] = None
         self._tarr: Optional[np.ndarray] = None
         self._kmaj: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._max: Optional[float] = None
 
     @classmethod
     def from_dense(cls, layer: DenseLayer) -> "SuccinctLayer":
@@ -643,8 +643,11 @@ class SuccinctLayer(LayerView):
         layer.key_rows = {key: row for row, key in enumerate(layer.keys)}
         layer.indptr = indptr
         layer.key_row = key_row
+        layer._max = None
         if values.dtype.kind == "u" and values.size:
-            values = values.astype(_uint_dtype(int(values.max())), copy=False)
+            top = int(values.max())
+            values = values.astype(_uint_dtype(top), copy=False)
+            layer._max = float(top)
         else:
             values = _pack_counts(values)
         layer.values = values
@@ -771,7 +774,11 @@ class SuccinctLayer(LayerView):
         return 0.0
 
     def max_value(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
+        if self._max is None:
+            self._max = (
+                float(self.values.max()) if self.values.size else 0.0
+            )
+        return self._max
 
     def totals(self) -> np.ndarray:
         if self._totals is None:

@@ -9,7 +9,9 @@ and the master RNG stream.  Every assertion here is exact
 The harness churns random graphs with random mixed insert/delete
 batches and checks the maintained state against fresh rebuilds across
 layouts (dense, succinct), builds (in-memory, sharded) and both
-sampling methods, plus the sampling-plane cache retention
+sampling methods, plus the sparse delta's own cases (repeated pairs,
+key births and deaths, same-colored edges, the exact-integer bound),
+the sampling-plane cache retention
 paths (a kept gathered store whose stale reads go through the segment
 store, on sparse and hub graphs), the
 empty-urn lifecycle, the artifact edge log and its compaction, and the
@@ -37,12 +39,14 @@ from repro.artifacts import (
     save_table,
 )
 from repro.cli import main as cli_main
+from repro.colorcoding import incremental
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.incremental import (
     apply_edge_updates,
     touched_frontiers,
 )
+from repro.colorcoding.plans import compile_plans
 from repro.colorcoding.urn import TreeletUrn
 from repro.errors import ArtifactError, BuildError, SamplingError
 from repro.graph.generators import erdos_renyi
@@ -50,6 +54,8 @@ from repro.graph.graph import Graph, change_rows
 from repro.graph.io import load_graph, save_binary
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService, serve_http
+from repro.treelets.registry import TreeletRegistry
+from repro.util.instrument import Instrumentation
 
 from support.graphgen import powerlaw_edges
 from support.oracle import assert_layers_revalidate
@@ -371,6 +377,202 @@ class TestDeltaBitIdentity:
         wrong = ColoringScheme.uniform(20, 4, rng=2)
         with pytest.raises(BuildError):
             apply_edge_updates(table, graph, [("+", 0, 1)], wrong)
+
+
+def _churn_batch(rng, graph: Graph, size: int):
+    """A mixed batch of ``size`` ops over a few pairs, each pair named
+    more than once: present edges toggled out and back, absent pairs in
+    and out, duplicates — the last op on a pair wins."""
+    n = graph.num_vertices
+    present = _edge_list(graph)
+    pairs = []
+    while len(pairs) < max(1, size // 2):
+        if present and rng.random() < 0.5:
+            pairs.append(present[int(rng.integers(len(present)))])
+            continue
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if u != v:
+            pairs.append((min(u, v), max(u, v)))
+    batch = [
+        ("+" if rng.random() < 0.5 else "-", *pairs[int(i)])
+        for i in rng.integers(0, len(pairs), size=size)
+    ]
+    rng.shuffle(batch)
+    return batch
+
+
+class TestDeltaRule:
+    """The sparse delta under mixed batches, both layouts, both
+    ownership modes, on a sparse graph and a hub graph."""
+
+    GRAPHS = {
+        "er": lambda: erdos_renyi(70, 120, rng=71),
+        "chung_lu": lambda: Graph.from_edges(
+            powerlaw_edges(90, 200, 2.2, seed=72), 90
+        ),
+    }
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    @pytest.mark.parametrize("kind", ["er", "chung_lu"])
+    def test_mixed_batches_with_repeated_pairs(self, kind, layout, in_place):
+        """Churn, then a batch that deletes three quarters of the edges
+        while inserting new pairs (keys die), then one that puts them
+        back while deleting others (keys are born), then churn again —
+        each batch naming some pairs twice."""
+        graph = self.GRAPHS[kind]()
+        k = 5
+        coloring = ColoringScheme.uniform(
+            graph.num_vertices, k, rng=np.random.default_rng(73)
+        )
+        table = build_table(graph, coloring, layout=layout)
+        rng = np.random.default_rng(74)
+        edges = _edge_list(graph)
+        gone = [
+            edges[int(i)]
+            for i in rng.choice(len(edges), 3 * len(edges) // 4, replace=False)
+        ]
+        born = died = 0
+        for step in range(4):
+            if step == 1:
+                batch = [("-", u, v) for u, v in gone] + [
+                    ("+", *gone[0]), ("-", *gone[0]),
+                ] + _mixed_batch(rng, graph, 3, 0)
+            elif step == 2:
+                batch = [("+", u, v) for u, v in gone] + [
+                    ("-", *gone[1]), ("+", *gone[1]),
+                ] + _mixed_batch(rng, graph, 0, 3)
+            else:
+                batch = _churn_batch(rng, graph, 10)
+            before = [set(table.layer(h).keys) for h in range(1, k + 1)]
+            result = apply_edge_updates(
+                table, graph, batch, coloring, in_place=in_place
+            )
+            fresh = build_table(result.graph, coloring, layout=layout)
+            _assert_tables_equal(fresh, result.table, k)
+            assert result.delta_rebuilds == 0
+            # Level 2 changes at both ends of every two-colored edge.
+            _op, u, v = result.changes.T
+            colors = coloring.colors
+            assert (result.delta_entries > 0) == bool(
+                (colors[u] != colors[v]).any()
+            )
+            for h, keys in enumerate(before, start=1):
+                after = set(result.table.layer(h).keys)
+                born += len(after - keys)
+                died += len(keys - after)
+            graph, table = result.graph, result.table
+        assert born and died, (born, died)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_same_color_edges_change_nothing(self, layout, in_place):
+        """No colorful copy uses an edge between two vertices of one
+        color: the update changes no entry, copies no layer, and still
+        equals a fresh build on the changed graph."""
+        n, k = 60, 4
+        graph = erdos_renyi(n, 150, rng=75)
+        coloring = ColoringScheme.uniform(n, k, rng=76)
+        colors = coloring.colors
+        table = build_table(graph, coloring, layout=layout)
+        same = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if colors[u] == colors[v]
+        ]
+        batch = [("-", u, v) for u, v in same if graph.has_edge(u, v)][:3]
+        batch += [("+", u, v) for u, v in same if not graph.has_edge(u, v)][:3]
+        layers = [table.layer(h) for h in range(1, k + 1)]
+        result = apply_edge_updates(
+            table, graph, batch, coloring, in_place=in_place
+        )
+        assert result.updates_applied == len(batch) == 6
+        assert result.delta_entries == 0
+        assert result.rows_touched == 0
+        assert result.delta_rebuilds == 0
+        for h in range(1, k + 1):
+            assert result.table.layer(h) is layers[h - 1]
+        _assert_tables_equal(
+            build_table(result.graph, coloring, layout=layout),
+            result.table, k,
+        )
+
+
+class TestExactnessBound:
+    """Past ``β_max · max count < 2^53`` the update is the oracle.
+
+    A star at ``k = 6`` whose center has color 0 and whose leaves cycle
+    through colors 1..5: the 0-rooted size-6 count at the center grows
+    with the fifth power of the leaf count, and 5,600 leaves put
+    ``β · max`` at 2^52.97.  A change at the center reaches every leaf,
+    as a rebuild does, so the volume guard is lifted here: only the
+    exactness bound decides.
+    """
+
+    K = 6
+    LEAVES = 5600
+
+    @pytest.fixture(autouse=True)
+    def _no_volume_guard(self, monkeypatch):
+        monkeypatch.setattr(incremental, "_REBUILD_RATIO", 1)
+
+    def _star(self, leaves: int, spare: int):
+        n = leaves + 1 + spare
+        graph = Graph.from_edges([(0, i) for i in range(1, leaves + 1)], n)
+        colors = np.asarray([0] + [1 + i % (self.K - 1) for i in range(n - 1)])
+        return graph, ColoringScheme(k=self.K, colors=colors)
+
+    def _past_bound(self, table) -> bool:
+        plans = compile_plans(TreeletRegistry(self.K))
+        return any(
+            plans[h].betas.max() * table.layer(h).max_value() >= 2.0**53
+            for h in range(2, self.K + 1)
+        )
+
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_below_bound_updates_by_delta(self, layout):
+        graph, coloring = self._star(self.LEAVES, 1)
+        table = build_table(graph, coloring, layout=layout)
+        assert not self._past_bound(table)
+        result = apply_edge_updates(
+            table, graph, [("+", 0, self.LEAVES + 1)], coloring
+        )
+        assert result.delta_rebuilds == 0 and result.delta_entries > 0
+        fresh = build_table(result.graph, coloring, layout=layout)
+        assert not self._past_bound(fresh)
+        _assert_tables_equal(fresh, result.table, self.K)
+
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_insertions_past_bound_rebuild(self, layout):
+        """The old table is exact; the new values cross the bound."""
+        graph, coloring = self._star(self.LEAVES, 100)
+        table = build_table(graph, coloring, layout=layout)
+        assert not self._past_bound(table)
+        batch = [("+", 0, self.LEAVES + 1 + i) for i in range(100)]
+        instrumentation = Instrumentation()
+        result = apply_edge_updates(
+            table, graph, batch, coloring, instrumentation=instrumentation,
+        )
+        assert result.delta_rebuilds == 1 and result.delta_entries == 0
+        assert instrumentation.counters["delta_rebuilds"] == 1
+        fresh = build_table(result.graph, coloring, layout=layout)
+        assert self._past_bound(fresh)
+        _assert_tables_equal(fresh, result.table, self.K)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_table_past_bound_rebuilds(self, in_place):
+        """A table already past the bound never takes the delta, and the
+        counter reports the rebuild."""
+        graph, coloring = self._star(self.LEAVES + 100, 0)
+        table = build_table(graph, coloring)
+        assert self._past_bound(table)
+        result = apply_edge_updates(
+            table, graph, [("-", 0, 1)], coloring, in_place=in_place
+        )
+        assert result.delta_rebuilds == 1
+        assert result.stats()["delta_rebuilds"] == 1
+        _assert_tables_equal(
+            build_table(result.graph, coloring), result.table, self.K
+        )
 
 
 class TestCounterUpdateAcrossStores:

@@ -100,6 +100,31 @@ def partially_colored_case(draw):
 
 
 @st.composite
+def churned_partial_case(draw):
+    """A :func:`partially_colored_case` graph with a mixed batch naming
+    pairs more than once: present edges toggled out (and maybe back),
+    absent pairs in (and maybe out), duplicates — the last op wins, and
+    a dense enough batch kills keys in the deletion pass and revives or
+    creates them in the insertion pass."""
+    k = draw(st.integers(min_value=3, max_value=5))
+    graph, coloring = draw(colored_graph(k, strict_palette=True))
+    n = graph.num_vertices
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda edge: edge[0] != edge[1])
+    edges = list(graph.edges())
+    pairs = draw(st.lists(pair, max_size=4))
+    if edges:
+        pairs += draw(st.lists(st.sampled_from(edges), max_size=6))
+    ops = st.sampled_from(["+", "-"])
+    updates = [(draw(ops), u, v) for u, v in pairs for _ in range(
+        draw(st.integers(min_value=1, max_value=3))
+    )]
+    return graph, coloring, draw(st.permutations(updates))
+
+
+@st.composite
 def colored_graph_any_k(draw):
     """A :func:`colored_graph` case at a drawn k = 3–5."""
     k = draw(st.integers(min_value=3, max_value=5))
@@ -169,7 +194,10 @@ class TestPartialLayers:
     """Missing colors and edgeless graphs leave layers holding only part
     of their key universe; every builder must still equal the oracle."""
 
-    @given(partially_colored_case(), st.booleans())
+    @given(
+        st.one_of(partially_colored_case(), churned_partial_case()),
+        st.booleans(),
+    )
     @settings(
         max_examples=40,
         deadline=None,

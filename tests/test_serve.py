@@ -1256,6 +1256,8 @@ class TestTelemetryNameStability:
         assert sorted(health["updates"]) == [
             "applied",
             "batches",
+            "delta_entries",
+            "delta_rebuilds",
             "propagate_seconds",
             "rows_touched",
         ]

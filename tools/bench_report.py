@@ -168,6 +168,16 @@ def _row_incremental(p):
         (pt["batch_size"] for pt in curve if pt.get("speedup", 9e9) < 1.0),
         None,
     )
+    rebuilt = next(
+        (pt["batch_size"] for pt in curve if pt.get("delta_rebuilds", 0)),
+        None,
+    )
+    curve_text = (
+        f"loses to rebuild by batch={crossover}" if crossover is not None
+        else "never loses to rebuild"
+    )
+    if rebuilt is not None:
+        curve_text += f", rebuilds from batch={rebuilt}"
     return (
         "incremental updates",
         _get(p, "workloads", "er_trickle", "graph", default="?"),
@@ -175,8 +185,7 @@ def _row_incremental(p):
         f"{_fmt(_get(head, 'incremental_seconds', default=0) * 1e3, '{:,.0f}')}ms "
         f"vs rebuild "
         f"{_fmt(_get(head, 'rebuild_seconds', default=0) * 1e3, '{:,.0f}')}ms "
-        f"(**{_fmt(_get(head, 'speedup'))}x**; loses to rebuild by batch="
-        f"{_fmt(crossover, '{}')})",
+        f"(**{_fmt(_get(head, 'speedup'))}x**; {curve_text})",
         _get(p, "bit_identical"),
     )
 
