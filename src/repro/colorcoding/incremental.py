@@ -58,7 +58,9 @@ nonzero Δ — of each changed level: dense layers through
 :meth:`~repro.table.count_table.DenseLayer.patch_columns` on a matrix
 the caller gave up or the first pass made), succinct ones through
 :meth:`~repro.table.count_table.SuccinctLayer.spliced`.  A level whose
-Δ is empty keeps its layer object.
+Δ is empty keeps its layer object.  The result reports each size's
+rewritten columns (:attr:`DeltaResult.support`), which the sampling
+plane patches into the dense copies it carries across updates.
 
 Telemetry: ``count.delta_updates_total`` (edge changes applied),
 ``count.delta_rows_touched`` (support columns summed over levels and
@@ -152,6 +154,13 @@ class DeltaResult:
     delta_rebuilds:
         1 when the batch left the exactness bound or outgrew a rebuild
         and the table is :func:`build_table`'s, else 0.
+    support:
+        Per changed size, the sorted vertices whose column of that
+        layer the batch rewrote: the union of both passes' support
+        columns.  A size it leaves out keeps its layer object.
+        ``None`` when the table is the rebuild's.  The sampling plane
+        patches its carried fill sources at these columns (see
+        :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).
     """
 
     table: CountTable
@@ -167,6 +176,7 @@ class DeltaResult:
     )
     delta_entries: int = 0
     delta_rebuilds: int = 0
+    support: Optional[Dict[int, np.ndarray]] = field(default_factory=dict)
 
     def stats(self) -> Dict[str, int]:
         """The batch's counters under the names the update APIs report
@@ -881,16 +891,16 @@ def apply_edge_updates(
         added, removed, endpoints = graph.resolve_updates(updates)
         if endpoints.size == 0:
             return DeltaResult(table, graph, endpoints, 0, 0, 0, 0)
-        new_graph, _touched = graph.apply_updates(updates)
+        new_graph = graph.with_changes(added, removed)
         colors = np.asarray(coloring.colors, dtype=np.int64)
         current, before = table, graph
-        owned: set = set()
+        support: Dict[int, np.ndarray] = {}
         rows_touched = entries = rebuilds = 0
         for edges, sign in ((removed, -1), (added, 1)):
             if edges.size == 0:
                 continue
             after = new_graph if sign > 0 or added.size == 0 else (
-                graph.apply_updates(change_rows(edges[:0], edges, n))[0]
+                graph.with_changes(edges[:0], edges)
             )
             delta_pass = _Pass(
                 current, before, after, edges, sign, colors, registry
@@ -905,12 +915,16 @@ def apply_edge_updates(
             for size in range(1, k + 1):
                 layer = current.layer(size)
                 if size in patches:
+                    cols = patches[size].cols
                     layer = _successor(
                         delta_pass.reads[size], delta_pass.universe[size],
-                        patches[size], in_place or size in owned,
+                        patches[size], in_place or size in support,
                     )
-                    owned.add(size)
-                    rows_touched += patches[size].cols.size
+                    support[size] = (
+                        np.union1d(support[size], cols)
+                        if size in support else cols
+                    )
+                    rows_touched += cols.size
                     entries += patches[size].entries
                 successor.set_layer(layer)
             current, before = successor, after
@@ -934,5 +948,6 @@ def apply_edge_updates(
         changes=change_rows(added, removed, n),
         delta_entries=entries,
         delta_rebuilds=rebuilds,
+        support=None if rebuilds else support,
     )
 

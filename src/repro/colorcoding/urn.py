@@ -91,6 +91,10 @@ sends each read an update may have staled — a size-``h`` key at a
 vertex whose distance to the updated endpoints is below ``h`` — through
 its segment store of exact running sums over the current adjacency
 (:meth:`TreeletUrn.take_gathered`).  A fresh urn never consults it.
+Segment fills read succinct layers through dense copies decoded once
+(:meth:`TreeletUrn._segment_source`); those are carried too, with the
+columns the batch rewrote patched in, so a count after an update
+decodes no layer a previous count already decoded.
 
 Table layouts: every table access goes through the
 :class:`~repro.table.count_table.LayerView` protocol (``row_values`` for
@@ -123,9 +127,15 @@ from repro.colorcoding.descent import (
     compile_program,
     table_keys_digest,
 )
+from repro.colorcoding.level import row_edges
 from repro.graph.graph import Graph
 from repro.telemetry.tracing import span as _trace_span
-from repro.table.count_table import CountTable, DenseLayer, LayerView
+from repro.table.count_table import (
+    CountTable,
+    DenseLayer,
+    LayerView,
+    SuccinctLayer,
+)
 from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
 from repro.util.alias import AliasSampler
@@ -191,6 +201,18 @@ def _segment_sums(
                 matrix[slots, ends[where]] - matrix[slots, starts[where]]
             )
     return totals
+
+
+def _write_records(
+    records: np.ndarray, layer: SuccinctLayer, verts: np.ndarray
+) -> None:
+    """Write the succinct ``layer``'s stored pairs at the ascending
+    vertices ``verts`` into the vertex-major ``records`` (one row per
+    vertex, one column per key row)."""
+    local_ptr, positions = row_edges(layer.indptr, verts)
+    records[
+        np.repeat(verts, np.diff(local_ptr)), layer.key_row[positions]
+    ] = layer.values[positions]
 
 
 class _UniformRow:
@@ -429,6 +451,7 @@ class TreeletUrn:
         self,
         previous: "TreeletUrn",
         dirty_radii: Optional[np.ndarray],
+        support: Optional[Dict[int, np.ndarray]] = None,
     ) -> bool:
         """Take over ``previous``'s gathered-cumulative store.
 
@@ -461,6 +484,14 @@ class TreeletUrn:
         (the serving plane holds the old handle's draw lock), so the
         hand-over point cannot move.
 
+        With ``support`` — the batch's rewritten columns per layer size
+        (:attr:`repro.colorcoding.incremental.DeltaResult.support`) —
+        this urn also takes over the dense fill sources ``previous``'s
+        segment fills decoded (:meth:`_segment_source`) and rewrites
+        their ``support`` columns from its own layers, so its fills
+        decode no layer again.  ``previous`` gives them up and decodes
+        afresh if an in-flight draw fills again.
+
         Returns ``False`` and leaves both urns as they were when there
         are no labels, the program was not carried over (gathered-key
         ids would renumber), ``previous`` never materialized a store,
@@ -491,7 +522,35 @@ class TreeletUrn:
         self._gathered_row_budget = previous._gathered_row_budget
         self._row_bytes = previous._row_bytes
         previous._gathered_row_budget = previous._gathered_cached_rows
+        if support is not None:
+            self._take_sources(previous, support)
         return True
+
+    def _take_sources(
+        self, previous: "TreeletUrn", support: Dict[int, np.ndarray]
+    ) -> None:
+        """Carry ``previous``'s dense fill sources over to this urn's
+        table: a source of a layer the batch left as it was carries as
+        it is, one of a rewritten layer gets its ``support`` columns
+        rewritten in place from that layer, and one whose keys changed
+        is dropped, to be decoded when next read."""
+        sources, previous._dense_sources = previous._dense_sources, {}
+        patched = 0
+        for size, source in sources.items():
+            layer = self.table.layer(size)
+            if layer.keys != source.keys:
+                continue
+            cols = support.get(size)
+            if cols is not None:
+                records = source.counts.T
+                records[cols] = 0.0
+                _write_records(records, layer, cols)
+                patched += int(cols.size)
+            self._dense_sources[size] = source
+        if patched:
+            self.instrumentation.count(
+                "segment_source_patched_columns", patched
+            )
 
     # ------------------------------------------------------------------
     # Global quantities
@@ -956,7 +1015,11 @@ class TreeletUrn:
     def _segment_source(self, size: int) -> LayerView:
         """Where segment fills read size-``size`` counts: the table's
         layer, or a dense copy of a succinct one while the budget holds
-        it, so fills gather instead of binary-searching records."""
+        it, so fills gather instead of binary-searching records.  Each
+        copy is decoded once (``segment_source_decodes``) and passes to
+        the successor urn with the store (:meth:`take_gathered`).  It
+        is held vertex-major, one contiguous record per vertex, so a
+        hand-over rewrites a column as one row."""
         source = self._dense_sources.get(size)
         if source is not None:
             return source
@@ -965,7 +1028,14 @@ class TreeletUrn:
             8 * layer.num_keys * layer.num_vertices > self._segment_room()
         ):
             return layer
-        source = DenseLayer(size, layer.keys, layer.dense_counts())
+        records = np.zeros(
+            (layer.num_vertices, layer.num_keys), dtype=np.float64
+        )
+        _write_records(
+            records, layer, np.arange(layer.num_vertices, dtype=np.int64)
+        )
+        source = DenseLayer(size, layer.keys, records.T)
+        self.instrumentation.count("segment_source_decodes")
         self._dense_sources[size] = source
         return source
 

@@ -345,7 +345,21 @@ class Graph:  # repro: pool-transport
         count — deleting a vertex's last edge isolates it, it does not
         shrink the graph) and the sorted endpoint vertices whose
         adjacency actually changed.  See :meth:`resolve_updates` for the
-        batch semantics.
+        batch semantics; the resolved changes go to
+        :meth:`with_changes`.
+        """
+        added, removed, touched = self.resolve_updates(updates)
+        return self.with_changes(added, removed), touched
+
+    def with_changes(self, added: np.ndarray, removed: np.ndarray) -> "Graph":
+        """The graph with resolved edge changes applied.
+
+        ``added`` and ``removed`` are packed ``u*n + v`` keys (``u <
+        v``) as :meth:`resolve_updates` reports them: edges absent from
+        and present in this graph respectively, each once.  Callers
+        that already resolved a batch pass its changes here instead of
+        resolving it again through :meth:`apply_updates`.  With no
+        change this graph itself is returned.
 
         The new graph's fingerprint is recomputed eagerly before
         returning.  It is deliberately the same *content* hash a fresh
@@ -363,9 +377,8 @@ class Graph:  # repro: pool-transport
         incremental maintenance from paying an ``O(m log m)`` toll
         before the table work even starts.
         """
-        added, removed, touched = self.resolve_updates(updates)
-        if touched.size == 0:
-            return self, touched
+        if added.size == 0 and removed.size == 0:
+            return self
         n = np.int64(self._n)
         keys = self._sorted_edge_keys()
         indices = self._indices
@@ -395,7 +408,7 @@ class Graph:  # repro: pool-transport
         updated = Graph(indptr, np.ascontiguousarray(indices))
         updated._edge_keys = keys
         updated.fingerprint()
-        return updated, touched
+        return updated
 
     # ------------------------------------------------------------------
     # Derived structures

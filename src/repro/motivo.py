@@ -537,12 +537,12 @@ class MotivoCounter:
                     in_place=True,
                 )
                 new_graph, table = result.graph, result.table
-                dirty_radii = result.dirty_radii
+                dirty_radii, support = result.dirty_radii, result.support
                 stats = {"mode": "incremental", **result.stats()}
             else:
                 added, removed, touched = self.graph.resolve_updates(updates)
-                new_graph, _ = self.graph.apply_updates(updates)
-                dirty_radii = None
+                new_graph = self.graph.with_changes(added, removed)
+                dirty_radii = support = None
                 stats = {
                     "mode": "rebuild",
                     "updates_applied": int(added.size + removed.size),
@@ -576,10 +576,12 @@ class MotivoCounter:
                 stats["updates_applied"],
             )
             self.graph = new_graph
-            self._refresh_after_update(table, dirty_radii)
+            self._refresh_after_update(table, dirty_radii, support)
         return stats
 
-    def _refresh_after_update(self, table, dirty_radii=None) -> None:
+    def _refresh_after_update(
+        self, table, dirty_radii=None, support=None
+    ) -> None:
         """Advance the warm sampling machinery to the updated graph/table.
 
         The steady-state counterpart of :meth:`_finish_build`, and the
@@ -588,9 +590,10 @@ class MotivoCounter:
         :meth:`TreeletUrn.successor` builds the weight-derived state a
         fresh constructor would (root alias, totals) while keeping the
         compiled descent program; :meth:`TreeletUrn.take_gathered` —
-        given the delta's per-vertex distance labels — carries the
-        gathered-cumulative store over and serves the reads the update
-        may have staled from exact segment sums; and
+        given the delta's per-vertex distance labels and support
+        columns — carries the gathered-cumulative store and the
+        segment fills' decoded sources over and serves the reads the
+        update may have staled from exact segment sums; and
         :meth:`GraphletClassifier.successor` keeps the
         canonicalization caches.  Post-update samples stay bit-identical
         to a fresh build without paying the cold-start costs on every
@@ -613,7 +616,7 @@ class MotivoCounter:
             self.empty_urn = True
             self.instrumentation.count("empty_urn_builds")
         else:
-            urn.take_gathered(previous, dirty_radii)
+            urn.take_gathered(previous, dirty_radii, support)
             self.urn = urn
             self.empty_urn = False
         self.classifier = self.classifier.successor(self.graph)

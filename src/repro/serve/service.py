@@ -341,18 +341,23 @@ class TableHandle:
         self.table = None
 
     def hand_over(
-        self, successor: TreeletUrn, dirty_radii: Optional[np.ndarray]
+        self,
+        successor: TreeletUrn,
+        dirty_radii: Optional[np.ndarray],
+        support: Optional[Dict[int, np.ndarray]],
     ) -> None:
-        """Let ``successor`` take over this handle's gathered store.
+        """Let ``successor`` take over this handle's gathered store and
+        fill sources.
 
         Runs under the draw lock, so no draw on this handle's urn is
-        mid-append while the hand-over point is taken; afterwards this
-        urn only reads its rows below that point and builds later
-        misses transiently (:meth:`TreeletUrn.take_gathered`).
+        mid-append or mid-fill while the hand-over point is taken;
+        afterwards this urn only reads its rows below that point,
+        builds later misses transiently and decodes its own fill
+        sources again if it needs them (:meth:`TreeletUrn.take_gathered`).
         """
         with self._draw_lock:
             if self.urn is not None:
-                successor.take_gathered(self.urn, dirty_radii)
+                successor.take_gathered(self.urn, dirty_radii, support)
 
     # -- coalesced draws ----------------------------------------------
 
@@ -1187,7 +1192,7 @@ class SamplingService:
             instrumentation=instrumentation,
         )
         if urn is not None:
-            handle.hand_over(urn, result.dirty_radii)
+            handle.hand_over(urn, result.dirty_radii, result.support)
         successor = TableHandle(
             key=handle.key,
             directory=handle.directory,

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.artifacts import (
+    ArtifactCache,
     append_edge_log,
     compact_table,
     load_manifest,
@@ -53,6 +54,8 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, change_rows
 from repro.graph.io import load_graph, save_binary
 from repro.motivo import MotivoConfig, MotivoCounter
+from repro.sampling.naive import naive_estimate
+from repro.sampling.occurrences import GraphletClassifier
 from repro.serve import SamplingService, serve_http
 from repro.treelets.registry import TreeletRegistry
 from repro.util.instrument import Instrumentation
@@ -161,6 +164,32 @@ class TestGraphSplice:
         )
         assert touched.size == 0
         assert new_graph.fingerprint() == graph.fingerprint()
+
+    @pytest.mark.parametrize("inserts,deletes", [(3, 0), (0, 3), (3, 3)])
+    def test_each_batch_resolves_once(self, monkeypatch, inserts, deletes):
+        """``apply_edge_updates`` resolves a batch once and hands the
+        resolved changes on, for the new graph and for the
+        deletions-only graph of a mixed batch alike."""
+        graph = Graph.from_edges(powerlaw_edges(60, 150, seed=3), 60)
+        batch = _mixed_batch(
+            np.random.default_rng(8), graph, inserts, deletes
+        )
+        coloring = ColoringScheme.uniform(60, 4, rng=2)
+        table = build_table(graph, coloring)
+        resolves = []
+        resolve = Graph.resolve_updates
+
+        def counted(self, updates):
+            resolves.append(updates)
+            return resolve(self, updates)
+
+        monkeypatch.setattr(Graph, "resolve_updates", counted)
+        result = apply_edge_updates(table, graph, batch, coloring)
+        assert len(resolves) == 1
+        expected, _ = graph.apply_updates(batch)
+        assert result.graph.fingerprint() == expected.fingerprint()
+        assert result.graph.indptr.tobytes() == expected.indptr.tobytes()
+        assert result.graph.indices.tobytes() == expected.indices.tobytes()
 
     def test_last_op_wins_within_batch(self):
         graph = erdos_renyi(20, 40, rng=3)
@@ -1005,6 +1034,195 @@ class TestGatheredStoreRetention:
                 loop_rows=64,
             )
             graph, table, urn = result.graph, result.table, successor
+
+
+class TestCarriedFillSources:
+    """The dense copies segment fills read succinct layers through
+    survive updates: the successor urn takes them over with the store
+    and rewrites the batch's support columns from its own layers.
+
+    A chain of updates on a succinct hub-graph table — toggle pairs, a
+    batch sent to the rebuild, and a batch that removes a key (and its
+    reversal), so the program is not carried — driven through
+    ``MotivoCounter.update`` and through a served ``POST /update``.
+    After each update every source equals its layer decoded afresh,
+    the next count equals a one-shot replay, and batched draws equal
+    ``method="loop"``.
+    """
+
+    K = 4
+    N = 200
+    SAMPLES = 400
+
+    def _host(self) -> Graph:
+        return Graph.from_edges(
+            powerlaw_edges(self.N, 600, 2.2, seed=5), self.N
+        )
+
+    def _steps(self, host: Graph, colors: np.ndarray):
+        """``(kind, batch)`` pairs; kind ``"rebuild"`` runs with the
+        volume guard set so that any delta outgrows it."""
+        degrees = np.diff(host.indptr)
+        hub = int(np.argmax(degrees))
+        # Leaves first: a toggle to one makes and then kills entries.
+        others = sorted(
+            (
+                v for v in range(self.N)
+                if colors[v] != colors[hub] and not host.has_edge(hub, v)
+            ),
+            key=lambda v: (degrees[v], v),
+        )
+        # Every edge between colors 1 and 2: without them the size-2 key
+        # of that color pair (and the keys above it) is gone.
+        pair = [
+            (u, v) for u, v in host.edges()
+            if {int(colors[u]), int(colors[v])} == {1, 2}
+        ]
+        return [
+            ("toggle", [("+", hub, others[0])]),
+            ("toggle", [("-", hub, others[0])]),
+            ("toggle", [("+", hub, others[1])]),
+            ("rebuild", [("-", hub, others[1])]),
+            ("toggle", [("+", hub, others[2])]),
+            ("keys", [("-", u, v) for u, v in pair]),
+            ("keys", [("+", u, v) for u, v in pair]),
+            ("toggle", [("-", hub, others[2])]),
+        ]
+
+    @staticmethod
+    def _assert_sources_current(urn: TreeletUrn) -> None:
+        for size, source in urn._dense_sources.items():
+            layer = urn.table.layer(size)
+            assert layer.layout == "succinct"
+            assert source.keys == layer.keys
+            assert np.array_equal(source.counts, layer.dense_counts()), size
+
+    def _check_step(self, kind, stats, previous, urn, carried) -> None:
+        """The hand-over's effect on the fill sources: carried whole
+        across a delta that keeps the program, dropped across a rebuild
+        or a key change."""
+        assert stats["delta_rebuilds"] == (kind == "rebuild")
+        assert (urn._program is previous._program) == (kind != "keys")
+        if kind == "toggle":
+            assert set(urn._dense_sources) == carried
+            assert previous._dense_sources == {}
+        else:
+            assert urn._dense_sources == {}
+        self._assert_sources_current(urn)
+
+    def _assert_loop(self, urn: TreeletUrn, seed: int) -> None:
+        uniforms = np.random.default_rng(seed).random((256, urn.draw_width))
+        batched = urn.sample_batch(256, uniforms=uniforms)
+        loop = urn.sample_batch(256, uniforms=uniforms, method="loop")
+        for got, want in zip(batched, loop):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def _with_guard(monkeypatch, kind: str, update):
+        if kind != "rebuild":
+            return update()
+        with monkeypatch.context() as patch:
+            patch.setattr(incremental, "_MIN_VOLUME", 0)
+            patch.setattr(incremental, "_REBUILD_RATIO", 1 << 40)
+            return update()
+
+    def _one_shot(self, graph, coloring, seed):
+        table = build_table(graph, coloring, layout="succinct")
+        return naive_estimate(
+            TreeletUrn(graph, table, coloring),
+            GraphletClassifier(graph, self.K),
+            self.SAMPLES,
+            np.random.default_rng(seed),
+        )
+
+    def test_counter_updates(self, monkeypatch):
+        host = self._host()
+        counter = MotivoCounter(
+            host, MotivoConfig(k=self.K, seed=11, table_layout="succinct")
+        )
+        counter.build()
+        counter.sample_naive(500)
+        counters = counter.instrumentation.counters
+        colors = np.asarray(counter.coloring.colors)
+        for step, (kind, batch) in enumerate(self._steps(host, colors)):
+            previous = counter.urn
+            carried = set(previous._dense_sources)
+            stats = self._with_guard(
+                monkeypatch, kind, lambda: counter.update(batch)
+            )
+            urn = counter.urn
+            self._check_step(kind, stats, previous, urn, carried)
+            decodes = counters.get("segment_source_decodes", 0)
+            seed = 900 + step
+            ours = self._one_shot(counter.graph, counter.coloring, seed)
+            got = naive_estimate(
+                urn, counter.classifier, self.SAMPLES,
+                np.random.default_rng(seed),
+            )
+            assert (got.counts, got.hits) == (ours.counts, ours.hits)
+            self._assert_sources_current(urn)
+            # A fill decodes only the sizes the hand-over did not carry.
+            assert counters.get("segment_source_decodes", 0) - decodes == (
+                len(set(urn._dense_sources) - carried)
+                if kind == "toggle"
+                else len(urn._dense_sources)
+            )
+            self._assert_loop(urn, seed)
+        assert counters["segment_source_patched_columns"] > 0
+        counter.close()
+
+    def test_served_updates(self, tmp_path, monkeypatch):
+        host = self._host()
+        root = str(tmp_path / "cache")
+        built = MotivoCounter(
+            host,
+            MotivoConfig(
+                k=self.K, seed=11, artifact_dir=root,
+                artifact_codec="succinct", table_layout="succinct",
+            ),
+        )
+        built.build()
+        colors = np.asarray(built.coloring.colors)
+        built.close()
+        key = ArtifactCache(root).entries()[0].key
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            service.count(samples=500, session="warm", seed=1)
+            directory = service.open(key).directory
+            for step, (kind, batch) in enumerate(self._steps(host, colors)):
+                previous = service.open(key).urn
+                carried = set(previous._dense_sources)
+                stats = self._with_guard(
+                    monkeypatch, kind, lambda: service.update(batch)
+                )
+                urn = service.open(key).urn
+                self._check_step(kind, stats, previous, urn, carried)
+                seed = 900 + step
+                served = service.count(
+                    samples=self.SAMPLES, session=f"s{step}", seed=seed
+                )
+                replayed = MotivoCounter.from_artifact(host, directory)
+                assert replayed.graph.fingerprint() == stats["fingerprint"]
+                ours = self._one_shot(
+                    replayed.graph, replayed.coloring, seed
+                )
+                assert (served.estimates.counts, served.estimates.hits) == (
+                    ours.counts, ours.hits
+                )
+                replayed.close()
+                self._assert_sources_current(urn)
+                self._assert_loop(urn, seed)
+            scraped = {
+                line.split()[0]: float(line.split()[1])
+                for line in service.metrics_text().splitlines()
+                if line.startswith("motivo_segment_source_")
+            }
+        assert scraped["motivo_segment_source_patched_columns_total"] > 0
+        # Each size decodes once after the first update, once after the
+        # rebuild and once after the key change, never per update.
+        assert 0 < scraped["motivo_segment_source_decodes_total"] <= (
+            3 * self.K
+        )
 
 
 def _logged_update(directory: str, counter: MotivoCounter, batch) -> dict:

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SamplingError
+from repro.graph.graph import Graph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
     path_graph,
 )
+from repro.graphlets.canonical import canonical_form
+from repro.graphlets.encoding import adjacency_sets, relabel
 from repro.graphlets.enumerate import (
     clique_graphlet,
     cycle_graphlet,
@@ -120,6 +126,99 @@ class TestClassifier:
                     assert np.array_equal(got, want)
         finally:
             sys.setswitchinterval(previous)
+
+
+def _refined_reference(bits: int, k: int) -> int:
+    """Colour refinement as the classifier documents it: order by
+    degree, then by two rounds of neighbour-key sums, ties in label
+    order."""
+    adjacency = adjacency_sets(bits, k)
+    keys = [len(adjacency[v]) for v in range(k)]
+    bound = k
+    for _round in range(2):
+        keys = [
+            keys[v] * k * bound + sum(keys[u] for u in adjacency[v])
+            for v in range(k)
+        ]
+        bound = k * bound * bound
+    position = [0] * k
+    for rank, v in enumerate(sorted(range(k), key=keys.__getitem__)):
+        position[v] = rank
+    return relabel(bits, k, position)
+
+
+@st.composite
+def _relabelled_graphlets(draw):
+    """``(k, blocks)``: one to three random connected ``k``-vertex
+    graphs (a random tree plus random chords), each with random vertex
+    orders."""
+    k = draw(st.integers(min_value=3, max_value=7))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    blocks = []
+    for _graph in range(draw(st.integers(min_value=1, max_value=3))):
+        tree = {
+            (draw(st.integers(min_value=0, max_value=v - 1)), v)
+            for v in range(1, k)
+        }
+        chords = draw(st.sets(st.sampled_from(pairs)))
+        orders = draw(st.lists(
+            st.permutations(list(range(k))), min_size=1, max_size=6
+        ))
+        blocks.append((sorted(tree | chords), orders))
+    return k, blocks
+
+
+class TestRefinedCanonicalization:
+    """``classify_batch`` canonicalizes each new pattern through its
+    colour-refined relabelling, memoized by the relabelled bits."""
+
+    @given(_relabelled_graphlets())
+    @settings(max_examples=80, deadline=None)
+    def test_relabellings_classify_canonically(self, data):
+        k, blocks = data
+        host = Graph.from_edges(
+            [
+                (block * k + u, block * k + v)
+                for block, (edges, _orders) in enumerate(blocks)
+                for u, v in edges
+            ],
+            k * len(blocks),
+        )
+        rows = np.array([
+            [block * k + v for v in order]
+            for block, (_edges, orders) in enumerate(blocks)
+            for order in orders
+        ])
+        classifier = GraphletClassifier(host, k)
+        got = classifier.classify_batch(rows)
+        bits = [classifier.induced_bits(row) for row in rows.tolist()]
+        assert got.tolist() == [canonical_form(b, k) for b in bits]
+
+        distinct = sorted(set(bits))
+        refined = [_refined_reference(b, k) for b in distinct]
+        assert classifier._refined(np.array(distinct)).tolist() == refined
+        assert 0 < classifier.canonicalizations <= len(set(refined))
+        assert classifier.stats_snapshot()["count.canonicalizations"] == (
+            classifier.canonicalizations
+        )
+
+        successor = classifier.successor(host)
+        assert np.array_equal(successor.classify_batch(rows), got)
+        assert successor.canonicalizations == classifier.canonicalizations
+
+    def test_isomorphic_patterns_share_one_canonicalization(self):
+        """All 720 labellings of a triangle with a three-edge tail refine
+        to one pattern: degrees and neighbour sums separate every
+        vertex but the triangle's two far corners, which an
+        automorphism swaps."""
+        k = 6
+        host = Graph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)], k
+        )
+        rows = np.array(list(itertools.permutations(range(k))))
+        classifier = GraphletClassifier(host, k)
+        assert len(set(classifier.classify_batch(rows).tolist())) == 1
+        assert classifier.canonicalizations == 1
 
 
 class TestEstimatesContainer:
