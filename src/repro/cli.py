@@ -792,7 +792,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         load_manifest,
         log_rows,
     )
-    from repro.graph.graph import change_rows
     from repro.graph.io import load_updates
 
     manifest = load_manifest(args.artifact)
@@ -817,13 +816,13 @@ def _cmd_update(args: argparse.Namespace) -> int:
     try:
         counter.configure_telemetry(_telemetry_config(args))
         counter.config.incremental_updates = not args.rebuild
-        added, removed, _ = counter.graph.resolve_updates(updates)
         stats = counter.update(updates)
+        changes = stats.pop("changes")
         if stats["updates_applied"]:
             manifest = append_edge_log(
                 args.artifact,
                 manifest,
-                change_rows(added, removed, graph.num_vertices),
+                changes,
                 counter.graph,
                 instrumentation=counter.instrumentation,
             )

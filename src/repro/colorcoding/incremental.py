@@ -53,19 +53,29 @@ reads sends the batch to :func:`build_table`, the oracle
 
 Patching.  Each pass computes every level's triples first, reading only
 its input table, then rewrites the support columns — the vertices with a
-nonzero Δ — of each changed level: dense layers through
-:meth:`~repro.table.count_table.DenseLayer.patched` (or
-:meth:`~repro.table.count_table.DenseLayer.patch_columns` on a matrix
-the caller gave up or the first pass made), succinct ones through
+nonzero Δ — of each changed level.  A dense level whose keys stay is
+written through :meth:`~repro.table.count_table.DenseLayer.patch_columns`
+into a layer the caller gave up: the table's own under ``in_place``, the
+first pass's successor in the second pass, or a *spare* — a layer of a
+superseded version, first caught up at its stale columns (the
+Left-Right scheme of Ramalhete and Correia: the writer works on the copy
+no reader uses, so a write costs twice the change, not the table).
+Where none is free the layer is copied
+(:meth:`~repro.table.count_table.DenseLayer.patched`); key-changing dense
+levels get a new matrix, succinct ones
 :meth:`~repro.table.count_table.SuccinctLayer.spliced`.  A level whose
 Δ is empty keeps its layer object.  The result reports each size's
-rewritten columns (:attr:`DeltaResult.support`), which the sampling
-plane patches into the dense copies it carries across updates.
+rewritten columns with their final counts (:attr:`DeltaResult.support`),
+which the sampling plane copies into the dense fill sources it carries
+across updates, and the next spares (:attr:`DeltaResult.spares`): every
+dense layer the batch replaced, stale at the batch's support.
 
 Telemetry: ``count.delta_updates_total`` (edge changes applied),
 ``count.delta_rows_touched`` (support columns summed over levels and
 passes), ``count.delta_entries`` (changed ``(key, vertex)`` entries),
-``count.delta_rebuilds`` (batches sent to the oracle) and
+``count.delta_rebuilds`` (batches sent to the oracle),
+``count.delta_layers_recycled`` / ``count.delta_layers_copied`` (changed
+dense layers written into a spare / copied) and
 ``time.delta_propagate`` accumulate into the caller's instrumentation —
 names deliberately distinct from the build counters.
 """
@@ -96,7 +106,13 @@ from repro.table.count_table import (
 from repro.treelets.registry import TreeletRegistry
 from repro.util.instrument import Instrumentation
 
-__all__ = ["DeltaResult", "apply_edge_updates", "touched_frontiers"]
+__all__ = [
+    "DeltaResult",
+    "Spare",
+    "Support",
+    "apply_edge_updates",
+    "touched_frontiers",
+]
 
 Key = Tuple[int, int]
 
@@ -115,6 +131,28 @@ _REBUILD_RATIO = 48
 #: The volume every pass may spend, however small the graph: there the
 #: fixed costs dominate either way.
 _MIN_VOLUME = 1 << 16
+
+
+class Support(NamedTuple):
+    """A changed size's rewritten columns and their final counts:
+    ``counts`` is ``num_keys × len(cols)`` float64 over the successor
+    layer's key rows."""
+
+    cols: np.ndarray
+    counts: np.ndarray
+
+
+class Spare(NamedTuple):
+    """A writable dense layer no reader uses — typically one a
+    superseded version held — and its ``stale`` columns: the sorted
+    vertices where it differs from the current table's layer of its
+    size, whose keys it has."""
+
+    layer: DenseLayer
+    stale: np.ndarray
+
+
+_NO_COLUMNS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -156,11 +194,23 @@ class DeltaResult:
         and the table is :func:`build_table`'s, else 0.
     support:
         Per changed size, the sorted vertices whose column of that
-        layer the batch rewrote: the union of both passes' support
-        columns.  A size it leaves out keeps its layer object.
-        ``None`` when the table is the rebuild's.  The sampling plane
-        patches its carried fill sources at these columns (see
+        layer the batch rewrote — the union of both passes' support
+        columns — with their final counts (:class:`Support`).  A size
+        it leaves out keeps its layer object.  ``None`` when the table
+        is the rebuild's.  The sampling plane copies these columns into
+        its carried fill sources (see
         :meth:`repro.colorcoding.urn.TreeletUrn.take_gathered`).
+    spares:
+        The spares the next batch on this table may write into
+        (:class:`Spare`, by size): each dense layer the batch replaced
+        by one with the same keys, stale at this batch's support, and
+        every incoming spare of a size the batch left unchanged.  Empty
+        after a rebuild; a read-only (memory-mapped) or key-changed
+        layer yields none.
+    layers_recycled, layers_copied:
+        Changed dense layers written into an incoming spare, and
+        changed dense layers copied (a new matrix); a layer patched
+        where it lies counts as neither.
     """
 
     table: CountTable
@@ -176,7 +226,10 @@ class DeltaResult:
     )
     delta_entries: int = 0
     delta_rebuilds: int = 0
-    support: Optional[Dict[int, np.ndarray]] = field(default_factory=dict)
+    support: Optional[Dict[int, Support]] = field(default_factory=dict)
+    spares: Dict[int, Spare] = field(default_factory=dict)
+    layers_recycled: int = 0
+    layers_copied: int = 0
 
     def stats(self) -> Dict[str, int]:
         """The batch's counters under the names the update APIs report
@@ -298,7 +351,35 @@ def _group_index(
     return _GroupIndex(group.h_prime, group.h_second, by_second, by_prime)
 
 
+class _Universe(NamedTuple):
+    """One size's sorted key universe, each key's color mask, and each
+    key's universe row."""
+
+    keys: List[Key]
+    masks: np.ndarray
+    rows: Dict[Key, int]
+
+
+_UNIVERSE_CACHE: Dict[int, Dict[int, _Universe]] = {}
 _INDEX_CACHE: Dict[int, Dict[int, _LevelIndex]] = {}
+
+
+def _universe(registry: TreeletRegistry) -> Dict[int, _Universe]:
+    """Every size's key universe, cached per ``k`` (a function of ``k``
+    alone)."""
+    k = registry.k
+    universe = _UNIVERSE_CACHE.get(k)
+    if universe is None:
+        universe = {}
+        for h in range(1, k + 1):
+            keys = full_universe_keys(registry, h)
+            universe[h] = _Universe(
+                keys,
+                np.asarray([mask for _treelet, mask in keys], dtype=np.int64),
+                {key: row for row, key in enumerate(keys)},
+            )
+        _UNIVERSE_CACHE[k] = universe
+    return universe
 
 
 def _plan_index(registry: TreeletRegistry) -> Dict[int, _LevelIndex]:
@@ -308,13 +389,7 @@ def _plan_index(registry: TreeletRegistry) -> Dict[int, _LevelIndex]:
     index = _INDEX_CACHE.get(k)
     if index is None:
         compiled = compile_plans(registry)
-        masks = {
-            h: np.asarray(
-                [mask for _treelet, mask in full_universe_keys(registry, h)],
-                dtype=np.int64,
-            )
-            for h in range(1, k + 1)
-        }
+        universe = _universe(registry)
         index = {}
         for h, level in compiled.items():
             index[h] = _LevelIndex(
@@ -323,7 +398,8 @@ def _plan_index(registry: TreeletRegistry) -> Dict[int, _LevelIndex]:
                 pairs=sum(g.prime_rows.size for g in level.groups),
                 groups=tuple(
                     _group_index(
-                        g, k, masks[g.h_prime], masks[g.h_second].size
+                        g, k, universe[g.h_prime].masks,
+                        universe[g.h_second].masks.size,
                     )
                     for g in level.groups
                 ),
@@ -389,16 +465,15 @@ class _LayerReads:
     def __init__(
         self,
         layer: LayerView,
-        universe_keys: List[Key],
+        universe: _Universe,
         colors: Optional[np.ndarray] = None,
     ):
         self.layer = layer
         self.colors = colors
-        position = {key: row for row, key in enumerate(universe_keys)}
         self.universe = np.asarray(
-            [position[key] for key in layer.keys], dtype=np.int64
+            [universe.rows[key] for key in layer.keys], dtype=np.int64
         )
-        self.held = np.full(len(universe_keys), -1, dtype=np.int64)
+        self.held = np.full(len(universe.keys), -1, dtype=np.int64)
         self.held[self.universe] = np.arange(
             self.universe.size, dtype=np.int64
         )
@@ -513,16 +588,7 @@ class _Pass:
         n = np.int64(self.n)
         self.ends = np.concatenate([edges // n, edges % n])
         self.others = np.concatenate([edges % n, edges // n])
-        self.universe = {
-            size: full_universe_keys(registry, size)
-            for size in range(1, self.k + 1)
-        }
-        self.masks = {
-            size: np.asarray(
-                [mask for _treelet, mask in keys], dtype=np.int64
-            )
-            for size, keys in self.universe.items()
-        }
+        self.universe = _universe(registry)
         self.reads = {
             size: _LayerReads(
                 table.layer(size), self.universe[size],
@@ -626,7 +692,8 @@ class _Pass:
         values = np.concatenate([
             np.repeat(values, repeats), self.sign * end_values
         ])
-        keep = ((self.masks[size][rows] >> self.colors[verts]) & 1) == 0
+        masks = self.universe[size].masks
+        keep = ((masks[rows] >> self.colors[verts]) & 1) == 0
         if top:
             keep &= self.colors[verts] == 0
         return _summed(
@@ -779,34 +846,78 @@ class _Pass:
 
 
 def _successor(
-    reads: _LayerReads, universe: List[Key], patch: _Patch, writable: bool
+    reads: _LayerReads,
+    universe: _Universe,
+    patch: _Patch,
+    target: Optional[Spare],
 ) -> LayerView:
-    """The layer with ``patch`` applied: the same object patched in place
-    when ``writable`` allows and the keys stay, else a new layer."""
+    """The layer with ``patch`` applied.
+
+    A dense layer whose keys stay is written into ``target`` — a layer
+    the caller gave up, with the columns where it still differs from
+    the input layer — after those columns are copied in, and copied
+    when there is none.  Key-changing and succinct layers are new.
+    """
     layer, held = reads.layer, reads.universe
-    keys = [universe[row] for row in patch.rows]
+    keys = [universe.keys[row] for row in patch.rows]
     unchanged = np.array_equal(patch.rows, held)
     if layer.layout == "succinct":
         remap = None
         if not unchanged:
-            position = np.full(len(universe), -1, dtype=np.int64)
+            position = np.full(len(universe.keys), -1, dtype=np.int64)
             position[patch.rows] = np.arange(patch.rows.size, dtype=np.int64)
             # Carried records hold only kept keys, so no -1 is read.
             remap = position[held]
         return layer.spliced(keys, remap, patch.cols, patch.block)
-    if unchanged:
-        if writable and layer.counts.flags.writeable:
-            layer.patch_columns(patch.cols, patch.block)
-            return layer
+    if not unchanged:
+        counts = np.zeros(
+            (patch.rows.size, layer.num_vertices), dtype=np.float64
+        )
+        kept = np.isin(held, patch.rows)
+        counts[np.searchsorted(patch.rows, held[kept])] = layer.counts[
+            np.flatnonzero(kept)
+        ]
+        successor = DenseLayer(layer.size, keys, counts)
+        successor.patch_columns(patch.cols, patch.block)
+        return successor
+    if target is None:
         return layer.patched(patch.cols, patch.block)
-    counts = np.zeros((patch.rows.size, layer.num_vertices), dtype=np.float64)
-    kept = np.isin(held, patch.rows)
-    counts[np.searchsorted(patch.rows, held[kept])] = layer.counts[
-        np.flatnonzero(kept)
-    ]
-    successor = DenseLayer(layer.size, keys, counts)
-    successor.patch_columns(patch.cols, patch.block)
-    return successor
+    written, stale = target
+    if stale.size:
+        written.patch_columns(stale, layer.counts[:, stale])
+    written.patch_columns(patch.cols, patch.block)
+    return written
+
+
+def _target(
+    layer: LayerView, gave_up: bool, spares: Dict[int, Spare]
+) -> Optional[Spare]:
+    """Where a changed size's patch may be written: ``layer`` itself
+    when the caller gave it up and it is writable, else the size's
+    spare (taken: a spare is written at most once), else nowhere."""
+    if gave_up and layer.layout == "dense" and layer.counts.flags.writeable:
+        return Spare(layer, _NO_COLUMNS)
+    return spares.pop(layer.size, None)
+
+
+def _merged(
+    first: Support, second: Support,
+    first_rows: np.ndarray, second_rows: np.ndarray,
+) -> Support:
+    """One size's support over both passes, at the second's key rows
+    (``*_rows``: each pass's successor keys as universe rows).
+
+    Insertions only add keys, so the first pass's rows are among the
+    second's, and a key the second adds is zero outside its columns.
+    """
+    cols = np.union1d(first.cols, second.cols)
+    counts = np.zeros((second_rows.size, cols.size), dtype=np.float64)
+    counts[
+        np.searchsorted(second_rows, first_rows)[:, None],
+        np.searchsorted(cols, first.cols)[None, :],
+    ] = first.counts
+    counts[:, np.searchsorted(cols, second.cols)] = second.counts
+    return Support(cols, counts)
 
 
 def _oracle(
@@ -838,6 +949,7 @@ def apply_edge_updates(
     registry: Optional[TreeletRegistry] = None,
     instrumentation: Optional[Instrumentation] = None,
     in_place: bool = False,
+    spares: Optional[Dict[int, Spare]] = None,
 ) -> DeltaResult:
     """Maintain a count table under a batch of edge updates.
 
@@ -852,8 +964,8 @@ def apply_edge_updates(
         dense levels whose key set is unchanged are patched in the live
         matrices (column-local work instead of matrix copies), so the
         input table must not be read afterwards.  Read-only
-        (memory-mapped) or key-changing levels silently fall back to
-        the copying path either way.
+        (memory-mapped) levels are written into a spare or copied, and
+        key-changing levels get new matrices, either way.
     graph:
         The graph the table currently counts.
     updates:
@@ -866,6 +978,15 @@ def apply_edge_updates(
     registry, instrumentation:
         Treelet registry for ``k`` (built on demand) and the counter
         bag receiving the ``delta_*`` telemetry.
+    spares:
+        Dense layers, by size, that the caller gives up for writing —
+        the :attr:`DeltaResult.spares` of the batch that produced
+        ``table``, less any layer a reader still holds.  A changed
+        dense size whose keys stay is written into its spare, after
+        the spare's stale columns are copied in from ``table``, instead
+        of into a copy of ``table``'s layer; the bytes are the same.
+        Each spare is written at most once; pass the result's spares to
+        the next batch.
 
     Returns a :class:`DeltaResult` whose table is **bit-identical** to
     ``build_table(new_graph, coloring, ...)`` — same kept keys, same
@@ -886,15 +1007,18 @@ def apply_edge_updates(
     if registry.k != k:
         raise BuildError(f"registry is for k={registry.k}, table for k={k}")
     instrumentation = instrumentation or Instrumentation()
+    free = dict(spares or {})
 
     with instrumentation.timer("delta_propagate"):
         added, removed, endpoints = graph.resolve_updates(updates)
         if endpoints.size == 0:
-            return DeltaResult(table, graph, endpoints, 0, 0, 0, 0)
+            return DeltaResult(
+                table, graph, endpoints, 0, 0, 0, 0, spares=free
+            )
         new_graph = graph.with_changes(added, removed)
         colors = np.asarray(coloring.colors, dtype=np.int64)
         current, before = table, graph
-        support: Dict[int, np.ndarray] = {}
+        support: Dict[int, Support] = {}
         rows_touched = entries = rebuilds = 0
         for edges, sign in ((removed, -1), (added, 1)):
             if edges.size == 0:
@@ -914,26 +1038,35 @@ def apply_edge_updates(
             successor = CountTable(k, n, zero_rooted=table.zero_rooted)
             for size in range(1, k + 1):
                 layer = current.layer(size)
-                if size in patches:
-                    cols = patches[size].cols
+                patch = patches.get(size)
+                if patch is not None:
+                    target = _target(layer, in_place or size in support, free)
                     layer = _successor(
                         delta_pass.reads[size], delta_pass.universe[size],
-                        patches[size], in_place or size in support,
+                        patch, target,
                     )
-                    support[size] = (
-                        np.union1d(support[size], cols)
-                        if size in support else cols
-                    )
-                    rows_touched += cols.size
-                    entries += patches[size].entries
+                    written = Support(patch.cols, patch.block)
+                    if size in support:
+                        written = _merged(
+                            support[size], written,
+                            delta_pass.reads[size].universe, patch.rows,
+                        )
+                    support[size] = written
+                    rows_touched += patch.cols.size
+                    entries += patch.entries
                 successor.set_layer(layer)
             current, before = successor, after
+        recycled, copied, next_spares = _recycling(
+            table, current, support, free, spares or {}, rebuilds
+        )
         instrumentation.count(
             "delta_updates_total", int(added.size + removed.size)
         )
         instrumentation.count("delta_rows_touched", rows_touched)
         instrumentation.count("delta_entries", entries)
         instrumentation.count("delta_rebuilds", rebuilds)
+        instrumentation.count("delta_layers_recycled", recycled)
+        instrumentation.count("delta_layers_copied", copied)
     return DeltaResult(
         current,
         new_graph,
@@ -949,5 +1082,50 @@ def apply_edge_updates(
         delta_entries=entries,
         delta_rebuilds=rebuilds,
         support=None if rebuilds else support,
+        spares=next_spares,
+        layers_recycled=recycled,
+        layers_copied=copied,
     )
 
+
+def _recycling(
+    table: CountTable,
+    current: CountTable,
+    support: Dict[int, Support],
+    free: Dict[int, Spare],
+    spares: Dict[int, Spare],
+    rebuilt: int,
+) -> Tuple[int, int, Dict[int, Spare]]:
+    """``(recycled, copied, next spares)`` of a batch from ``table`` to
+    ``current``: the spare rule.
+
+    A changed dense layer is recycled when it is an incoming spare and
+    copied when it is neither that nor the input layer (patched where
+    it lay).  The next spares are the input layers replaced by layers
+    with the same keys, stale at the batch's support, plus the spares
+    ``free`` still holds at sizes the batch left unchanged.
+    """
+    if rebuilt:
+        return 0, 0, {}
+    recycled = copied = 0
+    following: Dict[int, Spare] = {}
+    for size in range(2, table.k + 1):
+        old, new = table.layer(size), current.layer(size)
+        if size not in support:
+            if size in free:
+                following[size] = free[size]
+            continue
+        if new.layout != "dense" or new is old:
+            continue
+        spare = spares.get(size)
+        if spare is not None and spare.layer is new:
+            recycled += 1
+        else:
+            copied += 1
+        if (
+            old.layout == "dense"
+            and old.counts.flags.writeable
+            and old.keys == new.keys
+        ):
+            following[size] = Spare(old, support[size].cols)
+    return recycled, copied, following

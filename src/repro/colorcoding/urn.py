@@ -116,7 +116,7 @@ with the unbuffered ``method="loop"`` sweep).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,6 +142,9 @@ from repro.util.alias import AliasSampler
 from repro.util.bitops import iter_subsets_of_size
 from repro.util.instrument import Instrumentation
 from repro.util.rng import RngLike, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.colorcoding.incremental import Support
 
 __all__ = ["TreeletUrn", "BatchSamples"]
 
@@ -451,7 +454,7 @@ class TreeletUrn:
         self,
         previous: "TreeletUrn",
         dirty_radii: Optional[np.ndarray],
-        support: Optional[Dict[int, np.ndarray]] = None,
+        support: Optional[Dict[int, "Support"]] = None,
     ) -> bool:
         """Take over ``previous``'s gathered-cumulative store.
 
@@ -484,11 +487,12 @@ class TreeletUrn:
         (the serving plane holds the old handle's draw lock), so the
         hand-over point cannot move.
 
-        With ``support`` — the batch's rewritten columns per layer size
+        With ``support`` — the batch's rewritten columns per layer
+        size with their final counts
         (:attr:`repro.colorcoding.incremental.DeltaResult.support`) —
         this urn also takes over the dense fill sources ``previous``'s
-        segment fills decoded (:meth:`_segment_source`) and rewrites
-        their ``support`` columns from its own layers, so its fills
+        segment fills decoded (:meth:`_segment_source`) and copies
+        those counts into their ``support`` columns, so its fills
         decode no layer again.  ``previous`` gives them up and decodes
         afresh if an in-flight draw fills again.
 
@@ -527,25 +531,23 @@ class TreeletUrn:
         return True
 
     def _take_sources(
-        self, previous: "TreeletUrn", support: Dict[int, np.ndarray]
+        self, previous: "TreeletUrn", support: Dict[int, "Support"]
     ) -> None:
         """Carry ``previous``'s dense fill sources over to this urn's
         table: a source of a layer the batch left as it was carries as
         it is, one of a rewritten layer gets its ``support`` columns
-        rewritten in place from that layer, and one whose keys changed
-        is dropped, to be decoded when next read."""
+        overwritten in place by the batch's final counts there — one
+        contiguous record per column, no layer read — and one whose
+        keys changed is dropped, to be decoded when next read."""
         sources, previous._dense_sources = previous._dense_sources, {}
         patched = 0
         for size, source in sources.items():
-            layer = self.table.layer(size)
-            if layer.keys != source.keys:
+            if self.table.layer(size).keys != source.keys:
                 continue
-            cols = support.get(size)
-            if cols is not None:
-                records = source.counts.T
-                records[cols] = 0.0
-                _write_records(records, layer, cols)
-                patched += int(cols.size)
+            written = support.get(size)
+            if written is not None:
+                source.counts.T[written.cols] = written.counts.T
+                patched += int(written.cols.size)
             self._dense_sources[size] = source
         if patched:
             self.instrumentation.count(

@@ -49,7 +49,7 @@ from repro.errors import ArtifactError, BuildError, SamplingError
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.urn import DEFAULT_DESCENT_CACHE_BYTES, TreeletUrn
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, change_rows
 from repro.graphlets.spanning import SigmaCache
 from repro.sampling.ags import AGSResult, ags_estimate
 from repro.sampling.estimates import GraphletEstimates
@@ -517,7 +517,10 @@ class MotivoCounter:
         ``edges_added``, ``edges_removed``, ``rows_touched``,
         ``touched_vertices``, ``delta_entries``, ``delta_rebuilds``
         (see :class:`~repro.colorcoding.incremental.DeltaResult`),
-        ``propagate_seconds``.
+        ``propagate_seconds``, and ``changes``: the batch's effective
+        edge changes as ``(±1, u, v)`` rows
+        (:func:`repro.graph.graph.change_rows`), resolved once — what
+        an artifact's edge log appends.
         """
         if not self._built or self.coloring is None or self._table is None:
             raise BuildError("call build() before update()")
@@ -538,11 +541,15 @@ class MotivoCounter:
                 )
                 new_graph, table = result.graph, result.table
                 dirty_radii, support = result.dirty_radii, result.support
+                changes = result.changes
                 stats = {"mode": "incremental", **result.stats()}
             else:
                 added, removed, touched = self.graph.resolve_updates(updates)
                 new_graph = self.graph.with_changes(added, removed)
                 dirty_radii = support = None
+                changes = change_rows(
+                    added, removed, self.graph.num_vertices
+                )
                 stats = {
                     "mode": "rebuild",
                     "updates_applied": int(added.size + removed.size),
@@ -568,6 +575,7 @@ class MotivoCounter:
                 else:
                     table = self._table
             stats["propagate_seconds"] = time.perf_counter() - started_at
+            stats["changes"] = changes
             if stats["updates_applied"] == 0:
                 return stats
             self._lineage = advance_lineage(

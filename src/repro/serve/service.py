@@ -90,6 +90,7 @@ from repro.artifacts import (
     require_unmoved,
 )
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.incremental import Spare, Support
 from repro.errors import ArtifactError, ReproError, SamplingError, ServeError
 from repro.graph.graph import Graph
 from repro.graphlets.spanning import SigmaCache
@@ -225,7 +226,10 @@ class TableHandle:
     A handle never changes version: an edge update builds a *successor*
     handle over the updated graph and table (:meth:`SamplingService.update`)
     and retires this one, so a request that checked it out finishes
-    wholly on the table it started on.
+    wholly on the table it started on.  The successor also keeps the
+    batch's *spares* — the dense layers its table replaced — for the
+    next update to write into once no reader holds them
+    (:attr:`repro.colorcoding.incremental.DeltaResult.spares`).
     """
 
     #: Lock contract, statically checked by repro-lint (REPRO-L001).
@@ -236,6 +240,7 @@ class TableHandle:
         "_refs": "_state_lock",
         "_closing": "_state_lock",
         "_closed": "_state_lock",
+        "_spares": "_state_lock",
         "_queue": "_queue_lock",
     }
 
@@ -253,6 +258,7 @@ class TableHandle:
         manifest: dict,
         registry: Optional[MetricsRegistry] = None,
         sigma_cache: Optional[SigmaCache] = None,
+        spares: Optional[Dict[int, Spare]] = None,
     ):
         self.key = key
         self.directory = directory
@@ -284,6 +290,7 @@ class TableHandle:
         self._refs = 0
         self._closing = False
         self._closed = False
+        self._spares: Dict[int, Spare] = dict(spares or {})
 
     # -- lifecycle -----------------------------------------------------
 
@@ -298,6 +305,26 @@ class TableHandle:
         """Whether the handle was evicted and drains to close."""
         with self._state_lock:
             return self._closing
+
+    @property
+    def closed(self) -> bool:
+        """Whether the handle closed: no request reads its table again."""
+        with self._state_lock:
+            return self._closed
+
+    def take_spares(self) -> Dict[int, Spare]:
+        """Hand the update that advances this version its spares; the
+        handle keeps none, so an update that fails after writing one
+        leaves nothing half written listed."""
+        with self._state_lock:
+            spares, self._spares = self._spares, {}
+        return spares
+
+    def spare_bytes(self) -> int:
+        """Bytes held by the spares (counts and their caches)."""
+        with self._state_lock:
+            spares = list(self._spares.values())
+        return sum(spare.layer.memory_bytes() for spare in spares)
 
     def acquire(self) -> bool:
         """Take a reference; refuses once the handle is closing."""
@@ -337,6 +364,7 @@ class TableHandle:
             if self._closed:
                 return
             self._closed = True
+            self._spares = {}
         self.urn = None
         self.table = None
 
@@ -344,7 +372,7 @@ class TableHandle:
         self,
         successor: TreeletUrn,
         dirty_radii: Optional[np.ndarray],
-        support: Optional[Dict[int, np.ndarray]],
+        support: Optional[Dict[int, Support]],
     ) -> None:
         """Let ``successor`` take over this handle's gathered store and
         fill sources.
@@ -564,6 +592,7 @@ class SamplingService:
         "_opening": "_lock",
         "_evict_gen": "_lock",
         "_update_locks": "_lock",
+        "_retired": "_lock",
         "_disk_usage": "_lock",
     }
 
@@ -597,6 +626,10 @@ class SamplingService:
         #: Serializes table updates and compactions per artifact key:
         #: concurrent ones would race on the edge log and the blobs.
         self._update_locks: Dict[str, threading.Lock] = {}
+        #: Per key, the versions an update superseded that may not have
+        #: closed yet: requests may still read their tables, so no spare
+        #: they hold is written (:meth:`_unread_spares`).
+        self._retired: Dict[str, List[TableHandle]] = {}
         self.started_at = time.time()
         #: (monotonic stamp, value) cache of the cache-root tree walk,
         #: so /healthz polling does not become disk-bound.
@@ -857,6 +890,7 @@ class SamplingService:
         with self._lock:
             handles, self._handles = list(self._handles.values()), {}
             self._sessions.clear()
+            self._retired.clear()
         for handle in handles:
             handle.mark_closing()
         if self.tracer is not None:
@@ -1104,7 +1138,7 @@ class SamplingService:
             try:
                 stats, successor = self._advance(handle, updates)
                 if successor is not None:
-                    self._swap(key, successor)
+                    self._swap(key, handle, successor)
             finally:
                 handle.release()
         current = handle if successor is None else successor
@@ -1142,6 +1176,11 @@ class SamplingService:
         successor carries the committed manifest.  Nothing ``handle``
         serves is mutated except its urn's right to append gathered
         rows, which passes to the successor's urn.
+
+        Changed dense layers are written into ``handle``'s spares that
+        no open version still reads (:meth:`_unread_spares`), else
+        copied; the spares are taken out of ``handle`` before anything
+        is written, and the successor keeps the batch's next ones.
         """
         # Looked up at call time so wrappers installed on the module
         # (e2ebench/spans.py) see it.
@@ -1151,6 +1190,7 @@ class SamplingService:
         table = handle.table
         if table is None:
             raise SamplingError("handle is closed")
+        spares = self._unread_spares(handle.key, handle.take_spares())
         # The manifest keeps the build's counters; the batch's delta
         # counters join them in the committed manifest.
         instrumentation = Instrumentation.from_snapshot(
@@ -1163,6 +1203,7 @@ class SamplingService:
             handle.coloring,
             instrumentation=instrumentation,
             in_place=False,
+            spares=spares,
         )
         stats: dict = {
             "mode": "incremental",
@@ -1191,6 +1232,10 @@ class SamplingService:
             graph,
             instrumentation=instrumentation,
         )
+        self.instrumentation.count(
+            "delta_layers_recycled", result.layers_recycled
+        )
+        self.instrumentation.count("delta_layers_copied", result.layers_copied)
         if urn is not None:
             handle.hand_over(urn, result.dirty_radii, result.support)
         successor = TableHandle(
@@ -1206,20 +1251,52 @@ class SamplingService:
             manifest=manifest,
             registry=self.registry,
             sigma_cache=handle.sigma_cache,
+            spares=result.spares,
         )
         return stats, successor
 
-    def _swap(self, key: str, successor: TableHandle) -> None:
+    def _unread_spares(
+        self, key: str, spares: Dict[int, Spare]
+    ) -> Dict[int, Spare]:
+        """The ``spares`` no open version of ``key`` reads: none is a
+        layer of the table of a superseded handle that has not closed.
+
+        Sound because a closing handle refuses new requests: once one
+        has closed no request reads its table again, so the set of
+        readers only shrinks while the update runs.  Closed handles
+        leave the key's retired list here.
+        """
+        with self._lock:
+            retired = [
+                handle for handle in self._retired.get(key, [])
+                if not handle.closed
+            ]
+            self._retired[key] = retired
+        tables = [handle.table for handle in retired]
+        return {
+            size: spare
+            for size, spare in spares.items()
+            if not any(
+                table is not None and table.layer(size) is spare.layer
+                for table in tables
+            )
+        }
+
+    def _swap(
+        self, key: str, predecessor: TableHandle, successor: TableHandle
+    ) -> None:
         """Register ``successor`` as the key's version; retire the old.
 
         Under the service lock, as :meth:`evict` does: the eviction
         generation bumps and the key's sessions drop.  The replaced
-        handle drains and closes.
+        handle drains and closes; ``predecessor``, the version the
+        update advanced, joins the key's retired list until it does.
         """
         with self._lock:
             replaced = self._handles.get(key)
             self._handles[key] = successor
             self._retire_locked(key)
+            self._retired.setdefault(key, []).append(predecessor)
         if replaced is not None:
             replaced.mark_closing()
 
@@ -1351,10 +1428,16 @@ class SamplingService:
         The shared registry plus classifier scalars (via
         :meth:`_merged_snapshot`), topped up with liveness gauges
         (``serve_open_tables``, ``serve_sessions``,
-        ``serve_uptime_seconds``) and the TTL-cached
+        ``serve_uptime_seconds``), the bytes the warm handles keep in
+        update spares (``serve_spare_bytes``) and the TTL-cached
         ``artifact_cache_bytes`` disk gauge.
         """
         snapshot, open_tables, sessions = self._merged_snapshot()
+        with self._lock:
+            handles = list(self._handles.values())
+        snapshot["gauge.serve_spare_bytes"] = float(
+            sum(handle.spare_bytes() for handle in handles)
+        )
         snapshot["gauge.serve_open_tables"] = float(open_tables)
         snapshot["gauge.serve_sessions"] = float(sessions)
         snapshot["gauge.serve_uptime_seconds"] = round(

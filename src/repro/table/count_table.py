@@ -381,7 +381,11 @@ class DenseLayer(LayerView):
         copy of the matrix (writable even when this one is memory-mapped),
         then :meth:`patch_columns` on the copy, so the row and vertex
         totals and the largest count known so far carry over patched
-        instead of being recomputed by a scan of the successor.
+        instead of being recomputed by a scan of the successor.  The
+        incremental maintainer copies only where no layer is free to
+        write into: a served update writes a superseded version's layer
+        (a spare) instead, once no request reads it (see
+        :func:`repro.colorcoding.incremental.apply_edge_updates`).
         """
         successor = DenseLayer(
             self.size, self.keys, np.array(self.counts, dtype=np.float64)

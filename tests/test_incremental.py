@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import artifacts as artifacts_module
 from repro.artifacts import (
     ArtifactCache,
     append_edge_log,
@@ -48,6 +49,7 @@ from repro.colorcoding.incremental import (
     touched_frontiers,
 )
 from repro.colorcoding.plans import compile_plans
+from repro.colorcoding import urn as urn_module
 from repro.colorcoding.urn import TreeletUrn
 from repro.errors import ArtifactError, BuildError, SamplingError
 from repro.graph.generators import erdos_renyi
@@ -1042,12 +1044,13 @@ class TestCarriedFillSources:
     and rewrites the batch's support columns from its own layers.
 
     A chain of updates on a succinct hub-graph table — toggle pairs, a
-    batch sent to the rebuild, and a batch that removes a key (and its
-    reversal), so the program is not carried — driven through
-    ``MotivoCounter.update`` and through a served ``POST /update``.
-    After each update every source equals its layer decoded afresh,
-    the next count equals a one-shot replay, and batched draws equal
-    ``method="loop"``.
+    batch sent to the rebuild, a batch that removes a key (and its
+    reversal), so the program is not carried, and a mixed batch — driven
+    through ``MotivoCounter.update`` and through a served
+    ``POST /update``.  The hand-over copies the batch's final counts
+    (:attr:`DeltaResult.support`) and reads no layer record.  After each
+    update every source equals its layer decoded afresh, the next count
+    equals a one-shot replay, and batched draws equal ``method="loop"``.
     """
 
     K = 4
@@ -1087,6 +1090,8 @@ class TestCarriedFillSources:
             ("keys", [("-", u, v) for u, v in pair]),
             ("keys", [("+", u, v) for u, v in pair]),
             ("toggle", [("-", hub, others[2])]),
+            ("toggle", [("+", hub, others[3])]),
+            ("toggle", [("-", hub, others[3]), ("+", hub, others[4])]),
         ]
 
     @staticmethod
@@ -1097,18 +1102,48 @@ class TestCarriedFillSources:
             assert source.keys == layer.keys
             assert np.array_equal(source.counts, layer.dense_counts()), size
 
-    def _check_step(self, kind, stats, previous, urn, carried) -> None:
+    def _check_step(
+        self, kind, stats, previous, urn, carried, results, reads
+    ) -> None:
         """The hand-over's effect on the fill sources: carried whole
-        across a delta that keeps the program, dropped across a rebuild
-        or a key change."""
+        across a delta that keeps the program, with the batch's final
+        support counts copied in and no record read, dropped across a
+        rebuild or a key change."""
         assert stats["delta_rebuilds"] == (kind == "rebuild")
         assert (urn._program is previous._program) == (kind != "keys")
+        assert reads == []
+        (result,) = results
         if kind == "toggle":
             assert set(urn._dense_sources) == carried
             assert previous._dense_sources == {}
+            for size, written in result.support.items():
+                assert np.array_equal(
+                    written.counts,
+                    urn.table.layer(size).dense_counts()[:, written.cols],
+                )
         else:
             assert urn._dense_sources == {}
         self._assert_sources_current(urn)
+
+    @staticmethod
+    def _watch(monkeypatch) -> tuple:
+        """Lists filled by the next update: its ``DeltaResult`` and the
+        layer records any hand-over reads."""
+        results, reads = [], []
+        apply = incremental.apply_edge_updates
+        write = urn_module._write_records
+
+        def applying(*args, **kwargs):
+            results.append(apply(*args, **kwargs))
+            return results[-1]
+
+        def writing(records, layer, verts):
+            reads.append(int(verts.size))
+            write(records, layer, verts)
+
+        monkeypatch.setattr(incremental, "apply_edge_updates", applying)
+        monkeypatch.setattr(urn_module, "_write_records", writing)
+        return results, reads
 
     def _assert_loop(self, urn: TreeletUrn, seed: int) -> None:
         uniforms = np.random.default_rng(seed).random((256, urn.draw_width))
@@ -1147,11 +1182,15 @@ class TestCarriedFillSources:
         for step, (kind, batch) in enumerate(self._steps(host, colors)):
             previous = counter.urn
             carried = set(previous._dense_sources)
-            stats = self._with_guard(
-                monkeypatch, kind, lambda: counter.update(batch)
-            )
+            with monkeypatch.context() as patch:
+                results, reads = self._watch(patch)
+                stats = self._with_guard(
+                    monkeypatch, kind, lambda: counter.update(batch)
+                )
             urn = counter.urn
-            self._check_step(kind, stats, previous, urn, carried)
+            self._check_step(
+                kind, stats, previous, urn, carried, results, reads
+            )
             decodes = counters.get("segment_source_decodes", 0)
             seed = 900 + step
             ours = self._one_shot(counter.graph, counter.coloring, seed)
@@ -1192,11 +1231,15 @@ class TestCarriedFillSources:
             for step, (kind, batch) in enumerate(self._steps(host, colors)):
                 previous = service.open(key).urn
                 carried = set(previous._dense_sources)
-                stats = self._with_guard(
-                    monkeypatch, kind, lambda: service.update(batch)
-                )
+                with monkeypatch.context() as patch:
+                    results, reads = self._watch(patch)
+                    stats = self._with_guard(
+                        monkeypatch, kind, lambda: service.update(batch)
+                    )
                 urn = service.open(key).urn
-                self._check_step(kind, stats, previous, urn, carried)
+                self._check_step(
+                    kind, stats, previous, urn, carried, results, reads
+                )
                 seed = 900 + step
                 served = service.count(
                     samples=self.SAMPLES, session=f"s{step}", seed=seed
@@ -1226,15 +1269,11 @@ class TestCarriedFillSources:
 
 
 def _logged_update(directory: str, counter: MotivoCounter, batch) -> dict:
-    """Update ``counter`` and append the batch to the artifact's edge
-    log, as ``motivo-py update`` does before it folds."""
-    added, removed, _ = counter.graph.resolve_updates(batch)
-    counter.update(batch)
+    """Update ``counter`` and append the batch's change rows to the
+    artifact's edge log, as ``motivo-py update`` does before it folds."""
+    changes = counter.update(batch)["changes"]
     return append_edge_log(
-        directory,
-        load_manifest(directory),
-        change_rows(added, removed, counter.graph.num_vertices),
-        counter.graph,
+        directory, load_manifest(directory), changes, counter.graph
     )
 
 
@@ -1521,6 +1560,59 @@ class TestServeUpdate:
 
 
 class TestCLIUpdate:
+    def test_one_resolve_per_update(self, tmp_path, monkeypatch, capsys):
+        """``motivo-py update`` resolves its batch once and logs the
+        rows the facade hands back: the effective changes only."""
+        graph = erdos_renyi(25, 60, rng=9)
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text(
+            "".join(f"{u} {v}\n" for u, v in graph.edges())
+        )
+        artifact = tmp_path / "artifact"
+        assert cli_main([
+            "build", str(graph_path), "--k", "3", "--seed", "5",
+            "-o", str(artifact),
+        ]) == 0
+        absent = next(
+            (a, b) for a in range(25) for b in range(a + 1, 25)
+            if not graph.has_edge(a, b)
+        )
+        present = next(iter(graph.edges()))
+        batch = [("+", *absent), ("-", *present), ("+", *present)]
+        updates_path = tmp_path / "updates.txt"
+        updates_path.write_text(
+            "".join(f"{op} {u} {v}\n" for op, u, v in batch)
+        )
+        added, removed, _ = graph.resolve_updates(batch)
+        expected = change_rows(added, removed, graph.num_vertices)
+        resolves = []
+        logged = []
+        resolve = Graph.resolve_updates
+        append = artifacts_module.append_edge_log
+
+        def counting(self, updates):
+            resolves.append(1)
+            return resolve(self, updates)
+
+        def appending(directory, *args, **kwargs):
+            manifest = append(directory, *args, **kwargs)
+            with open(f"{directory}/edges.log", "rb") as log:
+                logged.append(log.read())
+            return manifest
+
+        monkeypatch.setattr(Graph, "resolve_updates", counting)
+        monkeypatch.setattr(artifacts_module, "append_edge_log", appending)
+        capsys.readouterr()
+        assert cli_main([
+            "update", str(artifact), "--updates", str(updates_path),
+        ]) == 0
+        assert len(resolves) == 1
+        assert logged == [expected.astype("<i8").tobytes()]
+        reopened = open_table(str(artifact), graph.apply_updates(batch)[0])
+        assert _digest(reopened.table, 3) == _digest(
+            build_table(reopened.graph, reopened.coloring), 3
+        )
+
     def test_update_command_applies_and_is_idempotent(
         self, tmp_path, capsys
     ):
