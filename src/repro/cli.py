@@ -17,9 +17,10 @@ this CLI mirrors that workflow:
     the output is bit-identical to a one-shot ``count``.
 ``motivo-py update <artifact> --updates FILE``
     Delta-maintain a persisted table under edge insertions/deletions:
-    propagate the touched-column frontier instead of rebuilding, append
-    the batch to the artifact's edge log and fold the log into the
-    blobs — bit-identical to a fresh build on the updated graph
+    push the batch through each level as sparse deltas instead of
+    rebuilding (:func:`repro.motivo.update_step`, as ``POST /update``
+    does), append it to the artifact's edge log and fold the log into
+    the blobs — bit-identical to a fresh build on the updated graph
     (``docs/artifacts.md``).
 ``motivo-py serve --artifact-dir DIR --port P``
     Long-lived serving: keep the cached tables warm and answer
@@ -412,11 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", default=None,
         help="host graph (path or dataset name); defaults to the source "
              "recorded in the artifact manifest",
-    )
-    update.add_argument(
-        "--rebuild", action="store_true",
-        help="rebuild the table under the same coloring instead of "
-             "delta propagation (correctness oracle; identical result)",
     )
     update.add_argument(
         "--trace-out", default=None,
@@ -815,7 +811,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     counter = MotivoCounter.from_artifact(graph, args.artifact)
     try:
         counter.configure_telemetry(_telemetry_config(args))
-        counter.config.incremental_updates = not args.rebuild
         stats = counter.update(updates)
         changes = stats.pop("changes")
         if stats["updates_applied"]:

@@ -601,6 +601,8 @@ class _Pass:
         self.volume = 0
         self.budgets = self._budgets()
         self.limit = 0
+        #: Vertex-indexed scratch of :meth:`_columns`.
+        self.slot = np.empty(self.n, dtype=np.int64)
 
     def _budgets(self) -> Dict[int, int]:
         """Per level, the volume the pass may have spent by its end.
@@ -703,10 +705,11 @@ class _Pass:
 
     def _columns(self, verts: np.ndarray):
         """``(cols, at)``: the distinct vertices ascending, and each
-        entry's position among them."""
-        mark = np.zeros(self.n, dtype=bool)
-        mark[verts] = True
-        return np.flatnonzero(mark), (np.cumsum(mark) - 1)[verts]
+        entry's position among them, in time proportional to
+        ``verts``."""
+        cols = sorted_distinct(verts, self.slot)
+        self.slot[cols] = np.arange(cols.size, dtype=np.int64)
+        return cols, self.slot[verts]
 
     def _level(self, h: int) -> Optional[_Sparse]:
         """Level ``h``'s triples, β-divided."""

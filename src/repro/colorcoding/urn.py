@@ -976,8 +976,10 @@ class TreeletUrn:
         """Segment-store bases of the ``(gks[i], verts[i])`` pairs,
         filling the pairs read for the first time.
 
-        A store past the byte budget left beside the cached rows is
-        cleared at its next fill, which then refills every pair asked
+        A store past the byte budget left beside the cached rows, or
+        whose running sum would pass :attr:`_SegmentStore.LIMIT`, is
+        cleared at its next fill (``gathered_segment_clears``, counted
+        when it held any pair), which then refills every pair asked
         for.
         """
         store = self._segments
@@ -991,6 +993,8 @@ class TreeletUrn:
         keys = gks * np.int64(self.graph.num_vertices) + verts
         fill = self._segment_values(np.unique(keys[bases < 0]))
         if self._segment_room() < 0 or not store.below_limit(fill[3]):
+            if store.rows > 1:
+                self.instrumentation.count("gathered_segment_clears")
             store.clear()
             fill = self._segment_values(np.unique(keys))
             if not store.below_limit(fill[3]):

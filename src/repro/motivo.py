@@ -49,7 +49,7 @@ from repro.errors import ArtifactError, BuildError, SamplingError
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.urn import DEFAULT_DESCENT_CACHE_BYTES, TreeletUrn
-from repro.graph.graph import Graph, change_rows
+from repro.graph.graph import Graph
 from repro.graphlets.spanning import SigmaCache
 from repro.sampling.ags import AGSResult, ags_estimate
 from repro.sampling.estimates import GraphletEstimates
@@ -65,9 +65,13 @@ from repro.util.rng import ensure_rng, spawn_rng
 
 if TYPE_CHECKING:
     from repro.artifacts.table_artifact import TableArtifact
+    from repro.colorcoding.incremental import DeltaResult, Spare
     from repro.table.count_table import CountTable
 
-__all__ = ["MotivoConfig", "MotivoCounter", "read_build_params"]
+__all__ = [
+    "MotivoConfig", "MotivoCounter", "UpdateStep", "fresh_urn",
+    "read_build_params", "update_step",
+]
 
 #: Everything :func:`repro.graph.graph.normalize_updates` accepts:
 #: a normalized ``(N, 3)`` int array or ``(op, u, v)`` triples.
@@ -157,23 +161,17 @@ class MotivoConfig:
         byte-identical).
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryConfig`.  When its
-        ``trace_out`` is set, build/sample stages emit nested spans to
-        that JSON-lines sink (``buildup``, ``artifact.open``,
-        ``artifact.seal``, ``sample.naive``, ``sample.ags``, plus the
-        inner ``descent.wave`` / ``sample.gather`` / ``sample.classify``
-        / ``sharded.*`` spans).  Telemetry never touches the RNG
-        streams — estimates are bit-identical with it on or off — and
-        it is deliberately **not** a build field, so it never changes an
-        artifact-cache key.
-    incremental_updates:
-        How :meth:`MotivoCounter.update` maintains the table under edge
-        updates: ``True`` (the default) pushes sparse deltas through
-        each level
-        (:func:`repro.colorcoding.incremental.apply_edge_updates`);
-        ``False`` falls back to a full in-memory rebuild under the same
-        coloring — the incremental path's bit-identity oracle.  Both
-        produce byte-identical tables, so like telemetry this is not a
-        build field and never changes an artifact-cache key.
+        ``trace_out`` is set, build/sample/update stages emit nested
+        spans to that JSON-lines sink (``buildup``, ``artifact.open``,
+        ``artifact.seal``, ``sample.naive``, ``sample.ags``,
+        ``update``, plus the inner ``descent.wave`` / ``sample.gather``
+        / ``sample.classify`` / ``sharded.*`` spans).  Telemetry never
+        touches the RNG streams — estimates are bit-identical with it on
+        or off — and it is deliberately **not** a build field, so it
+        never changes an artifact-cache key.
+
+    Edge updates (:meth:`MotivoCounter.update`) take no option: they
+    always run the delta path of :func:`update_step`.
     """
 
     k: int = 5
@@ -191,7 +189,6 @@ class MotivoConfig:
     shard_dir: Optional[str] = None
     shard_jobs: int = 1
     telemetry: Optional[TelemetryConfig] = None
-    incremental_updates: bool = True
 
     def build_params(self) -> dict:
         """The table-relevant fields, as recorded in artifact manifests."""
@@ -241,6 +238,104 @@ def read_build_params(build: object, k: int) -> MotivoConfig:
         known["batch_size"] = max(known["batch_size"], 1)
     known["k"] = k
     return MotivoConfig(**known)
+
+
+def fresh_urn(
+    graph: Graph,
+    table: "CountTable",
+    coloring: ColoringScheme,
+    descent_cache_bytes: int,
+    instrumentation: Instrumentation,
+    registry: Optional[TreeletRegistry] = None,
+    program=None,
+) -> Optional[TreeletUrn]:
+    """A new urn over ``table`` (adopting a plan-carrying artifact's
+    ``program``), or ``None`` when the table holds no colorful
+    k-treelets: the empty-urn state, which samples zero estimates."""
+    try:
+        return TreeletUrn(
+            graph, table, coloring, registry=registry,
+            instrumentation=instrumentation, program=program,
+            descent_cache_bytes=descent_cache_bytes,
+        )
+    except SamplingError:
+        return None
+
+
+@dataclass
+class UpdateStep:
+    """The version an edge batch leads to (:func:`update_step`): the
+    update stats, the :class:`~repro.colorcoding.incremental.DeltaResult`
+    (updated graph and table, logged changes, hand-over hints) and the
+    successor's urn (``None`` once empty) and classifier — the input
+    ones for a batch that changes nothing."""
+
+    stats: Dict[str, object]
+    delta: "DeltaResult"
+    urn: Optional[TreeletUrn]
+    classifier: GraphletClassifier
+
+
+def update_step(
+    table: "CountTable",
+    graph: Graph,
+    coloring: ColoringScheme,
+    urn: Optional[TreeletUrn],
+    classifier: GraphletClassifier,
+    updates: UpdateBatch,
+    descent_cache_bytes: int,
+    instrumentation: Instrumentation,
+    urn_instrumentation: Optional[Instrumentation] = None,
+    registry: Optional[TreeletRegistry] = None,
+    in_place: bool = False,
+    spares: "Optional[Dict[int, Spare]]" = None,
+) -> UpdateStep:
+    """Move one table version to its successor under an edge batch.
+
+    The one update path of :meth:`MotivoCounter.update` (hence
+    ``motivo-py update``) and ``POST /update``: it runs
+    :func:`~repro.colorcoding.incremental.apply_edge_updates` (counted
+    into ``instrumentation``; ``in_place`` and ``spares`` say which
+    dense layers it may write), builds the successor urn —
+    :meth:`TreeletUrn.successor`, or after an empty urn a
+    :func:`fresh_urn` counted into ``urn_instrumentation`` (default
+    ``instrumentation``) — and advances the classifier.  Stats keep
+    ``mode``, always ``"incremental"``.  The inputs are not touched,
+    and the gathered-store hand-over (:meth:`TreeletUrn.take_gathered`)
+    is left to the caller: the service takes it under the old handle's
+    draw lock once the batch is logged.
+    """
+    # Looked up at call time so wrappers installed on the module
+    # (e2ebench/spans.py) see it.
+    from repro.colorcoding.incremental import apply_edge_updates
+
+    started = time.perf_counter()
+    delta = apply_edge_updates(
+        table, graph, updates, coloring, registry=registry,
+        instrumentation=instrumentation, in_place=in_place, spares=spares,
+    )
+    stats: Dict[str, object] = {
+        "mode": "incremental",
+        **delta.stats(),
+        "propagate_seconds": time.perf_counter() - started,
+    }
+    if delta.updates_applied == 0:
+        return UpdateStep(stats, delta, urn, classifier)
+    if urn is None:
+        if urn_instrumentation is None:
+            urn_instrumentation = instrumentation
+        successor = fresh_urn(
+            delta.graph, delta.table, coloring, descent_cache_bytes,
+            urn_instrumentation, registry=registry,
+        )
+    else:
+        try:
+            successor = urn.successor(delta.graph, delta.table)
+        except SamplingError:
+            successor = None  # the batch emptied the urn
+    return UpdateStep(
+        stats, delta, successor, classifier.successor(delta.graph)
+    )
 
 
 class MotivoCounter:
@@ -441,24 +536,21 @@ class MotivoCounter:
         "0 occurrences" instead of a 500) — the same semantics the
         ensemble engine has always given empty-urn members.
         """
-        config = self.config
         self._table = table
-        try:
-            self.urn = TreeletUrn(
-                self.graph,
-                table,
-                self.coloring,
-                registry=self.registry,
-                instrumentation=self.instrumentation,
-                program=program,
-                descent_cache_bytes=config.descent_cache_bytes,
-            )
-        except SamplingError:
-            self.urn = None
-            self.empty_urn = True
-            self.instrumentation.count("empty_urn_builds")
-        self.classifier = GraphletClassifier(self.graph, config.k)
+        self._set_urn(fresh_urn(
+            self.graph, table, self.coloring,
+            self.config.descent_cache_bytes, self.instrumentation,
+            registry=self.registry, program=program,
+        ))
+        self.classifier = GraphletClassifier(self.graph, self.config.k)
         self._built = True
+
+    def _set_urn(self, urn: Optional[TreeletUrn]) -> None:
+        """Adopt ``urn``; ``None`` is the empty-urn state."""
+        self.urn = urn
+        self.empty_urn = urn is None
+        if urn is None:
+            self.instrumentation.count("empty_urn_builds")
 
     def _require_built(self) -> Optional[TreeletUrn]:
         if not self._built or self.classifier is None:
@@ -487,16 +579,17 @@ class MotivoCounter:
     def update(self, updates: UpdateBatch) -> Dict[str, object]:
         """Apply a batch of edge insertions/deletions to the built table.
 
-        The graph and table advance together: the count table is
-        maintained as a materialized view of the build-up DP — sparse
-        deltas propagate through each level
-        (:func:`repro.colorcoding.incremental.apply_edge_updates`)
-        instead of rebuilding, and the result is **bit-identical** to a
-        fresh build on the updated graph under the same coloring.  The
-        coloring itself never changes (pure edge updates, fixed vertex
-        count), and the master RNG stream is untouched, so post-update
-        estimates equal those of a counter freshly built on the updated
-        graph with this seed, bit for bit.
+        The graph and table advance together through :func:`update_step`
+        — the update path ``POST /update`` takes too — with this
+        counter's dense layers patched in place: sparse deltas propagate
+        through each level instead of rebuilding, and the result is
+        **bit-identical** to a fresh build on the updated graph under
+        the same coloring.  The coloring itself never changes (pure edge
+        updates, fixed vertex count), and the master RNG stream is
+        untouched, so post-update estimates equal those of a counter
+        freshly built on the updated graph with this seed, bit for bit.
+        The new urn then takes over the old one's gathered store
+        (:meth:`TreeletUrn.take_gathered`).
 
         ``updates`` is a batch of ``(op, u, v)`` triples (``op`` one of
         ``+1``/``-1`` or the string spellings accepted by
@@ -505,130 +598,46 @@ class MotivoCounter:
         present edge, deleting an absent one) are skipped.  A batch that
         deletes the graph's last colorful k-treelets degrades to the
         usual ``empty_urn`` state — sampling then returns flagged zero
-        estimates, and a later insertion batch revives the urn.
+        estimates, and a later insertion batch revives the urn.  The
+        counter persists nothing; ``motivo-py update`` appends the batch
+        to the artifact's edge log (:func:`repro.artifacts.append_edge_log`).
 
-        With :attr:`MotivoConfig.incremental_updates` off, the table is
-        fully rebuilt (in memory, same coloring) instead — the oracle
-        the incremental path is tested against.  The counter persists
-        nothing; ``motivo-py update`` appends the batch to the
-        artifact's edge log (:func:`repro.artifacts.append_edge_log`).
-
-        Returns a stats dict: ``mode``, ``updates_applied``,
-        ``edges_added``, ``edges_removed``, ``rows_touched``,
-        ``touched_vertices``, ``delta_entries``, ``delta_rebuilds``
-        (see :class:`~repro.colorcoding.incremental.DeltaResult`),
-        ``propagate_seconds``, and ``changes``: the batch's effective
+        Returns the stats of :func:`update_step`: ``mode``,
+        ``updates_applied``, ``edges_added``, ``edges_removed``,
+        ``rows_touched``, ``touched_vertices``, ``delta_entries``,
+        ``delta_rebuilds`` (see
+        :class:`~repro.colorcoding.incremental.DeltaResult`) and
+        ``propagate_seconds``, plus ``changes``: the batch's effective
         edge changes as ``(±1, u, v)`` rows
         (:func:`repro.graph.graph.change_rows`), resolved once — what
         an artifact's edge log appends.
         """
-        if not self._built or self.coloring is None or self._table is None:
+        if (
+            not self._built or self.coloring is None
+            or self._table is None or self.classifier is None
+        ):
             raise BuildError("call build() before update()")
-        config = self.config
-        started_at = time.perf_counter()
-        with self._stage("update", k=config.k):
-            if config.incremental_updates:
-                from repro.colorcoding.incremental import apply_edge_updates
-
-                result = apply_edge_updates(
-                    self._table,
-                    self.graph,
-                    updates,
-                    self.coloring,
-                    registry=self.registry,
-                    instrumentation=self.instrumentation,
-                    in_place=True,
-                )
-                new_graph, table = result.graph, result.table
-                dirty_radii, support = result.dirty_radii, result.support
-                changes = result.changes
-                stats = {"mode": "incremental", **result.stats()}
-            else:
-                added, removed, touched = self.graph.resolve_updates(updates)
-                new_graph = self.graph.with_changes(added, removed)
-                dirty_radii = support = None
-                changes = change_rows(
-                    added, removed, self.graph.num_vertices
-                )
-                stats = {
-                    "mode": "rebuild",
-                    "updates_applied": int(added.size + removed.size),
-                    "edges_added": int(added.size),
-                    "edges_removed": int(removed.size),
-                    "rows_touched": 0,
-                    "touched_vertices": int(touched.size),
-                    "delta_entries": 0,
-                    "delta_rebuilds": 0,
-                }
-                if touched.size:
-                    # Full rebuild under the SAME coloring (always in
-                    # memory: the fallback is the correctness oracle,
-                    # not the scale path).
-                    table = build_table(
-                        new_graph,
-                        self.coloring,
-                        registry=self.registry,
-                        zero_rooting=config.zero_rooting,
-                        instrumentation=self.instrumentation,
-                        layout=config.table_layout,
-                    )
-                else:
-                    table = self._table
-            stats["propagate_seconds"] = time.perf_counter() - started_at
-            stats["changes"] = changes
-            if stats["updates_applied"] == 0:
-                return stats
-            self._lineage = advance_lineage(
-                self._lineage,
-                self.graph.fingerprint(),
-                stats["updates_applied"],
+        with self._stage("update", k=self.config.k):
+            step = update_step(
+                self._table, self.graph, self.coloring, self.urn,
+                self.classifier, updates, self.config.descent_cache_bytes,
+                self.instrumentation, registry=self.registry, in_place=True,
             )
-            self.graph = new_graph
-            self._refresh_after_update(table, dirty_radii, support)
+            delta = step.delta
+            stats = dict(step.stats, changes=delta.changes)
+            if delta.updates_applied == 0:
+                return stats
+            if step.urn is not None and self.urn is not None:
+                step.urn.take_gathered(
+                    self.urn, delta.dirty_radii, delta.support
+                )
+            self._lineage = advance_lineage(
+                self._lineage, self.graph.fingerprint(), delta.updates_applied
+            )
+            self.graph, self._table = delta.graph, delta.table
+            self._set_urn(step.urn)
+            self.classifier = step.classifier
         return stats
-
-    def _refresh_after_update(
-        self, table, dirty_radii=None, support=None
-    ) -> None:
-        """Advance the warm sampling machinery to the updated graph/table.
-
-        The steady-state counterpart of :meth:`_finish_build`, and the
-        same successor steps ``POST /update`` takes: instead of
-        constructing a fresh urn and classifier from nothing,
-        :meth:`TreeletUrn.successor` builds the weight-derived state a
-        fresh constructor would (root alias, totals) while keeping the
-        compiled descent program; :meth:`TreeletUrn.take_gathered` —
-        given the delta's per-vertex distance labels and support
-        columns — carries the gathered-cumulative store and the
-        segment fills' decoded sources over and serves the reads the
-        update may have staled from exact segment sums; and
-        :meth:`GraphletClassifier.successor` keeps the
-        canonicalization caches.  Post-update samples stay bit-identical
-        to a fresh build without paying the cold-start costs on every
-        update.  The previous urn and classifier are superseded (with
-        ``incremental_updates`` the batch patched the previous table in
-        place).  Empty-urn transitions in either direction fall back to
-        the full :meth:`_finish_build` path.
-        """
-        self._table = table
-        if self.urn is None or self.classifier is None:
-            # Empty-urn revival (or never fully built): construct fresh.
-            self.empty_urn = False
-            self._finish_build(table)
-            return
-        previous = self.urn
-        try:
-            urn = previous.successor(self.graph, table)
-        except SamplingError:
-            self.urn = None
-            self.empty_urn = True
-            self.instrumentation.count("empty_urn_builds")
-        else:
-            urn.take_gathered(previous, dirty_radii, support)
-            self.urn = urn
-            self.empty_urn = False
-        self.classifier = self.classifier.successor(self.graph)
-        self._built = True
 
     # ------------------------------------------------------------------
     # Persistence: build once, sample many

@@ -99,7 +99,7 @@ from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
 from repro.colorcoding.urn import TreeletUrn
-from repro.motivo import read_build_params
+from repro.motivo import fresh_urn, read_build_params, update_step
 from repro.table.count_table import CountTable
 from repro.telemetry import (
     MetricsRegistry,
@@ -739,9 +739,12 @@ class SamplingService:
         # A plan-carrying artifact hands its compiled descent program
         # straight to the urn — a warm open never pays the plan compile
         # again (the zero-recompilation contract).
-        urn = self._make_urn(
+        # ``None`` for an empty table, which serves zero estimates.
+        urn = fresh_urn(
             graph, artifact.table, artifact.coloring,
-            recorded.descent_cache_bytes, artifact.descent_program,
+            recorded.descent_cache_bytes,
+            Instrumentation(registry=self.registry),
+            program=artifact.descent_program,
         )
         handle = TableHandle(
             key=key,
@@ -758,32 +761,6 @@ class SamplingService:
         )
         self.instrumentation.count("serve_tables_opened")
         return handle
-
-    def _make_urn(
-        self,
-        graph: Graph,
-        table: CountTable,
-        coloring: ColoringScheme,
-        descent_cache_bytes: int,
-        program=None,
-    ) -> Optional[TreeletUrn]:
-        """A fresh urn with the artifact's recorded descent-cache budget.
-
-        ``None`` for an empty table (e.g. saved by a direct
-        ``save_table`` call, or emptied by an update), which serves zero
-        estimates.
-        """
-        try:
-            return TreeletUrn(
-                graph,
-                table,
-                coloring,
-                program=program,
-                descent_cache_bytes=descent_cache_bytes,
-                instrumentation=Instrumentation(registry=self.registry),
-            )
-        except SamplingError:
-            return None
 
     def _checkout(self, key: str) -> TableHandle:
         """Open-or-get the handle *and* take an in-flight reference."""
@@ -1093,17 +1070,18 @@ class SamplingService:
     ) -> dict:
         """Apply an edge-update batch to a served artifact.
 
-        The engine behind ``POST /update``.  The served table is
-        delta-maintained in memory by sparse per-level changes
-        (:func:`repro.colorcoding.incremental.apply_edge_updates` — bit
-        identical to a rebuild on the updated graph), without mutating
-        the table in-flight requests read.  The sampling machinery
-        advances through the same successor steps as
-        :meth:`repro.motivo.MotivoCounter.update`: the new urn keeps the
-        compiled descent program and takes over the gathered-cumulative
-        store, the new classifier keeps the pattern caches.  The batch
-        is persisted by appending its effective edge changes to the
-        artifact's edge log and committing them in the manifest
+        The engine behind ``POST /update``.  The served version moves
+        to its successor through :func:`repro.motivo.update_step`, the
+        update path of :meth:`repro.motivo.MotivoCounter.update` too:
+        the table is delta-maintained in memory by sparse per-level
+        changes (bit identical to a fresh build on the updated graph),
+        writing only spares no open version reads, so the table
+        in-flight requests read is not mutated; the new urn keeps the
+        compiled descent program and the new classifier the pattern
+        caches.  The new urn takes over the gathered-cumulative store
+        under the old handle's draw lock, once the batch is logged.
+        The batch is persisted by appending its effective edge changes
+        to the artifact's edge log and committing them in the manifest
         (:func:`repro.artifacts.append_edge_log`) — no blob is
         rewritten — *before* the successor handle is swapped in, so a
         failed append leaves the old handle serving.  The log is folded
@@ -1182,11 +1160,6 @@ class SamplingService:
         copied; the spares are taken out of ``handle`` before anything
         is written, and the successor keeps the batch's next ones.
         """
-        # Looked up at call time so wrappers installed on the module
-        # (e2ebench/spans.py) see it.
-        from repro.colorcoding.incremental import apply_edge_updates
-
-        started = time.perf_counter()
         table = handle.table
         if table is None:
             raise SamplingError("handle is closed")
@@ -1196,64 +1169,42 @@ class SamplingService:
         instrumentation = Instrumentation.from_snapshot(
             handle.manifest.get("instrumentation", {})
         )
-        result = apply_edge_updates(
-            table,
-            handle.graph,
-            updates,
-            handle.coloring,
-            instrumentation=instrumentation,
-            in_place=False,
+        recorded = read_build_params(handle.manifest.get("build", {}), handle.k)
+        step = update_step(
+            table, handle.graph, handle.coloring, handle.urn,
+            handle.classifier, updates, recorded.descent_cache_bytes,
+            instrumentation, urn_instrumentation=handle.instrumentation,
             spares=spares,
         )
-        stats: dict = {
-            "mode": "incremental",
-            **result.stats(),
-            "propagate_seconds": time.perf_counter() - started,
-        }
-        if result.updates_applied == 0:
-            return stats, None
-        graph, table = result.graph, result.table
-        if handle.urn is None:
-            recorded = read_build_params(
-                handle.manifest.get("build", {}), handle.k
-            )
-            urn = self._make_urn(
-                graph, table, handle.coloring, recorded.descent_cache_bytes
-            )
-        else:
-            try:
-                urn = handle.urn.successor(graph, table)
-            except SamplingError:
-                urn = None  # the batch emptied the urn: zero estimates
+        delta = step.delta
+        if delta.updates_applied == 0:
+            return step.stats, None
         manifest = append_edge_log(
-            handle.directory,
-            handle.manifest,
-            result.changes,
-            graph,
+            handle.directory, handle.manifest, delta.changes, delta.graph,
             instrumentation=instrumentation,
         )
         self.instrumentation.count(
-            "delta_layers_recycled", result.layers_recycled
+            "delta_layers_recycled", delta.layers_recycled
         )
-        self.instrumentation.count("delta_layers_copied", result.layers_copied)
-        if urn is not None:
-            handle.hand_over(urn, result.dirty_radii, result.support)
+        self.instrumentation.count("delta_layers_copied", delta.layers_copied)
+        if step.urn is not None:
+            handle.hand_over(step.urn, delta.dirty_radii, delta.support)
         successor = TableHandle(
             key=handle.key,
             directory=handle.directory,
-            graph=graph,
-            table=table,
+            graph=delta.graph,
+            table=delta.table,
             coloring=handle.coloring,
-            urn=urn,
-            classifier=handle.classifier.successor(graph),
+            urn=step.urn,
+            classifier=step.classifier,
             k=handle.k,
             batch_size=handle.batch_size,
             manifest=manifest,
             registry=self.registry,
             sigma_cache=handle.sigma_cache,
-            spares=result.spares,
+            spares=delta.spares,
         )
-        return stats, successor
+        return step.stats, successor
 
     def _unread_spares(
         self, key: str, spares: Dict[int, Spare]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -56,11 +57,15 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, change_rows
 from repro.graph.io import load_graph, save_binary
 from repro.motivo import MotivoConfig, MotivoCounter
+from repro.sampling.ags import ags_estimate
+from repro.sampling.estimates import GraphletEstimates
 from repro.sampling.naive import naive_estimate
 from repro.sampling.occurrences import GraphletClassifier
 from repro.serve import SamplingService, serve_http
+from repro.telemetry import render_prometheus
 from repro.treelets.registry import TreeletRegistry
 from repro.util.instrument import Instrumentation
+from repro.util.rng import ensure_rng
 
 from support.graphgen import powerlaw_edges
 from support.oracle import assert_layers_revalidate
@@ -443,6 +448,24 @@ class TestDeltaRule:
         ),
     }
 
+    def test_support_columns_match_unique(self):
+        """A pass locates support columns through its vertex scratch,
+        reused across calls, as ``np.unique`` would."""
+        graph = self.GRAPHS["er"]()
+        coloring = ColoringScheme.uniform(graph.num_vertices, 4, rng=5)
+        run = incremental._Pass(
+            build_table(graph, coloring), graph, graph,
+            np.zeros(0, dtype=np.int64), 1, np.asarray(coloring.colors),
+            TreeletRegistry(4),
+        )
+        rng = np.random.default_rng(6)
+        for size in (0, 1, 9, 300, 9):
+            verts = rng.integers(0, graph.num_vertices, size)
+            cols, at = run._columns(verts)
+            want, inverse = np.unique(verts, return_inverse=True)
+            assert np.array_equal(cols, want)
+            assert np.array_equal(at, inverse.ravel())
+
     @pytest.mark.parametrize("in_place", [False, True])
     @pytest.mark.parametrize("layout", ["dense", "succinct"])
     @pytest.mark.parametrize("kind", ["er", "chung_lu"])
@@ -649,22 +672,6 @@ class TestCounterUpdateAcrossStores:
         assert _rng_state(counter) == _rng_state(fresh)
         counter.close()
         fresh.close()
-
-    def test_rebuild_mode_is_the_oracle(self):
-        graph = erdos_renyi(40, 100, rng=6)
-        inc = MotivoCounter(graph, MotivoConfig(k=4, seed=5))
-        ora = MotivoCounter(
-            graph, MotivoConfig(k=4, seed=5, incremental_updates=False)
-        )
-        inc.build()
-        ora.build()
-        batch = _mixed_batch(np.random.default_rng(31), graph, 4, 4)
-        assert inc.update(batch)["mode"] == "incremental"
-        assert ora.update(batch)["mode"] == "rebuild"
-        assert _digest(inc.table, 4) == _digest(ora.table, 4)
-        assert inc.sample_naive(100).counts == ora.sample_naive(100).counts
-        inc.close()
-        ora.close()
 
     def test_noop_batch_short_circuits(self):
         graph = erdos_renyi(30, 60, rng=2)
@@ -940,6 +947,41 @@ class TestGatheredStoreRetention:
         assert counters["gathered_segment_entries"] >= (
             counters["gathered_segment_fills"]
         )
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_segment_store_clears_are_counted(self, budget):
+        """A carried store whose budget cannot hold its segments clears
+        and refills them at every fill, counted as
+        ``gathered_segment_clears`` (``/metrics``:
+        ``motivo_gathered_segment_clears_total``); draws stay equal to
+        the loop oracle's.  The default budget never clears."""
+        graph = self._hub_graph()
+        coloring = ColoringScheme.uniform(self.HUB_N, self.K, rng=23)
+        table = build_table(graph, coloring)
+        urn = TreeletUrn(graph, table, coloring, descent_cache_bytes=budget)
+        urn.sample_batch(512, np.random.default_rng(0))
+        batch = _mixed_batch(np.random.default_rng(61), graph, 2, 1)
+        result = apply_edge_updates(table, graph, batch, coloring)
+        successor = urn.successor(result.graph, result.table)
+        assert successor.take_gathered(urn, result.dirty_radii)
+        uniforms = np.random.default_rng(5).random((768, urn.draw_width))
+        self._assert_draws(
+            successor, TreeletUrn(result.graph, result.table, coloring),
+            uniforms, loop_rows=768,
+        )
+        counters = successor.instrumentation.counters
+        assert counters["gathered_segment_fills"] > 0
+        clears = counters.get("gathered_segment_clears", 0)
+        scraped = render_prometheus(successor.instrumentation.snapshot())
+        if budget is None:
+            assert clears == 0
+            assert "motivo_gathered_segment_clears_total" not in scraped
+        else:
+            assert clears > 0
+            assert (
+                f"motivo_gathered_segment_clears_total {clears}"
+                in scraped.splitlines()
+            )
 
     def test_fresh_urn_fills_no_segments(self):
         graph = self._hub_graph()
@@ -1690,3 +1732,165 @@ class TestCLIUpdate:
         assert lineage["parent_fingerprint"] == graph.fingerprint()
         assert manifest["rng_state"] == built["rng_state"]
         assert manifest["build"] == built["build"]
+
+
+class TestOneUpdateStep:
+    """``MotivoCounter.update``, ``SamplingService.update`` and
+    ``motivo-py update`` advance a table through one update step.
+
+    One batch sequence from one artifact — toggles, a batch sent to the
+    rebuild, a batch that empties the urn and one that revives it —
+    goes through all three, dense and succinct.  After every batch the
+    three tables equal each other and ``build_table``'s byte for byte,
+    the naive and AGS estimates under one seed are equal, and so are
+    the update stats.
+    """
+
+    K = 4
+    SAMPLES = 300
+    BUDGET = 200
+    COVER = 20
+    STATS = (
+        "mode", "updates_applied", "edges_added", "edges_removed",
+        "rows_touched", "touched_vertices", "delta_entries",
+        "delta_rebuilds",
+    )
+
+    def _batches(self, host: Graph, colors: np.ndarray) -> list:
+        first, second = [
+            (a, b) for a in range(host.num_vertices)
+            for b in range(a + 1, host.num_vertices)
+            if not host.has_edge(a, b) and colors[a] != colors[b]
+        ][:2]
+        # Cutting the graph down to a matching leaves no connected
+        # k-subgraph: the urn empties, and restoring the cut revives it.
+        matched: set = set()
+        cut = []
+        for u, v in host.apply_updates([("+", *second)])[0].edges():
+            if u in matched or v in matched:
+                cut.append((u, v))
+            else:
+                matched.update((u, v))
+        return [
+            [("+", *first)],
+            [("-", *first), ("+", *second)],
+            [("-", u, v) for u, v in cut],
+            [("+", u, v) for u, v in cut],
+            [("-", *second)],
+        ]
+
+    def _facade(self, counter: MotivoCounter, seed: int) -> tuple:
+        if counter.urn is None:
+            return (
+                GraphletEstimates.empty(self.K, self.SAMPLES, "naive"),
+                GraphletEstimates.empty(self.K, self.BUDGET, "ags"),
+            )
+        batch_size = counter.config.batch_size
+        naive = naive_estimate(
+            counter.urn, counter.classifier, self.SAMPLES, ensure_rng(seed),
+            batch_size=batch_size,
+        )
+        ags = ags_estimate(
+            counter.urn, counter.classifier, self.BUDGET,
+            cover_threshold=self.COVER, rng=ensure_rng(seed),
+            batch_size=batch_size,
+        ).estimates
+        return naive, ags
+
+    def _cli(self, directory, tmp_path, seed: int) -> tuple:
+        found = []
+        for flags in ([], ["--ags", "--cover-threshold", str(self.COVER)]):
+            output = tmp_path / "cli-estimates.json"
+            samples = self.BUDGET if flags else self.SAMPLES
+            assert cli_main([
+                "sample", str(directory), "--samples", str(samples),
+                "--seed", str(seed), "--output", str(output), *flags,
+            ]) == 0
+            found.append(GraphletEstimates.from_json(output.read_text()))
+        return tuple(found)
+
+    @staticmethod
+    def _same(*estimates) -> None:
+        first = estimates[0]
+        for other in estimates[1:]:
+            assert (other.counts, other.hits, other.empty_urn) == (
+                first.counts, first.hits, first.empty_urn
+            )
+
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    def test_three_surfaces_one_successor(
+        self, layout, tmp_path, capsys, monkeypatch
+    ):
+        host = erdos_renyi(40, 90, rng=5)
+        root = str(tmp_path / "cache")
+        built = MotivoCounter(host, MotivoConfig(
+            k=self.K, seed=11, artifact_dir=root,
+            artifact_codec=layout, table_layout=layout,
+        ))
+        built.build()
+        built.close()
+        key = ArtifactCache(root).entries()[0].key
+        cli_dir = tmp_path / "cli"
+        shutil.copytree(ArtifactCache(root).path(key), cli_dir)
+        host_path = str(tmp_path / "host.npz")
+        save_binary(host, host_path)
+        counter = MotivoCounter.from_artifact(
+            host, ArtifactCache(root).path(key)
+        )
+        coloring = counter.coloring
+        with SamplingService(root) as service:
+            service.add_graph(host)
+            batches = self._batches(host, np.asarray(coloring.colors))
+            for step, batch in enumerate(batches):
+                updates_path = tmp_path / f"updates{step}.txt"
+                updates_path.write_text(
+                    "".join(f"{op} {u} {v}\n" for op, u, v in batch)
+                )
+                with monkeypatch.context() as patch:
+                    if step == 1:  # any delta outgrows the guard
+                        patch.setattr(incremental, "_MIN_VOLUME", 0)
+                        patch.setattr(incremental, "_REBUILD_RATIO", 1 << 40)
+                    facade = counter.update(batch)
+                    served = service.update(batch)
+                    capsys.readouterr()
+                    assert cli_main([
+                        "update", str(cli_dir),
+                        "--updates", str(updates_path),
+                        *(["--graph", host_path] if step == 0 else []),
+                    ]) == 0
+                logged = json.loads(
+                    capsys.readouterr().out.strip().splitlines()[-1]
+                )
+                assert facade["updates_applied"] == len(batch)
+                assert facade["delta_rebuilds"] == (step == 1)
+                for stats in (served, logged):
+                    assert {name: stats[name] for name in self.STATS} == {
+                        name: facade[name] for name in self.STATS
+                    }, step
+
+                graph = counter.graph
+                assert counter.empty_urn == (step == 2)
+                handle = service.open(key)
+                assert (handle.urn is None) == (step == 2)
+                reference = build_table(graph, coloring, layout=layout)
+                for table in (
+                    counter.table,
+                    handle.table,
+                    open_table(str(cli_dir), graph).table,
+                ):
+                    _assert_tables_equal(reference, table, self.K)
+
+                seed = 700 + step
+                naive = service.count(
+                    samples=self.SAMPLES, session=f"n{step}", seed=seed
+                ).estimates
+                ags = service.count(
+                    estimator="ags", samples=self.BUDGET,
+                    session=f"a{step}", seed=seed,
+                    cover_threshold=self.COVER,
+                ).estimates
+                cli_naive, cli_ags = self._cli(cli_dir, tmp_path, seed)
+                facade_naive, facade_ags = self._facade(counter, seed)
+                self._same(facade_naive, naive, cli_naive)
+                self._same(facade_ags, ags, cli_ags)
+        counter.close()
